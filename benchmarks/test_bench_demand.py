@@ -1,8 +1,10 @@
 """Demand-engine perf signal: million-flow epochs without flow objects.
 
-The aggregate layer's contract (DESIGN.md §13): epoch cost is
-O(pairs x relays x rounds), *independent of the flow count*.  Two
-numbers the BENCH trajectory tracks:
+The aggregate layer's contract (DESIGN.md §13): epoch cost is a few
+numpy passes over the (pairs x relays) split matrix per selection
+round plus one aggregate solve over (pair, relay) classes — about
+1.5-3 ms on a 2-vCPU 2.1 GHz Xeon VM — and *independent of the flow
+count*.  Two numbers the BENCH trajectory tracks:
 
 * **million-flow epoch** — one epoch at 100x regional load pushes
   >= 1M concurrent flows through the shared relays; asserted directly
@@ -20,13 +22,16 @@ from repro.experiments.demand_exp import DemandConfig, _build_engine, _study_inp
 
 BENCH_SEED = 7
 
-#: Epochs timed per load level (averaging out allocator noise).
-BENCH_EPOCHS = 8
+#: Epochs timed per load level (averaging out allocator noise): one
+#: simulated day, so a millisecond-scale epoch still times a few tens
+#: of milliseconds and one scheduler hiccup cannot fake the ratio.
+BENCH_EPOCHS = 24
 
 #: The 100x epoch may cost at most this many times the 1x epoch.  The
-#: true ratio is ~1 (identical class/resource counts); 5x leaves room
-#: for cache effects and CI jitter while still refuting any per-flow
-#: work, which would show up as ~100x.
+#: true ratio is ~1 (identical class/resource counts; 0.7-1.2x measured
+#: at 1.5-3 ms per epoch); 5x leaves room for cache effects and CI
+#: jitter while still refuting any per-flow work, which would show up
+#: as ~100x.
 INDEPENDENCE_FACTOR = 5.0
 
 

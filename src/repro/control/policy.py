@@ -30,6 +30,13 @@ Two *load-aware* policies extend the set for population-scale demand
 
 Both expose the relay utilization they acted on through
 :attr:`PolicyDecision.relay_load`, which the decision log renders.
+
+Aggregate engines decide for many flows at once through
+:meth:`Policy.batch`: one (flows x relays) split matrix per call
+instead of one :meth:`Policy.decide` per flow.  The base class builds
+the matrix from ``decide`` once, which is right for load-blind
+policies; a policy that reads a :class:`LoadSignal` must override
+``batch`` so every call sees the current load.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.control.health import PathHealth, PathState, STATE_RANK
 from repro.control.probes import ProbeResult
@@ -46,6 +55,33 @@ from repro.errors import ControlError
 #: The paper's C4.5 thresholds (Sec. V-B): RTT cut 10.5 %, loss cut 12.1 %.
 C45_RTT_CUT = 0.105
 C45_LOSS_CUT = 0.121
+
+#: A bound batch decision: ``now`` -> (flows x relays) split matrix.
+#: Row ``r`` is flow ``r``'s traffic split over the relay columns
+#: (sorted labels); it sums to 1, or is all zero when the flow has no
+#: usable relay.
+SplitFn = Callable[[float], np.ndarray]
+
+
+def _left_sum(values) -> float:
+    """Left-to-right float sum, the rounding of ``sum()`` before 3.12.
+
+    Python 3.12 made ``sum()`` compensated; the batched splits add the
+    same floats column by column, so scalar and batched decisions use
+    this fold to stay bit-identical on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _left_sum_columns(matrix: np.ndarray) -> np.ndarray:
+    """Per-row :func:`_left_sum` of a 2-D array, one column at a time."""
+    total = np.zeros(matrix.shape[0])
+    for column in range(matrix.shape[1]):
+        total += matrix[:, column]
+    return total
 
 
 @runtime_checkable
@@ -132,6 +168,44 @@ class Policy(abc.ABC):
         — how many times a candidate has recently failed.  Policies
         that ignore fault history simply leave it unused.
         """
+
+    def batch(
+        self,
+        health: Mapping[str, PathHealth],
+        probe_rows: Sequence[Mapping[str, ProbeResult]],
+    ) -> SplitFn:
+        """Bind the policy to many flows' static probes at once.
+
+        Returns a :data:`SplitFn` over the ``sorted(health)`` relay
+        columns; row ``r`` is the split of ``decide(now, health,
+        probe_rows[r], current=())``: its weights normalised to sum 1,
+        or all traffic on ``active[0]`` when it has none.
+
+        This base form calls ``decide`` once per row, here, and serves
+        that matrix at every ``now`` — exact for load-blind policies,
+        whose answer cannot change while health and probes stand
+        still.  Policies that read a :class:`LoadSignal` override it.
+        """
+        labels = sorted(health)
+        column = {label: j for j, label in enumerate(labels)}
+        matrix = np.zeros((len(probe_rows), len(labels)))
+        for row, probes in enumerate(probe_rows):
+            decision = self.decide(0.0, health, probes, current=())
+            if decision.weights:
+                split = decision.weights
+                total = _left_sum(w for _, w in split)
+            elif decision.active:
+                split, total = ((decision.active[0], 1.0),), 1.0
+            else:
+                continue
+            for label, weight in split:
+                if label not in column:
+                    raise ControlError(
+                        f"{self.name} chose {label!r}, which is not a batch relay"
+                    )
+                matrix[row, column[label]] = weight / total
+        matrix.flags.writeable = False
+        return lambda now: matrix
 
     @staticmethod
     def _score(label: str, probes: Mapping[str, ProbeResult]) -> float:
@@ -422,6 +496,29 @@ def _positive_score(label: str, probes: Mapping[str, ProbeResult]) -> float:
     return 0.0
 
 
+def _probe_matrix(
+    health: Mapping[str, PathHealth],
+    probe_rows: Sequence[Mapping[str, ProbeResult]],
+    value: Callable[[str, Mapping[str, ProbeResult]], float],
+    unusable: float,
+) -> np.ndarray:
+    """(rows x ``sorted(health)``) array of ``value(label, probes)``.
+
+    Relays that health rules out read ``unusable``, as if unprobed.
+    """
+    labels = sorted(health)
+    return np.array(
+        [
+            [
+                value(label, probes) if Policy._usable(label, health) else unusable
+                for label in labels
+            ]
+            for probes in probe_rows
+        ],
+        dtype=float,
+    ).reshape(len(probe_rows), len(labels))
+
+
 class QpsWeightedPolicy(Policy):
     """QPS-weighted balancing: spread traffic by quality x headroom.
 
@@ -489,7 +586,7 @@ class QpsWeightedPolicy(Policy):
         weighted.sort(key=lambda item: (-item[1], item[0]))
         if self.max_relays is not None:
             weighted = weighted[: self.max_relays]
-        total = sum(w for _, w in weighted)
+        total = _left_sum(w for _, w in weighted)
         active = tuple(label for label, _ in weighted)
         peak = max(loads[label] for label in active)
         return PolicyDecision(
@@ -501,6 +598,53 @@ class QpsWeightedPolicy(Policy):
             relay_load=tuple(sorted((label, loads[label]) for label in active)),
             weights=tuple((label, w / total) for label, w in weighted),
         )
+
+    def batch(
+        self,
+        health: Mapping[str, PathHealth],
+        probe_rows: Sequence[Mapping[str, ProbeResult]],
+    ) -> SplitFn:
+        """Batched :meth:`decide`: one weight matrix per load reading.
+
+        Scores are static, so they are packed once.  Each call reads
+        the load signal once per relay and redoes ``decide``'s
+        arithmetic column-wise in the same order — the (-weight, label)
+        sort, this policy's normalisation, then the split's
+        re-normalisation — so every row is bit-identical to the scalar
+        path.
+        """
+        labels = sorted(health)
+        score = _probe_matrix(health, probe_rows, _positive_score, unusable=0.0)
+        if not np.isfinite(score).all():
+            raise ControlError("qps-weighted probe scores must be finite")
+        candidate = score > 0.0
+
+        def splits(now: float) -> np.ndarray:
+            headroom = np.array(
+                [max(0.0, 1.0 - self._load_of(label, now)) + self.smoothing for label in labels]
+            )
+            weight = score * headroom
+            # A stable sort of -weight over label-sorted columns is the
+            # scalar (-weight, label) order; non-candidates go last.
+            order = np.argsort(np.where(candidate, -weight, np.inf), axis=1, kind="stable")
+            kept = np.take_along_axis(candidate, order, axis=1)
+            if self.max_relays is not None:
+                kept[:, self.max_relays :] = False
+            routed = kept.any(axis=1)[:, None]
+            ranked = np.where(kept, np.take_along_axis(weight, order, axis=1), 0.0)
+            share = np.divide(
+                ranked, _left_sum_columns(ranked)[:, None],
+                out=np.zeros_like(ranked), where=routed,
+            )
+            share = np.divide(
+                share, _left_sum_columns(share)[:, None],
+                out=np.zeros_like(share), where=routed,
+            )
+            out = np.zeros_like(share)
+            np.put_along_axis(out, order, share, axis=1)
+            return out
+
+        return splits
 
 
 class AnycastIngressPolicy(Policy):
@@ -579,3 +723,36 @@ class AnycastIngressPolicy(Policy):
             reason=reason,
             relay_load=tuple(sorted(loads.items())),
         )
+
+    def batch(
+        self,
+        health: Mapping[str, PathHealth],
+        probe_rows: Sequence[Mapping[str, ProbeResult]],
+    ) -> SplitFn:
+        """Batched :meth:`decide`: every row's nearest cool ingress.
+
+        The ingress order is static, so it is packed once (a stable
+        sort over label-sorted columns is the scalar (RTT, label)
+        order); each call only asks which relays sit at or above
+        ``spill_threshold``.
+        """
+        labels = sorted(health)
+        rtt = _probe_matrix(health, probe_rows, self._ingress_rtt, unusable=math.inf)
+        rtt[~np.isfinite(rtt)] = math.inf
+        order = np.argsort(rtt, axis=1, kind="stable")
+        ranked = np.isfinite(np.take_along_axis(rtt, order, axis=1))
+        routed = np.flatnonzero(ranked.any(axis=1))
+
+        def splits(now: float) -> np.ndarray:
+            cool = np.array(
+                [self._load_of(label, now) < self.spill_threshold for label in labels],
+                dtype=bool,
+            )
+            pick = ranked & cool[order]
+            # First cool ranked ingress, else the nearest (position 0).
+            position = np.where(pick.any(axis=1), pick.argmax(axis=1), 0)
+            out = np.zeros(rtt.shape)
+            out[routed, order[routed, position[routed]]] = 1.0
+            return out
+
+        return splits

@@ -8,7 +8,9 @@ Ties the package together.  Per epoch the engine:
 2. splits each city's flows across its (client, server) pairs,
 3. asks a :class:`~repro.control.policy.Policy` which relay(s) each
    pair should ride — iterating a few fixed-point rounds so load-aware
-   policies see the load their own assignment creates,
+   policies see the load their own assignment creates.  Each round is
+   one batched call (:meth:`~repro.control.policy.Policy.batch`) that
+   returns the (pairs x relays) split matrix,
 4. solves the epoch with the aggregate layer
    (:func:`~repro.demand.aggregate.solve_epoch`): relay capacities come
    from :class:`~repro.demand.relay.RelayCapacity` *at the assigned
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.control.health import PathHealth
-from repro.control.policy import Policy, PolicyDecision
+from repro.control.policy import Policy
 from repro.control.probes import ProbeResult
 from repro.demand.aggregate import FlowClass, Resource, solve_epoch
 from repro.demand.model import DemandModel
@@ -73,6 +77,13 @@ class PairRoutes:
             raise ConfigError(f"pair {self.client}->{self.server} has no overlay routes")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate relay labels for pair {self.pair_id}: {labels}")
+        for field_name in ("overlay_rtt_ms", "ingress_rtt_ms"):
+            rtt_labels = sorted(label for label, _ in getattr(self, field_name))
+            if rtt_labels != sorted(labels):
+                raise ConfigError(
+                    f"pair {self.pair_id} {field_name} covers relays {rtt_labels}, "
+                    f"but its routes use {sorted(labels)}"
+                )
 
 
 class RelayLoadTracker:
@@ -131,6 +142,12 @@ class DemandEngine:
         if len(self.relays) != len(relays):
             raise ConfigError("duplicate relay labels")
         self.relay_labels = tuple(sorted(self.relays))
+        for pair in self.pairs:
+            unknown = sorted({label for label, _ in pair.overlay_mbps} - set(self.relays))
+            if unknown:
+                raise ConfigError(
+                    f"pair {pair.pair_id} routes via relays with no capacity model: {unknown}"
+                )
         self.model = model
         self.policy = policy
         self.tracker = tracker if tracker is not None else RelayLoadTracker()
@@ -141,16 +158,18 @@ class DemandEngine:
 
         # Health is static (every relay usable) and probes are static
         # (uncontended route quality); only the load signal varies, so
-        # both are built once and shared across epochs and rounds.
-        self._health = {
-            label: PathHealth(label=label) for label in self.relay_labels
-        }
-        self._probes: dict[int, dict[str, ProbeResult]] = {
-            pair.pair_id: self._pair_probes(pair) for pair in self.pairs
-        }
-        self._city_pairs: dict[str, list[PairRoutes]] = {}
-        for pair in self.pairs:
-            self._city_pairs.setdefault(pair.city, []).append(pair)
+        # the policy packs them once and each round costs one
+        # (pairs x relays) split matrix.
+        health = {label: PathHealth(label=label) for label in self.relay_labels}
+        self._splits = policy.batch(health, [self._pair_probes(pair) for pair in self.pairs])
+        column = {label: j for j, label in enumerate(self.relay_labels)}
+        self._overlay_mbps = np.zeros((len(self.pairs), len(self.relay_labels)))
+        self._direct_mbps = np.array([pair.direct_mbps for pair in self.pairs])
+        self._city_rows: dict[str, list[int]] = {}
+        for row, pair in enumerate(self.pairs):
+            for label, mbps in pair.overlay_mbps:
+                self._overlay_mbps[row, column[label]] = mbps
+            self._city_rows.setdefault(pair.city, []).append(row)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -158,68 +177,33 @@ class DemandEngine:
         """Synthesized probe results carrying the pair's route quality."""
         rtts = dict(pair.overlay_rtt_ms)
         ingress = dict(pair.ingress_rtt_ms)
-        probes = {}
-        for label, mbps in pair.overlay_mbps:
-            probes[label] = ProbeResult(
+        return {
+            label: ProbeResult(
                 label=label,
                 at_time=0.0,
                 ok=True,
-                rtt_ms=rtts.get(label, 0.0),
+                rtt_ms=rtts[label],
                 loss=0.0,
                 throughput_mbps=mbps,
                 bytes_cost=0,
-                ingress_rtt_ms=ingress.get(label),
+                ingress_rtt_ms=ingress[label],
             )
-        return probes
+            for label, mbps in pair.overlay_mbps
+        }
 
-    def _pair_flows(self, city_flows: dict[str, int]) -> dict[int, int]:
+    def _pair_flows(self, city_flows: dict[str, int]) -> np.ndarray:
         """Deterministic integer split of each city's flows across pairs.
 
         Floor division plus remainder to the lowest pair ids — a pure
-        function of the counts, independent of iteration order.
+        function of the counts, independent of iteration order.  One
+        entry per pair, in pair-id order.
         """
-        per_pair: dict[int, int] = {}
-        for city, members in sorted(self._city_pairs.items()):
-            flows = city_flows.get(city, 0)
-            base, remainder = divmod(flows, len(members))
-            for i, pair in enumerate(sorted(members, key=lambda p: p.pair_id)):
-                per_pair[pair.pair_id] = base + (1 if i < remainder else 0)
+        per_pair = np.zeros(len(self.pairs))
+        for city, rows in self._city_rows.items():
+            base, remainder = divmod(city_flows.get(city, 0), len(rows))
+            for i, row in enumerate(rows):
+                per_pair[row] = base + (1 if i < remainder else 0)
         return per_pair
-
-    def _decide_weights(self, now: float) -> dict[int, dict[str, float]]:
-        """One round of policy decisions, mapped to per-relay splits."""
-        weights: dict[int, dict[str, float]] = {}
-        for pair in self.pairs:
-            decision = self.policy.decide(
-                now, self._health, self._probes[pair.pair_id], current=()
-            )
-            weights[pair.pair_id] = self._split(decision)
-        return weights
-
-    @staticmethod
-    def _split(decision: PolicyDecision) -> dict[str, float]:
-        """A decision's traffic split: its weights, or all on the head."""
-        if decision.weights:
-            total = sum(w for _, w in decision.weights)
-            return {label: w / total for label, w in decision.weights}
-        if decision.active:
-            return {decision.active[0]: 1.0}
-        return {}
-
-    def _relay_assignment(
-        self, per_pair: dict[int, int], weights: dict[int, dict[str, float]]
-    ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-        """Per-relay flow counts, offered Mbps, capacity at that count."""
-        flows = {label: 0.0 for label in self.relay_labels}
-        for pair in self.pairs:
-            n = per_pair[pair.pair_id]
-            for label, w in weights[pair.pair_id].items():
-                flows[label] += n * w
-        demand = {label: flows[label] * self.flow_rate_mbps for label in flows}
-        capacity = {
-            label: self.relays[label].capacity_mbps(flows[label]) for label in flows
-        }
-        return flows, demand, capacity
 
     # ------------------------------------------------------------------
     def epoch_metrics(self, epoch_index: int, epoch_s: float) -> dict:
@@ -236,71 +220,70 @@ class DemandEngine:
         city_flows = self.model.sample_concurrent(
             epoch_index, t, self.mean_flow_s, scale=self.load_scale
         )
-        per_pair = self._pair_flows(city_flows)
+        per_pair = self._pair_flows(city_flows)[:, None]
 
         self.tracker.reset()
-        weights: dict[int, dict[str, float]] = {}
-        flows: dict[str, float] = {}
-        demand: dict[str, float] = {}
-        capacity: dict[str, float] = {}
-        signal = {label: 0.0 for label in self.relay_labels}
-        for round_index in range(self.rounds):
-            weights = self._decide_weights(t)
-            flows, demand, capacity = self._relay_assignment(per_pair, weights)
-            snapshot = {
-                label: (
-                    demand[label] / capacity[label]
-                    if capacity[label] > 0
-                    else float("inf")
+        signal = np.zeros(len(self.relay_labels))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for round_index in range(self.rounds):
+                split = self._splits(t)
+                # Per-relay flows add pair by pair in pair order: cumsum
+                # is sequential (np.sum would add pairwise and round
+                # differently).
+                flows = np.cumsum(per_pair * split, axis=0)[-1]
+                demand = flows * self.flow_rate_mbps
+                capacity = np.array(
+                    [
+                        self.relays[label].capacity_mbps(count)
+                        for label, count in zip(self.relay_labels, flows.tolist())
+                    ]
                 )
-                for label in self.relay_labels
-            }
-            # Fictitious play: the signal is the running mean of every
-            # round's snapshot, so synchronous re-decisions cannot ring.
-            signal = {
-                label: signal[label]
-                + (snapshot[label] - signal[label]) / (round_index + 1)
-                for label in self.relay_labels
-            }
-            self.tracker.set_loads(signal)
+                snapshot = np.where(capacity > 0, demand / capacity, np.inf)
+                # Fictitious play: the signal is the running mean of
+                # every round's snapshot, so synchronous re-decisions
+                # cannot ring.
+                signal = signal + (snapshot - signal) / (round_index + 1)
+                self.tracker.set_loads(dict(zip(self.relay_labels, signal.tolist())))
 
         # The aggregate solve: one resource per relay (capacity at the
         # assigned concurrency), one flow class per (pair, relay).
         resources = tuple(
-            Resource(label=label, capacity_mbps=max(capacity[label], 1e-9))
-            for label in self.relay_labels
+            Resource(label=label, capacity_mbps=max(cap, 1e-9))
+            for label, cap in zip(self.relay_labels, capacity.tolist())
         )
-        resource_index = {label: i for i, label in enumerate(self.relay_labels)}
-        classes = []
-        for pair in self.pairs:
-            n = per_pair[pair.pair_id]
-            for label, w in sorted(weights[pair.pair_id].items()):
-                count = n * w
-                if count <= 0:
-                    continue
-                classes.append(
-                    FlowClass(
-                        label=f"pair{pair.pair_id}/{label}",
-                        count=count,
-                        per_flow_mbps=self.flow_rate_mbps,
-                        resources=(resource_index[label],),
-                    )
-                )
-        allocation = solve_epoch(tuple(classes), resources)
+        counts = per_pair * split
+        rows, cols = (axis.tolist() for axis in np.nonzero(counts > 0))
+        classes = tuple(
+            FlowClass(
+                label=f"pair{self.pairs[row].pair_id}/{self.relay_labels[col]}",
+                count=count,
+                per_flow_mbps=self.flow_rate_mbps,
+                resources=(col,),
+            )
+            for row, col, count in zip(rows, cols, counts[rows, cols].tolist())
+        )
+        allocation = solve_epoch(classes, resources)
 
-        wins = 0
-        for pair in self.pairs:
-            if self._marginal_overlay_mbps(pair, weights, flows, demand, capacity) > pair.direct_mbps:
-                wins += 1
-        win_rate = wins / len(self.pairs)
+        # What a fresh bulk transfer would get through the overlay now:
+        # the pair rides its largest-share relay (lowest label on ties)
+        # at the route's uncontended rate, capped by that relay's
+        # headroom — or, when it is saturated, by one fair flow share.
+        relay = split.argmax(axis=1)
+        headroom = np.maximum(capacity - demand, 0.0)
+        fair_share = capacity / np.maximum(flows, 1.0)
+        overlay = np.minimum(
+            self._overlay_mbps[np.arange(len(self.pairs)), relay],
+            np.maximum(headroom, fair_share)[relay],
+        )
+        wins = np.count_nonzero(split.any(axis=1) & (overlay > self._direct_mbps))
+        win_rate = int(wins) / len(self.pairs)
 
         relay_stats = {}
-        for label in self.relay_labels:
-            idx = resource_index[label]
+        for idx, label in enumerate(self.relay_labels):
             relay_stats[label] = {
-                "flows": round(flows[label], 3),
-                "demand_mbps": round(demand[label], 6),
-                "capacity_mbps": round(capacity[label], 6),
+                "flows": round(float(flows[idx]), 3),
+                "demand_mbps": round(float(demand[idx]), 6),
+                "capacity_mbps": round(float(capacity[idx]), 6),
                 "utilization": round(allocation.utilization(idx), 6),
                 "loss": round(allocation.loss_fraction(idx), 6),
             }
@@ -315,26 +298,3 @@ class DemandEngine:
             ),
             "relays": relay_stats,
         }
-
-    def _marginal_overlay_mbps(
-        self,
-        pair: PairRoutes,
-        weights: dict[int, dict[str, float]],
-        flows: dict[str, float],
-        demand: dict[str, float],
-        capacity: dict[str, float],
-    ) -> float:
-        """What a fresh bulk transfer would get through the overlay now.
-
-        The pair rides the relay its policy favours; the transfer gets
-        the route's uncontended rate, capped by the relay's headroom —
-        or, when the relay is saturated, by one fair flow share.
-        """
-        split = weights[pair.pair_id]
-        if not split:
-            return 0.0
-        relay = max(sorted(split), key=lambda label: split[label])
-        uncontended = dict(pair.overlay_mbps).get(relay, 0.0)
-        headroom = max(capacity[relay] - demand[relay], 0.0)
-        fair_share = capacity[relay] / max(flows[relay], 1.0)
-        return min(uncontended, max(headroom, fair_share))

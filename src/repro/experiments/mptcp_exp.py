@@ -27,7 +27,7 @@ from repro.errors import ExperimentError
 from repro.net.path import RouterPath
 from repro.net.topology import TopologyConfig, generate_topology
 from repro.net.world import Internet
-from repro.rand import RandomStreams
+from repro.rand import RandomStreams, stable_index
 from repro.transport.cc import CubicCC
 from repro.transport.fluid import FluidSimulator
 from repro.transport.mptcp import MptcpConnection, MptcpScheme
@@ -165,7 +165,7 @@ def build_mptcp_world(seed: int) -> tuple[Internet, list]:
 def _fluid_single(
     internet: Internet, path: RouterPath, at_time: float, config: MptcpExpConfig, seed_key: str
 ) -> float:
-    rng = internet.streams.spawn_generator("mptcp-exp", hash(seed_key) & 0x7FFF_FFFF)
+    rng = internet.streams.spawn_generator("mptcp-exp", stable_index(seed_key))
     sim = FluidSimulator(at_time=at_time, rng=rng, tick_s=config.tick_s)
     flow = sim.add_flow(path, CubicCC(), rwnd_bytes=MEASURE_RWND)
     return sim.run(config.duration_s)[flow.flow_id].throughput_mbps
@@ -265,7 +265,7 @@ def run_mptcp_experiment(config: MptcpExpConfig = MptcpExpConfig()) -> MptcpExpR
                 rwnd_bytes=MEASURE_RWND,
             )
             rng = internet.streams.spawn_generator(
-                "mptcp-conn", hash((a, b, iteration)) & 0x7FFF_FFFF
+                "mptcp-conn", stable_index(f"{a}/{b}/{iteration}")
             )
             comparison.mptcp_mbps.append(
                 mptcp.run(at_time, config.duration_s, rng, tick_s=config.tick_s).throughput_mbps

@@ -22,6 +22,17 @@ def _derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def stable_index(key: str) -> int:
+    """A 31-bit stream index derived from ``key`` by sha256.
+
+    For string keys that pick an element of a spawned stream
+    (:meth:`RandomStreams.spawn_generator`): builtin ``hash()`` of a
+    string changes with ``PYTHONHASHSEED``, this does not.
+    """
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF
+
+
 class RandomStreams:
     """A family of independent, named ``numpy`` generators.
 

@@ -60,6 +60,28 @@ class TestPairRoutes:
                 overlay_rtt_ms=(), ingress_rtt_ms=(),
             )
 
+    @pytest.mark.parametrize("field", ["overlay_rtt_ms", "ingress_rtt_ms"])
+    def test_rejects_rtts_that_miss_a_relay(self, field):
+        # A missing RTT used to become rtt_ms=0.0, which made anycast
+        # pick the unmeasured relay as the "nearest" ingress.
+        rtts = {"overlay_rtt_ms": (("ams", 80.0), ("dc", 120.0)),
+                "ingress_rtt_ms": (("ams", 10.0), ("dc", 70.0))}
+        rtts[field] = (("ams", 10.0),)
+        with pytest.raises(ConfigError, match=field):
+            PairRoutes(
+                pair_id=0, client="c", server="s", city=CITY, direct_mbps=1.0,
+                overlay_mbps=(("ams", 12.0), ("dc", 9.0)), **rtts,
+            )
+
+    def test_rejects_rtts_for_relays_without_routes(self):
+        with pytest.raises(ConfigError):
+            PairRoutes(
+                pair_id=0, client="c", server="s", city=CITY, direct_mbps=1.0,
+                overlay_mbps=(("ams", 12.0),),
+                overlay_rtt_ms=(("ams", 80.0), ("dc", 120.0)),
+                ingress_rtt_ms=(("ams", 10.0),),
+            )
+
 
 class TestRelayLoadTracker:
     def test_set_reset_read(self):
@@ -85,6 +107,18 @@ class TestEngineValidation:
             DemandEngine(
                 [pair(0, 1.0, 2.0, 3.0)],
                 [RelayCapacity(label="r", nic_mbps=1.0)] * 2,
+                model,
+                BestPathPolicy(),
+            )
+
+    def test_rejects_route_via_relay_without_capacity(self):
+        # A route naming a relay the engine has no capacity model for
+        # used to be dropped silently.
+        model = DemandModel.build({CITY: 1}, seed=1)
+        with pytest.raises(ConfigError, match="dc"):
+            DemandEngine(
+                [pair(0, 1.0, 2.0, 3.0)],
+                [RelayCapacity(label="ams", nic_mbps=1.0)],
                 model,
                 BestPathPolicy(),
             )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.rand import RandomStreams
+from repro.rand import RandomStreams, stable_index
 
 
 class TestRandomStreams:
@@ -56,3 +56,14 @@ class TestRandomStreams:
     def test_non_int_seed_rejected(self):
         with pytest.raises(ConfigError):
             RandomStreams(seed="42")  # type: ignore[arg-type]
+
+
+class TestStableIndex:
+    def test_pinned_for_a_fixed_key(self):
+        # sha256-derived, so the same under every PYTHONHASHSEED; the
+        # MPTCP campaign seeds its per-path noise from these indices.
+        assert stable_index("d/a/b/0") == 457068714
+        assert stable_index("mptcp") == 1810936359
+
+    def test_fits_a_31_bit_index(self):
+        assert all(0 <= stable_index(f"k{i}") < 2**31 for i in range(100))
