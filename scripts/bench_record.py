@@ -62,9 +62,7 @@ def _bench_demand() -> dict:
     elapsed = time.perf_counter() - start
 
     # Campaign wall-clock at 1 and 8 workers, fresh caches each.
-    campaign = DemandConfig(
-        seed=7, scale="small", epochs=12, levels=(1.0, 8.0, 100.0), epochs_per_shard=3
-    )
+    campaign = DemandConfig(seed=7, scale="small", epochs=12, levels=(1.0, 8.0, 100.0))
     walls = {}
     for workers in (1, 8):
         with tempfile.TemporaryDirectory() as cache_dir:
@@ -232,9 +230,9 @@ def _bench_net(quick: bool = False) -> dict:
 
     # ``repro chaos --scenario all`` equivalent: every scenario, both
     # arms.  The headline wall is the *serial* entry point — exactly
-    # what the CLI runs, and the path where the mirror's cross-run
-    # cache sharing applies (exec shards each fork from a cold parent,
-    # so they pay their own cache fills).  Quick mode quarters the
+    # what the CLI runs without --workers.  Exec shards one scenario
+    # per fork, so a scenario's runs still share the mirror's cache
+    # fill, but each shard fills its own.  Quick mode quarters the
     # horizon (the --fast knobs) and skips the expensive object-mode
     # and workers-8 replays.
     chaos_config = ChaosConfig(

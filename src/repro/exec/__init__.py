@@ -40,7 +40,7 @@ from repro.exec.backend import (
     ShardOutcome,
     make_backend,
 )
-from repro.exec.cache import CACHE_EPOCH, MISS, ResultCache
+from repro.exec.cache import MISS, ResultCache, code_salt
 from repro.exec.coordinator import Coordinator, WorkerChaos
 from repro.exec.lease import Lease, LeaseConfig, LeaseTable
 from repro.exec.manifest import RunManifest, ShardRecord
@@ -52,7 +52,6 @@ from repro.exec.spec import TaskSpec
 
 __all__ = [
     "BACKEND_NAMES",
-    "CACHE_EPOCH",
     "Coordinator",
     "CoordinatorBackend",
     "ExecBackend",
@@ -72,6 +71,7 @@ __all__ = [
     "Stage",
     "TaskSpec",
     "WorkerChaos",
+    "code_salt",
     "default_shard_count",
     "execute_shards",
     "make_backend",

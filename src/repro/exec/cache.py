@@ -1,10 +1,11 @@
 """Content-addressed on-disk result cache.
 
 Each shard's payload lands in ``<root>/<key[:2]>/<key>.json`` where
-``key = sha256(code salt + canonical spec)``.  Writes are atomic
-(temp file + ``os.replace``) so a killed run never leaves a torn
-entry — whatever made it to the cache is complete and safe to serve
-on ``--resume``.  Payloads are canonical JSON, so a cached shard's
+``key = sha256(code salt + canonical spec)`` and the code salt hashes
+the ``repro`` package's own sources (:func:`code_salt`).  Writes are
+atomic (temp file + ``os.replace``) so a killed run never leaves a
+torn entry — whatever made it to the cache is complete and safe to
+serve on ``--resume``.  Payloads are canonical JSON, so a cached shard's
 bytes are identical to a recomputed shard's bytes.
 
 A payload that *did* get torn anyway — a truncated file from an
@@ -16,6 +17,8 @@ survives for post-mortems.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -24,10 +27,37 @@ from typing import Any
 from repro.errors import ExecError
 from repro.io import to_jsonable
 
-#: Code-version component of every cache key.  Bump whenever a shard
-#: function's semantics change — old entries become unreachable (and
-#: harmless) instead of silently wrong.
-CACHE_EPOCH = 1
+#: The ``repro`` package directory whose sources salt every cache key.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+def source_hash(root: str | Path) -> str:
+    """sha256 over the sorted relative paths and bytes of ``root``'s ``.py`` files.
+
+    Paths are relative, so one tree hashes alike wherever it is checked
+    out; any byte of any module moving changes the hash.
+    """
+    root = Path(root)
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in files:
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_salt() -> str:
+    """Code-version component of every cache key, computed once per process.
+
+    The :func:`source_hash` of the running ``repro`` package: any code
+    change makes every older entry unreachable (and harmless) instead
+    of silently wrong, with nothing to bump by hand.
+    """
+    return source_hash(PACKAGE_ROOT)
 
 #: Sentinel distinguishing "no entry" from a legitimately-``None``
 #: payload in :meth:`ResultCache.lookup`.

@@ -36,7 +36,7 @@ from repro.exec.backend import (
     ShardOutcome,
     make_backend,
 )
-from repro.exec.cache import CACHE_EPOCH, MISS, ResultCache
+from repro.exec.cache import MISS, ResultCache, code_salt
 from repro.exec.manifest import RunManifest, ShardRecord
 from repro.exec.plan import ExecTask
 
@@ -66,8 +66,8 @@ class ExecConfig:
     retries: int = 1
     mp_context: str = "fork"
     use_processes: bool = True
-    #: Extra cache-key salt on top of :data:`CACHE_EPOCH` (e.g. a
-    #: config fingerprint the specs do not carry).
+    #: Extra cache-key salt on top of :func:`~repro.exec.cache.code_salt`
+    #: (e.g. a config fingerprint the specs do not carry).
     salt: str = ""
     #: Which :class:`~repro.exec.backend.ExecBackend` runs the shards.
     backend: str = "local-fork"
@@ -108,7 +108,7 @@ class ExecConfig:
     @property
     def cache_salt(self) -> str:
         """The full code-version salt every cache key carries."""
-        return f"epoch={CACHE_EPOCH};{self.salt}"
+        return f"code={code_salt()};{self.salt}"
 
 
 class ExecRunner:

@@ -84,7 +84,7 @@ class TaskSpec:
         """Content-address of this shard's result.
 
         ``salt`` carries the code-version component (see
-        :data:`~repro.exec.cache.CACHE_EPOCH`): bumping it invalidates
+        :func:`~repro.exec.cache.code_salt`): a new salt invalidates
         every cached payload without touching the cache directory.
         """
         digest = hashlib.sha256(f"{salt}\n{self.canonical()}".encode("utf-8"))

@@ -284,22 +284,29 @@ def _policy_for(strategy: str, config: ChaosConfig, arm: str) -> tuple[Policy, b
     raise ExperimentError(f"unknown strategy {strategy!r}")
 
 
-def _pick_pathset(world: World, cronet, config: ChaosConfig) -> PathSet:
-    """First pair every requested scenario can target.
+def _pick_pathset(
+    world: World, cronet, config: ChaosConfig
+) -> tuple[PathSet, dict[str, ChaosScenario]]:
+    """First pair every requested scenario can target, with its scenarios.
 
     The builders need isolatable links (direct-only, overlay-only) and
     an intermediate AS; pairs too entangled for any requested scenario
-    are skipped.
+    are skipped.  The winning pair's scenarios are returned built, in
+    ``config.scenario_names`` order, so no caller builds one twice.
     """
     for server in world.server_names:
         for client in world.client_names():
             pathset = cronet.path_set(server, client)
             try:
-                for name in config.scenario_names:
-                    build_scenario(name, world.internet, pathset, config.duration_s)
+                scenarios = {
+                    name: build_scenario(
+                        name, world.internet, pathset, config.duration_s
+                    )
+                    for name in config.scenario_names
+                }
             except ExperimentError:
                 continue
-            return pathset
+            return pathset, scenarios
     raise ExperimentError("no pair admits every requested chaos scenario")
 
 
@@ -345,7 +352,7 @@ def _run_one(
     strategy: str,
     arm: str,
     config: ChaosConfig,
-    injector: FaultInjector | None = None,
+    injector: FaultInjector,
 ) -> ChaosOutcome:
     """One controller run from t=0 against an installed scenario."""
     world.internet.set_time(0.0)
@@ -383,7 +390,7 @@ def _run_one(
             _label_links(pathset),
             window_s=config.degradation().flap_window_s,
         )
-        if adaptive and config.use_flap_margin and injector is not None
+        if adaptive and config.use_flap_margin
         else None
     )
     controller = OverlayController(
@@ -418,113 +425,88 @@ def _run_one(
     )
 
 
-def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
-    """Run the chaos study; deterministic for a fixed seed."""
+def _run_scenario(
+    world: World, pathset: PathSet, scenario: ChaosScenario, config: ChaosConfig
+) -> list[ChaosOutcome]:
+    """Every (arm, strategy) run of one scenario under one fault injector.
+
+    The runs replay one fault timeline, so the first fills the
+    ``(t, state id)`` metric caches and the rest hit them (DESIGN §15).
+    """
+    injector = FaultInjector(world.internet)
+    for event in scenario.events:
+        injector.add(event)
+    injector.install()
+    try:
+        return [
+            _run_one(world, pathset, scenario, strategy, arm, config, injector)
+            for arm in config.arms
+            for strategy, _ in STRATEGIES
+        ]
+    finally:
+        injector.uninstall()
+        world.internet.set_time(0.0)
+
+
+def _study_inputs(
+    config: ChaosConfig,
+) -> tuple[World, PathSet, dict[str, ChaosScenario], ChaosResult]:
+    """The world, pair and built scenarios, plus an outcome-less result."""
     world = build_world(seed=config.seed, scale=config.scale)
-    cronet = world.cronet()
-    pathset = _pick_pathset(world, cronet, config)
+    pathset, scenarios = _pick_pathset(world, world.cronet(), config)
     result = ChaosResult(
         config=config,
         pair=(pathset.src_name, pathset.dst_name),
-        descriptions={},
+        descriptions={name: s.describe() for name, s in scenarios.items()},
     )
-    for name in config.scenario_names:
-        scenario = build_scenario(name, world.internet, pathset, config.duration_s)
-        result.descriptions[name] = scenario.describe()
-        injector = FaultInjector(world.internet)
-        for event in scenario.events:
-            injector.add(event)
-        injector.install()
-        try:
-            for arm in config.arms:
-                for strategy, _ in STRATEGIES:
-                    result.outcomes.append(
-                        _run_one(
-                            world, pathset, scenario, strategy, arm, config, injector
-                        )
-                    )
-        finally:
-            injector.uninstall()
-            world.internet.set_time(0.0)
+    return world, pathset, scenarios, result
+
+
+def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
+    """Run the chaos study; deterministic for a fixed seed."""
+    world, pathset, scenarios, result = _study_inputs(config)
+    for scenario in scenarios.values():
+        result.outcomes.extend(_run_scenario(world, pathset, scenario, config))
     return result
 
 
 def run_chaos_exec(config: ChaosConfig, runner: "ExecRunner") -> ChaosResult:
-    """The chaos study as one shard per (scenario, arm, strategy) run.
+    """The chaos study as one shard per scenario.
 
-    Every run is independent — scenario builders are RNG-free, and each
-    run's probe streams are memoized under a unique per-run name — so a
-    shard rebuilds its own scenario, installs a fresh fault injector,
-    replays the run, and uninstalls in ``finally``.  Shard order and
-    worker count therefore cannot change any outcome, and results are
-    byte-identical to the serial :func:`run_chaos` loop.
+    A shard is :func:`_run_scenario` on the scenario the parent built
+    (inherited through fork), so its runs share one cache fill exactly
+    as in the serial loop.  Scenario builders are RNG-free and each
+    run's probe streams are memoized under a unique per-run name, so
+    shard order and worker count cannot change any outcome, and
+    results are byte-identical to :func:`run_chaos`.
     """
     from repro.exec.plan import ExecTask
     from repro.exec.spec import TaskSpec
     from repro.io import to_jsonable
 
-    world = build_world(seed=config.seed, scale=config.scale)
-    cronet = world.cronet()
-    pathset = _pick_pathset(world, cronet, config)
-    result = ChaosResult(
-        config=config,
-        pair=(pathset.src_name, pathset.dst_name),
-        descriptions={
-            name: build_scenario(
-                name, world.internet, pathset, config.duration_s
-            ).describe()
-            for name in config.scenario_names
-        },
-    )
-    combos = [
-        (scenario_name, arm, strategy)
-        for scenario_name in config.scenario_names
-        for arm in config.arms
-        for strategy, _ in STRATEGIES
-    ]
+    world, pathset, scenarios, result = _study_inputs(config)
 
-    def shard_fn(scenario_name: str, arm: str, strategy: str):
-        def fn() -> dict:
-            scenario = build_scenario(
-                scenario_name, world.internet, pathset, config.duration_s
-            )
-            injector = FaultInjector(world.internet)
-            for event in scenario.events:
-                injector.add(event)
-            injector.install()
-            try:
-                outcome = _run_one(
-                    world, pathset, scenario, strategy, arm, config, injector
-                )
-            finally:
-                injector.uninstall()
-                world.internet.set_time(0.0)
-            return to_jsonable(outcome)
-
-        return fn
+    def shard_fn(scenario: ChaosScenario):
+        return lambda: to_jsonable(_run_scenario(world, pathset, scenario, config))
 
     spec_params = {"experiment": "chaos", "config": dataclasses.asdict(config)}
     tasks = [
         ExecTask(
             spec=TaskSpec(
-                kind="chaos.runs",
+                kind="chaos.scenario",
                 seed=config.seed,
                 shard_index=i,
-                shard_count=len(combos),
-                params={
-                    **spec_params,
-                    "scenario": scenario_name,
-                    "arm": arm,
-                    "strategy": strategy,
-                },
+                shard_count=len(scenarios),
+                params={**spec_params, "scenario": name},
             ),
-            fn=shard_fn(scenario_name, arm, strategy),
+            fn=shard_fn(scenario),
         )
-        for i, (scenario_name, arm, strategy) in enumerate(combos)
+        for i, (name, scenario) in enumerate(scenarios.items())
     ]
     payloads = runner.run(tasks, stage="chaos.runs")
     runner.raise_on_errors()
-    result.outcomes.extend(ChaosOutcome(**payload) for payload in payloads)
+    for payload in payloads:
+        result.outcomes.extend(ChaosOutcome(**outcome) for outcome in payload)
     return result
 
 
@@ -652,16 +634,14 @@ def run_chaos_packet(
     from repro.transport.throughput import TcpParams, steady_state_throughput_mbps
 
     world = build_world(seed=config.seed, scale=config.scale)
-    cronet = world.cronet()
-    pathset = _pick_pathset(world, cronet, config)
+    pathset, scenarios = _pick_pathset(world, world.cronet(), config)
     result = PacketReplayResult(
         config=config, pair=(pathset.src_name, pathset.dst_name)
     )
     labelled: list[tuple[str, RouterPath]] = [("direct", pathset.direct)]
     labelled += [(option.name, option.concatenated) for option in pathset.options]
     params = TcpParams(rwnd_bytes=config.rwnd_bytes)
-    for scenario_index, name in enumerate(config.scenario_names):
-        scenario = build_scenario(name, world.internet, pathset, config.duration_s)
+    for scenario_index, (name, scenario) in enumerate(scenarios.items()):
         result.descriptions[name] = scenario.describe()
         injector = FaultInjector(world.internet)
         for event in scenario.events:

@@ -17,8 +17,8 @@ win rate inverts (drops below half), and how much of the inversion the
 load-aware policies claw back.
 
 Deterministic: epoch samples are seeded per (seed, city, epoch) and no
-state crosses epochs, so ``run_demand_exec`` shards epoch blocks across
-workers with byte-identical results at any worker count.
+state crosses epochs, so ``run_demand_exec`` shards the study one arm
+per task with byte-identical results at any worker count.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class DemandConfig:
     #: for the whole study so win-rate changes isolate relay
     #: contention, not background link congestion.
     at_hours: float = 6.0
-    #: Epoch-block size for sharded execution (a function of the work,
-    #: never of the worker count).
-    epochs_per_shard: int = 6
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -103,24 +100,12 @@ class DemandConfig:
             raise ExperimentError(
                 f"unknown demand policies {unknown}; choose from {list(POLICIES)}"
             )
-        if self.epochs_per_shard < 1:
-            raise ExperimentError(
-                f"epochs_per_shard must be >= 1, got {self.epochs_per_shard}"
-            )
 
     @property
     def arms(self) -> tuple[tuple[str, float], ...]:
         """Every (policy, level) combination the study runs."""
         return tuple(
             (policy, level) for policy in self.policies for level in self.levels
-        )
-
-    @property
-    def epoch_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Half-open epoch ranges for sharded execution."""
-        return tuple(
-            (start, min(start + self.epochs_per_shard, self.epochs))
-            for start in range(0, self.epochs, self.epochs_per_shard)
         )
 
 
@@ -368,54 +353,47 @@ def _study_inputs(
     return pairs, relays, model
 
 
+def _run_arm(
+    pairs: list[PairRoutes],
+    relays: list[RelayCapacity],
+    model: DemandModel,
+    policy_name: str,
+    level: float,
+    config: DemandConfig,
+) -> list[dict]:
+    """One arm's per-epoch metrics, from one engine."""
+    engine = _build_engine(pairs, relays, model, policy_name, level, config)
+    return [engine.epoch_metrics(epoch, config.epoch_s) for epoch in range(config.epochs)]
+
+
 def run_demand(config: DemandConfig = DemandConfig()) -> DemandResult:
     """Run the demand study serially; deterministic for a fixed seed."""
     pairs, relays, model = _study_inputs(config)
     result = DemandResult(config=config, n_pairs=len(pairs))
     for policy_name, level in config.arms:
-        engine = _build_engine(pairs, relays, model, policy_name, level, config)
-        series = ArmSeries(policy=policy_name, level=level)
-        for epoch in range(config.epochs):
-            series.epochs.append(engine.epoch_metrics(epoch, config.epoch_s))
-        result.arms.append(series)
+        epochs = _run_arm(pairs, relays, model, policy_name, level, config)
+        result.arms.append(ArmSeries(policy=policy_name, level=level, epochs=epochs))
     return result
 
 
 def run_demand_exec(config: DemandConfig, runner: "ExecRunner") -> DemandResult:
-    """The demand study as one shard per (arm, epoch block).
+    """The demand study as one shard per (policy, level) arm.
 
     Every epoch is a pure function of (config, epoch index) — samples
     are seeded per (city, epoch) and the engine resets its load tracker
     at each epoch start — so shard order and worker count cannot change
     any metric, and results are byte-identical to the serial
-    :func:`run_demand` loop.
+    :func:`run_demand` loop.  One shard per arm lets the arm's epochs
+    share one engine, built inside the shard.
     """
     from repro.exec.plan import ExecTask
     from repro.exec.spec import TaskSpec
 
     pairs, relays, model = _study_inputs(config)
     result = DemandResult(config=config, n_pairs=len(pairs))
-    engines = {
-        (policy_name, level): _build_engine(
-            pairs, relays, model, policy_name, level, config
-        )
-        for policy_name, level in config.arms
-    }
-    combos = [
-        (policy_name, level, block)
-        for policy_name, level in config.arms
-        for block in config.epoch_blocks
-    ]
 
-    def shard_fn(policy_name: str, level: float, block: tuple[int, int]):
-        def fn() -> list[dict]:
-            engine = engines[(policy_name, level)]
-            return [
-                engine.epoch_metrics(epoch, config.epoch_s)
-                for epoch in range(block[0], block[1])
-            ]
-
-        return fn
+    def shard_fn(policy_name: str, level: float):
+        return lambda: _run_arm(pairs, relays, model, policy_name, level, config)
 
     spec_params = {"experiment": "demand", "config": dataclasses.asdict(config)}
     tasks = [
@@ -424,29 +402,15 @@ def run_demand_exec(config: DemandConfig, runner: "ExecRunner") -> DemandResult:
                 kind="demand.epochs",
                 seed=config.seed,
                 shard_index=i,
-                shard_count=len(combos),
-                params={
-                    **spec_params,
-                    "policy": policy_name,
-                    "level": level,
-                    "epoch_start": block[0],
-                    "epoch_end": block[1],
-                },
+                shard_count=len(config.arms),
+                params={**spec_params, "policy": policy_name, "level": level},
             ),
-            fn=shard_fn(policy_name, level, block),
+            fn=shard_fn(policy_name, level),
         )
-        for i, (policy_name, level, block) in enumerate(combos)
+        for i, (policy_name, level) in enumerate(config.arms)
     ]
     payloads = runner.run(tasks, stage="demand.epochs")
     runner.raise_on_errors()
-
-    by_arm: dict[tuple[str, float], ArmSeries] = {}
-    for (policy_name, level, _block), payload in zip(combos, payloads):
-        series = by_arm.get((policy_name, level))
-        if series is None:
-            series = by_arm[(policy_name, level)] = ArmSeries(
-                policy=policy_name, level=level
-            )
-            result.arms.append(series)
-        series.epochs.extend(payload)
+    for (policy_name, level), epochs in zip(config.arms, payloads):
+        result.arms.append(ArmSeries(policy=policy_name, level=level, epochs=epochs))
     return result

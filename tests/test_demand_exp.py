@@ -18,7 +18,7 @@ from repro.experiments.demand_exp import (
 from repro.io import to_jsonable
 
 SEED = 7
-FAST = dict(seed=SEED, epochs=4, levels=(1.0, 8.0), epochs_per_shard=2)
+FAST = dict(seed=SEED, epochs=4, levels=(1.0, 8.0))
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -43,8 +43,6 @@ class TestConfig:
     def test_rejects_bad_epochs(self):
         with pytest.raises(ExperimentError):
             DemandConfig(epochs=0)
-        with pytest.raises(ExperimentError):
-            DemandConfig(epochs_per_shard=0)
 
     def test_arms_cross_policies_and_levels(self):
         config = DemandConfig(levels=(1.0, 2.0), policies=("best-path", "anycast"))
@@ -54,10 +52,6 @@ class TestConfig:
             ("anycast", 1.0),
             ("anycast", 2.0),
         )
-
-    def test_epoch_blocks_partition_the_epochs(self):
-        config = DemandConfig(epochs=7, epochs_per_shard=3)
-        assert config.epoch_blocks == ((0, 3), (3, 6), (6, 7))
 
 
 class TestDeterminism:
@@ -74,6 +68,14 @@ class TestDeterminism:
             sharded = run_demand_exec(DemandConfig(**FAST), runner)
             assert to_jsonable(sharded) == to_jsonable(fast_result)
             assert sharded.render() == fast_result.render()
+
+    def test_exec_runs_one_shard_per_arm(self, tmp_path):
+        config = DemandConfig(**FAST)
+        runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path))
+        run_demand_exec(config, runner)
+        records = runner.manifest.records
+        assert len(records) == len(config.arms)
+        assert {record.stage for record in records} == {"demand.epochs"}
 
 
 class TestHeadline:

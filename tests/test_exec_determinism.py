@@ -15,12 +15,19 @@ import json
 import pytest
 
 from repro.errors import ExecError
+from repro.exec.manifest import RunManifest
 from repro.exec.plan import ExecPlan, ExecTask, Stage, run_plan
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
-from repro.experiments.chaos_exp import ChaosConfig, run_chaos, run_chaos_exec
+from repro.experiments.chaos_exp import (
+    STRATEGIES,
+    ChaosConfig,
+    run_chaos,
+    run_chaos_exec,
+)
 from repro.experiments.controlled import ControlledConfig, run_controlled_exec
 from repro.experiments.longitudinal import run_longitudinal
+from repro.faults.scenarios import SCENARIOS
 from repro.io import dump_json
 
 SEED = 3
@@ -113,6 +120,27 @@ class TestSerialEquivalence:
             to_jsonable(sharded), sort_keys=True
         )
         assert serial.render() == sharded.render()
+
+    def test_chaos_exec_runs_one_shard_per_scenario(self, tmp_path):
+        # `repro chaos --scenario all --fast --workers 2`: each scenario's
+        # arm x strategy runs share one shard, so the manifest holds one
+        # record per scenario.
+        config = ChaosConfig(
+            seed=7,
+            scale="small",
+            scenarios=tuple(SCENARIOS),
+            duration_s=900.0,
+            tick_s=5.0,
+            probe_interval_s=15.0,
+        )
+        runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path / "cache"))
+        result = run_chaos_exec(config, runner)
+        manifest = RunManifest.load(runner.write_manifest())
+        assert len(manifest.records) == len(config.scenario_names)
+        assert {record.stage for record in manifest.records} == {"chaos.runs"}
+        assert manifest.executed == len(config.scenario_names)
+        runs = len(config.arms) * len(STRATEGIES)
+        assert len(result.outcomes) == runs * len(config.scenario_names)
 
     def test_longitudinal_exec_matches_serial_campaign(self, tmp_path):
         from repro.experiments.controlled import run_controlled

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ExecError
-from repro.exec.cache import ResultCache
+from repro.exec.cache import PACKAGE_ROOT, ResultCache, code_salt, source_hash
 from repro.exec.pool import execute_shards
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
@@ -21,6 +25,30 @@ def _triples(n, fn_for):
         spec = TaskSpec("t", 7, i, n)
         out.append((spec.key(), spec.label, fn_for(i)))
     return out
+
+
+#: Runs one trivial shard with ``--resume`` semantics against a cache dir
+#: and prints the runner's salt and its cache-hit count.
+_SALT_PROBE = """
+import sys
+from repro.exec.plan import ExecTask
+from repro.exec.runner import ExecConfig, ExecRunner
+from repro.exec.spec import TaskSpec
+
+runner = ExecRunner(ExecConfig(cache_dir=sys.argv[1], resume=True, use_processes=False))
+runner.run([ExecTask(spec=TaskSpec("salt.probe", 7, 0, 1), fn=lambda: 1)])
+print(runner.config.cache_salt, runner.manifest.cache_hits)
+"""
+
+
+def _salt_and_hits(src: Path, cache: Path) -> tuple[str, int]:
+    """(cache salt, cache hits) of one probe shard run from the tree at ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _SALT_PROBE, str(cache)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    return out[0], int(out[1])
 
 
 class TestPool:
@@ -150,8 +178,24 @@ class TestRunnerConfig:
         with pytest.raises(ExecError):
             ExecConfig(timeout_s=0.0)
 
-    def test_cache_salt_carries_epoch(self):
-        assert ExecConfig().cache_salt.startswith("epoch=")
+    def test_cache_salt_carries_code_hash(self):
+        assert ExecConfig().cache_salt == f"code={code_salt()};"
+        assert ExecConfig(salt="x").cache_salt == f"code={code_salt()};x"
+
+    def test_edited_source_changes_salt_and_misses_cache(self, tmp_path):
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        # Relative paths only: the same tree elsewhere hashes alike.
+        assert source_hash(copy) == code_salt()
+        cache = tmp_path / "cache"
+        assert _salt_and_hits(copy.parent, cache) == (f"code={code_salt()};", 0)
+        assert _salt_and_hits(copy.parent, cache) == (f"code={code_salt()};", 1)
+
+        module = copy / "units.py"
+        module.write_text(module.read_text() + "\n# edited\n")
+        edited = source_hash(copy)
+        assert edited != code_salt()
+        assert _salt_and_hits(copy.parent, cache) == (f"code={edited};", 0)
 
     def test_abort_env_is_read_at_construction(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ABORT_ENV, "0")

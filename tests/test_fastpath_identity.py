@@ -45,10 +45,12 @@ def _runner(tmp_path, tag, workers) -> ExecRunner:
 
 
 def _chaos_config(seed: int) -> ChaosConfig:
+    # Several scenarios, so each exec shard replays one scenario's eight
+    # runs under one injector while the other shards fill their own caches.
     return ChaosConfig(
         seed=seed,
         scale="small",
-        scenarios=("as-outage",),
+        scenarios=("as-outage", "route-flap", "probe-loss"),
         duration_s=600.0,
         tick_s=10.0,
         probe_interval_s=30.0,
