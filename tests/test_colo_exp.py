@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -160,3 +162,24 @@ class TestCli:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    # E19 pinned byte for byte: the cloud footprint's 0.152 cost ratio
+    # and the mixed footprint's 0.771 win rate at 10x load. The exec
+    # pool must reproduce the serial stdout. Regenerate with
+    # `python -m repro colo --seed 7` only when a change is meant to
+    # move the science.
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_default_study_matches_committed_output(self, capsys, tmp_path, workers):
+        from repro.cli import main
+
+        argv = ["colo", "--seed", "7"]
+        if workers is not None:
+            argv += ["--workers", workers, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        golden = (GOLDEN / "colo_seed7.txt").read_text()
+        assert capsys.readouterr().out == golden

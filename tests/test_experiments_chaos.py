@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -265,3 +267,25 @@ class TestPacketReplay:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ExperimentError):
             PacketReplayConfig(scenarios=("nope",))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    # E13 pinned byte for byte: controller-best's wrong-path time under
+    # gray failure falls from 140 s (baseline) to 110 s (hardened) and
+    # 20 s (adaptive). The exec pool must reproduce the serial stdout.
+    # Regenerate with `python -m repro chaos --seed 7 --scenario
+    # gray-detect --adaptive` only when a change is meant to move the
+    # science.
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_gray_detect_matches_committed_output(self, capsys, tmp_path, workers):
+        from repro.cli import main
+
+        argv = ["chaos", "--seed", "7", "--scenario", "gray-detect", "--adaptive"]
+        if workers is not None:
+            argv += ["--workers", workers, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        golden = (GOLDEN / "chaos_gray_detect_seed7.txt").read_text()
+        assert capsys.readouterr().out == golden
