@@ -85,11 +85,10 @@ def _bench_demand() -> dict:
 
 
 def _bench_exec() -> dict:
-    """The exec backends' headline numbers (see DESIGN.md §14)."""
+    """The exec layer's headline numbers (see DESIGN.md §14)."""
     from repro.control.controller import OverlayController
     from repro.control.policy import BestPathPolicy
     from repro.control.probes import ProbeConfig, ProbeScheduler
-    from repro.exec.coordinator import WorkerChaos
     from repro.exec.runner import ExecConfig, ExecRunner
     from repro.experiments.chaos_exp import ChaosConfig, run_chaos_exec
     from repro.experiments.control_exp import _pick_pair
@@ -135,10 +134,7 @@ def _bench_exec() -> dict:
     controller.run(duration_s)
     ticks_elapsed = time.perf_counter() - start
 
-    # Chaos campaign wall-clock, fresh caches each: the local-fork
-    # backend at 1 and 8 workers, then the coordinator backend at 8
-    # workers under a kill + stall schedule — the cost of riding out a
-    # SIGKILLed worker and an expired lease mid-campaign.
+    # Chaos campaign wall-clock at 1 and 8 workers, fresh caches each.
     chaos_config = ChaosConfig(
         seed=7, scale="small", duration_s=900.0, tick_s=5.0, probe_interval_s=15.0
     )
@@ -153,13 +149,6 @@ def _bench_exec() -> dict:
 
     campaign("wall_s_workers_1", workers=1)
     campaign("wall_s_workers_8", workers=8)
-    campaign(
-        "wall_s_workers_8_coordinator_chaos",
-        workers=8,
-        backend="coordinator",
-        lease_timeout_s=2.0,
-        chaos=WorkerChaos(kill=((0, 1),), stall=((1, 1),), stall_s=3.0),
-    )
 
     return {
         "paths_per_sec_expanded": round(resolved / paths_elapsed),

@@ -248,33 +248,11 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=".repro-cache",
         help="result cache directory (default: .repro-cache)",
     )
-    parser.add_argument(
-        "--backend", choices=["local-fork", "coordinator"], default="local-fork",
-        help=(
-            "execution backend: 'local-fork' (one forked process per shard) "
-            "or 'coordinator' (crash-resilient lease/heartbeat protocol; "
-            "results are byte-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
-        help=(
-            "coordinator backend: heartbeat window — a shard whose worker "
-            "misses it is re-leased (default: 30)"
-        ),
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help=(
-            "coordinator backend: per-shard attempt budget before a poison "
-            "shard is quarantined (default: 3)"
-        ),
-    )
 
 
 def _make_runner(args: argparse.Namespace):
     """An ExecRunner when exec flags were given, else None (serial path)."""
-    if args.workers is None and not args.resume and args.backend == "local-fork":
+    if args.workers is None and not args.resume:
         return None
     from repro.exec.runner import ExecConfig, ExecRunner
 
@@ -283,9 +261,6 @@ def _make_runner(args: argparse.Namespace):
             workers=1 if args.workers is None else args.workers,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            backend=args.backend,
-            lease_timeout_s=args.lease_timeout,
-            max_attempts=args.max_attempts,
         )
     )
 
@@ -365,7 +340,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         from repro.errors import ExperimentError
         from repro.experiments.chaos_exp import PacketReplayConfig, run_chaos_packet
 
-        if args.workers is not None or args.resume or args.backend != "local-fork":
+        if args.workers is not None or args.resume:
             raise ExperimentError(
                 "--engine packet replays serially; drop the exec flags"
             )

@@ -9,15 +9,8 @@ a deterministic DAG of shardable tasks:
   (results are byte-identical at any worker count),
 * :mod:`~repro.exec.cache` — the content-addressed on-disk result
   cache keyed by (spec hash, seed, code-version salt),
-* :mod:`~repro.exec.backend` — the pluggable :class:`ExecBackend`
-  interface and registry (``local-fork`` / ``coordinator``),
-* :mod:`~repro.exec.pool` — the ``local-fork`` backend: one forked
-  process per shard, per-task timeout, bounded retry, crash isolation,
-* :mod:`~repro.exec.lease` / :mod:`~repro.exec.heartbeat` /
-  :mod:`~repro.exec.coordinator` — the ``coordinator`` backend:
-  shard leases with deadlines, heartbeats that renew them, re-lease
-  on worker death or hang, poison-shard quarantine, and lossless
-  recovery from the campaign ledger + cache,
+* :mod:`~repro.exec.pool` — the shard pool: one forked process per
+  shard, per-task timeout, bounded retry, crash isolation,
 * :mod:`~repro.exec.manifest` — the run manifest (shard assignment,
   timing, cache hits, ok/error counts) ``repro report`` can render,
 * :mod:`~repro.exec.plan` — multi-stage plans (fan-out DAGs),
@@ -32,37 +25,19 @@ nothing about what a shard computes.
 
 from __future__ import annotations
 
-from repro.exec.backend import (
-    BACKEND_NAMES,
-    CoordinatorBackend,
-    ExecBackend,
-    LocalForkBackend,
-    ShardOutcome,
-    make_backend,
-)
 from repro.exec.cache import MISS, ResultCache, code_salt
-from repro.exec.coordinator import Coordinator, WorkerChaos
-from repro.exec.lease import Lease, LeaseConfig, LeaseTable
 from repro.exec.manifest import RunManifest, ShardRecord
 from repro.exec.plan import ExecPlan, ExecTask, Stage, run_plan
-from repro.exec.pool import execute_shards
+from repro.exec.pool import ShardOutcome, execute_shards
 from repro.exec.runner import ExecConfig, ExecRunner
 from repro.exec.shard import default_shard_count, partition_indices
 from repro.exec.spec import TaskSpec
 
 __all__ = [
-    "BACKEND_NAMES",
-    "Coordinator",
-    "CoordinatorBackend",
-    "ExecBackend",
     "ExecConfig",
     "ExecPlan",
     "ExecRunner",
     "ExecTask",
-    "Lease",
-    "LeaseConfig",
-    "LeaseTable",
-    "LocalForkBackend",
     "MISS",
     "ResultCache",
     "RunManifest",
@@ -70,11 +45,9 @@ __all__ = [
     "ShardRecord",
     "Stage",
     "TaskSpec",
-    "WorkerChaos",
     "code_salt",
     "default_shard_count",
     "execute_shards",
-    "make_backend",
     "partition_indices",
     "run_plan",
 ]

@@ -17,7 +17,10 @@ from pathlib import Path
 
 from repro.analysis.tables import format_table
 from repro.errors import ExecError
-from repro.exec.backend import STATUS_CACHED, STATUS_ERROR, STATUS_OK, ShardOutcome
+from repro.exec.pool import STATUS_CACHED, STATUS_ERROR, STATUS_OK, ShardOutcome
+
+#: Per-record keys of older manifests that no field carries any more.
+_RETIRED_KEYS = frozenset({"worker"})
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,10 @@ class ShardRecord:
     attempts: int
     duration_s: float
     error: str | None = None
-    #: Which worker completed the shard (coordinator backend; None on
-    #: the local-fork pool and in manifests written before it existed).
-    worker: str | None = None
 
     @classmethod
     def from_outcome(cls, stage: str, outcome: ShardOutcome) -> "ShardRecord":
-        """Lift a backend outcome into a manifest record."""
+        """Lift a pool outcome into a manifest record."""
         return cls(
             stage=stage,
             index=outcome.index,
@@ -48,7 +48,6 @@ class ShardRecord:
             attempts=outcome.attempts,
             duration_s=outcome.duration_s,
             error=outcome.error,
-            worker=outcome.worker,
         )
 
 
@@ -59,9 +58,6 @@ class RunManifest:
     workers: int
     records: list[ShardRecord] = field(default_factory=list)
     wall_s: float = 0.0
-    #: Which execution backend produced the run ("local-fork" for
-    #: manifests written before backends existed).
-    backend: str = "local-fork"
 
     @property
     def run_id(self) -> str:
@@ -107,7 +103,7 @@ class RunManifest:
         """Human-readable summary: totals, per-stage table, failures."""
         lines = [
             f"exec run {self.run_id}: {len(self.records)} shards on "
-            f"{self.workers} workers ({self.backend}) in {self.wall_s:.2f} s — "
+            f"{self.workers} workers in {self.wall_s:.2f} s — "
             f"{self.executed} executed, {self.cache_hits} cached, "
             f"{self.errors} errors"
         ]
@@ -138,7 +134,6 @@ class RunManifest:
         body = {
             "run_id": self.run_id,
             "workers": self.workers,
-            "backend": self.backend,
             "wall_s": self.wall_s,
             "records": to_jsonable(self.records),
         }
@@ -147,18 +142,21 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        """Read a manifest previously written by :meth:`write`."""
+        """Read a manifest previously written by :meth:`write`.
+
+        Manifests written while a second exec backend existed carry a
+        top-level ``backend`` and a per-record ``worker``; both are
+        dropped.
+        """
         try:
             body = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as error:
             raise ExecError(f"cannot read manifest {path}: {error}") from error
         try:
-            records = [ShardRecord(**record) for record in body["records"]]
-            return cls(
-                workers=body["workers"],
-                records=records,
-                wall_s=body["wall_s"],
-                backend=body.get("backend", "local-fork"),
-            )
-        except (KeyError, TypeError) as error:
+            records = [
+                ShardRecord(**{k: v for k, v in record.items() if k not in _RETIRED_KEYS})
+                for record in body["records"]
+            ]
+            return cls(workers=body["workers"], records=records, wall_s=body["wall_s"])
+        except (AttributeError, KeyError, TypeError) as error:
             raise ExecError(f"malformed manifest {path}: {error}") from error

@@ -1,23 +1,19 @@
-"""The ``local-fork`` backend's shard pool.
+"""The shard pool: how every exec run executes its shards.
 
 Each shard runs in its own forked process: a worker that segfaults,
 calls ``os._exit``, or is killed by the per-task timeout fails *its
 shard*, never the run.  Workers write their payload to the
 content-addressed cache themselves and report only a tiny status
-message back over a pipe — so a run killed between a worker's cache
-write and the driver's bookkeeping still resumes without recomputing
-that shard.
+message back over a one-way pipe — so a run killed between a worker's
+cache write and the driver's bookkeeping still resumes without
+recomputing that shard.
 
 Shards are launched in spec order and merged in spec order; with the
 seed-stable partitioner this makes the merged result byte-identical
 at any worker count.
 
-This is one of two :class:`~repro.exec.backend.ExecBackend`
-implementations — the fork-per-shard one.  The crash-resilient
-coordinator/worker protocol lives in :mod:`repro.exec.coordinator`;
-the shared status constants and :class:`ShardOutcome` live in
-:mod:`repro.exec.backend` (re-exported here for callers that grew up
-importing them from the pool).
+On a platform without ``fork`` (or with ``use_processes=False``) the
+same protocol runs in-process, one shard after another.
 """
 
 from __future__ import annotations
@@ -29,13 +25,29 @@ from multiprocessing import connection
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecError
-from repro.exec.backend import (  # noqa: F401 — re-exported compat names
-    STATUS_CACHED,
-    STATUS_ERROR,
-    STATUS_OK,
-    ShardOutcome,
-)
 from repro.exec.cache import MISS, ResultCache
+
+#: Shard status values recorded in manifests.
+STATUS_OK = "ok"
+STATUS_CACHED = "cached"
+STATUS_ERROR = "error"
+
+#: The only start method used: a forked shard inherits the parent's
+#: built world instead of rebuilding it.
+_MP_CONTEXT = "fork"
+
+
+@dataclass(frozen=True)
+class ShardOutcome:
+    """How one shard fared: status, attempts, timing, and error text."""
+
+    index: int
+    key: str
+    label: str
+    status: str
+    attempts: int
+    duration_s: float
+    error: str | None = None
 
 
 def _shard_worker(fn: Callable[[], Any], cache_root: str, key: str, conn: Any) -> None:
@@ -78,7 +90,6 @@ def execute_shards(
     resume: bool = False,
     timeout_s: float | None = None,
     retries: int = 1,
-    mp_context: str = "fork",
     use_processes: bool = True,
     abort_after: int | None = None,
 ) -> tuple[list[Any | None], list[ShardOutcome]]:
@@ -127,7 +138,7 @@ def execute_shards(
 
     if use_processes:
         try:
-            ctx = multiprocessing.get_context(mp_context)
+            ctx = multiprocessing.get_context(_MP_CONTEXT)
         except ValueError:
             ctx = None
     else:

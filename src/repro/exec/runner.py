@@ -1,22 +1,15 @@
-"""The exec driver: cache + backend + manifest behind one object.
+"""The exec driver: cache + shard pool + manifest behind one object.
 
 :class:`ExecRunner` is what experiment ports talk to.  They hand it
-:class:`~repro.exec.plan.ExecTask` lists; it consults the cache,
-schedules misses onto the configured
-:class:`~repro.exec.backend.ExecBackend` (``local-fork`` or the
-crash-resilient ``coordinator``), accumulates the manifest, and hands
-back payloads in task order.
+:class:`~repro.exec.plan.ExecTask` lists; it consults the cache, runs
+the misses on the :mod:`~repro.exec.pool` (one forked process per
+shard), accumulates the manifest, and hands back payloads in task
+order.
 
-Two fault-injection environment knobs, both used by tests and CI:
-
-* ``REPRO_EXEC_ABORT_AFTER=N`` — the runner dies (``ExecError``)
-  after N freshly executed shards: the deterministic mid-run
-  ``kill -9`` proving that ``--resume`` (and, for the coordinator,
-  ledger + cache recovery) completes with zero recomputation.
-* ``REPRO_EXEC_CHAOS=kill=0@1,stall=1@1,stall-s=2.5`` — a
-  :class:`~repro.exec.coordinator.WorkerChaos` schedule: workers are
-  SIGKILLed or stalled at chosen (shard, attempt) points, and the
-  coordinator must still merge byte-identical results.
+One fault-injection environment knob, used by tests and CI:
+``REPRO_EXEC_ABORT_AFTER=N`` — the runner dies (``ExecError``) after
+N freshly executed shards: the deterministic mid-run ``kill -9``
+proving that ``--resume`` completes with zero recomputation.
 """
 
 from __future__ import annotations
@@ -28,17 +21,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import ExecError
-from repro.exec.backend import (
-    BACKEND_NAMES,
-    STATUS_CACHED,
-    STATUS_OK,
-    ExecBackend,
-    ShardOutcome,
-    make_backend,
-)
 from repro.exec.cache import MISS, ResultCache, code_salt
 from repro.exec.manifest import RunManifest, ShardRecord
 from repro.exec.plan import ExecTask
+from repro.exec.pool import STATUS_CACHED, STATUS_OK, ShardOutcome, execute_shards
 
 #: Environment knob: abort the run after N executed shards.
 ABORT_ENV = "REPRO_EXEC_ABORT_AFTER"
@@ -51,12 +37,7 @@ class ExecConfig:
     ``resume`` gates cache *reads* only — payloads are always written,
     so any completed shard survives a crash, but a fresh run without
     ``--resume`` measures real work instead of serving yesterday's.
-
-    ``backend`` picks the execution engine: ``local-fork`` (one forked
-    process per shard attempt; ``timeout_s``/``retries`` apply) or
-    ``coordinator`` (lease/heartbeat protocol over registered
-    workers; ``lease_timeout_s``/``max_attempts``/``heartbeat_s``
-    apply).  The merged results are byte-identical across backends.
+    ``timeout_s`` and ``retries`` apply per shard attempt.
     """
 
     workers: int = 1
@@ -64,24 +45,10 @@ class ExecConfig:
     resume: bool = False
     timeout_s: float | None = None
     retries: int = 1
-    mp_context: str = "fork"
     use_processes: bool = True
     #: Extra cache-key salt on top of :func:`~repro.exec.cache.code_salt`
     #: (e.g. a config fingerprint the specs do not carry).
     salt: str = ""
-    #: Which :class:`~repro.exec.backend.ExecBackend` runs the shards.
-    backend: str = "local-fork"
-    #: Coordinator: heartbeat window — a shard whose lease is not
-    #: renewed within it is re-leased to another worker.
-    lease_timeout_s: float = 30.0
-    #: Coordinator: per-shard attempt budget before poison quarantine.
-    max_attempts: int = 3
-    #: Coordinator: heartbeat cadence (None = lease_timeout_s / 3).
-    heartbeat_s: float | None = None
-    #: Coordinator: deterministic worker-fault schedule
-    #: (:class:`~repro.exec.coordinator.WorkerChaos`); None = read
-    #: ``REPRO_EXEC_CHAOS`` when set.
-    chaos: Any = None
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -90,20 +57,6 @@ class ExecConfig:
             raise ExecError(f"retries must be >= 0, got {self.retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ExecError(f"timeout must be positive when set, got {self.timeout_s}")
-        if self.backend not in BACKEND_NAMES:
-            raise ExecError(
-                f"unknown backend {self.backend!r}; choose from {list(BACKEND_NAMES)}"
-            )
-        if self.lease_timeout_s <= 0:
-            raise ExecError(
-                f"lease timeout must be positive, got {self.lease_timeout_s}"
-            )
-        if self.max_attempts <= 0:
-            raise ExecError(f"max_attempts must be positive, got {self.max_attempts}")
-        if self.heartbeat_s is not None and self.heartbeat_s <= 0:
-            raise ExecError(
-                f"heartbeat interval must be positive when set, got {self.heartbeat_s}"
-            )
 
     @property
     def cache_salt(self) -> str:
@@ -120,31 +73,10 @@ class ExecRunner:
         self._records: list[ShardRecord] = []
         self._started = time.perf_counter()
         self._executed = 0
-        abort = os.environ.get(ABORT_ENV)
-        self._abort_after: int | None = int(abort) if abort else None
-        self.backend: ExecBackend = self._make_backend()
-
-    def _make_backend(self) -> ExecBackend:
-        """Build the configured backend (chaos env applied here)."""
-        from repro.exec.coordinator import WorkerChaos
-
-        chaos = self.config.chaos
-        if chaos is None:
-            chaos = WorkerChaos.from_env()
-        return make_backend(
-            self.config.backend,
-            timeout_s=self.config.timeout_s,
-            retries=self.config.retries,
-            mp_context=self.config.mp_context,
-            use_processes=self.config.use_processes,
-            lease_timeout_s=self.config.lease_timeout_s,
-            max_attempts=self.config.max_attempts,
-            heartbeat_s=self.config.heartbeat_s,
-            chaos=chaos,
-        )
+        self._abort_after = _abort_after_from_env()
 
     def run(self, tasks: Sequence[ExecTask], stage: str = "main") -> list[Any]:
-        """Execute ``tasks`` on the backend; returns aligned payloads.
+        """Execute ``tasks`` on the shard pool; returns aligned payloads.
 
         A shard that fails permanently contributes ``None``; callers
         that cannot tolerate holes should check :attr:`manifest`
@@ -159,11 +91,14 @@ class ExecRunner:
             if self._abort_after is not None
             else None
         )
-        payloads, outcomes = self.backend.execute(
+        payloads, outcomes = execute_shards(
             triples,
             cache=self.cache,
             workers=self.config.workers,
             resume=self.config.resume,
+            timeout_s=self.config.timeout_s,
+            retries=self.config.retries,
+            use_processes=self.config.use_processes,
             abort_after=abort_after,
         )
         self._absorb(stage, outcomes)
@@ -201,7 +136,7 @@ class ExecRunner:
         return payloads
 
     def _absorb(self, stage: str, outcomes: Sequence[ShardOutcome]) -> None:
-        """Fold backend outcomes into the manifest bookkeeping."""
+        """Fold shard outcomes into the manifest bookkeeping."""
         self._records.extend(
             ShardRecord.from_outcome(stage, outcome) for outcome in outcomes
         )
@@ -214,7 +149,6 @@ class ExecRunner:
             workers=self.config.workers,
             records=list(self._records),
             wall_s=time.perf_counter() - self._started,
-            backend=self.config.backend,
         )
 
     def raise_on_errors(self) -> None:
@@ -232,3 +166,19 @@ class ExecRunner:
         if path is None:
             path = Path(self.config.cache_dir) / "runs" / f"{manifest.run_id}.json"
         return manifest.write(path)
+
+
+def _abort_after_from_env() -> int | None:
+    """``REPRO_EXEC_ABORT_AFTER`` as a shard count (unset/empty = None)."""
+    raw = os.environ.get(ABORT_ENV)
+    if not raw:
+        return None
+    try:
+        count = int(raw)
+        if count < 0:
+            raise ValueError(raw)
+    except ValueError:
+        raise ExecError(
+            f"{ABORT_ENV} must be a non-negative integer, got {raw!r}"
+        ) from None
+    return count

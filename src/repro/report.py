@@ -69,8 +69,7 @@ def _measurement_health(summary, manifest=None) -> str:
         lines.append(
             f"exec: {manifest.executed} shards executed, "
             f"{manifest.cache_hits} served from cache, {manifest.errors} failed "
-            f"({manifest.workers} workers, {manifest.backend} backend, "
-            f"{manifest.wall_s:.1f} s wall)"
+            f"({manifest.workers} workers, {manifest.wall_s:.1f} s wall)"
         )
     lines.append(format_table(["source", "unit", "ok", "errors"], rows))
     return "\n\n".join(lines)

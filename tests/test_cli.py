@@ -198,23 +198,9 @@ class TestExecCli:
         assert main(["run", "fig3-5", "--seed", "3", "--scale", "small"]) == 0
         assert "exec run" not in capsys.readouterr().out
 
-    def test_coordinator_backend_flag(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(
-            [
-                "run", "fig3-5", "--seed", "3", "--scale", "small",
-                "--workers", "2", "--cache-dir", str(cache),
-                "--backend", "coordinator",
-                "--lease-timeout", "10", "--max-attempts", "2",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "exec run" in out
-        assert "(coordinator)" in out
-
-    def test_unknown_backend_rejected_by_parser(self):
+    def test_removed_backend_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit):
-            main(["run", "fig3-5", "--backend", "carrier-pigeon"])
+            main(["run", "fig3-5", "--backend", "local-fork"])
 
 
 class TestChaosAblationCli:

@@ -192,8 +192,36 @@ class TestManifest:
 
     def test_load_rejects_malformed(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(ExecError):
-            RunManifest.load(bad)
+        for body in ("{}", '{"workers": 1, "wall_s": 0.0, "records": [[1, 2]]}'):
+            bad.write_text(body)
+            with pytest.raises(ExecError):
+                RunManifest.load(bad)
         with pytest.raises(ExecError):
             RunManifest.load(tmp_path / "missing.json")
+
+    def test_load_reads_manifests_with_retired_backend_keys(self, tmp_path):
+        # Written while exec had two backends: a top-level "backend" and
+        # a per-record "worker" (null on the local-fork pool).
+        old = tmp_path / "old.json"
+        old.write_text(
+            """{
+  "backend": "local-fork",
+  "records": [
+    {"attempts": 1, "duration_s": 0.5, "error": null, "index": 0,
+     "key": "aaaa", "label": "k[0/1]", "stage": "main", "status": "ok",
+     "worker": null}
+  ],
+  "run_id": "0123456789abcdef",
+  "wall_s": 1.25,
+  "workers": 2
+}"""
+        )
+        loaded = RunManifest.load(old)
+        assert loaded.workers == 2
+        assert loaded.records == [
+            ShardRecord(
+                stage="main", index=0, label="k[0/1]", key="aaaa",
+                status="ok", attempts=1, duration_s=0.5,
+            )
+        ]
+        assert "1 executed" in loaded.render()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -74,6 +75,23 @@ class TestPool:
         assert outcomes[2].status == "error"
         assert "exit code 3" in outcomes[2].error
         assert [payloads[i] for i in (0, 1, 3, 4)] == [0, 1, 3, 4]
+
+    def test_sigkilled_worker_is_retried_to_completion(self, tmp_path):
+        marker = tmp_path / "killed-once"
+
+        def killed_on_first_attempt():
+            if not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return "done"
+
+        payloads, outcomes = execute_shards(
+            _triples(3, lambda i: killed_on_first_attempt if i == 1 else (lambda: i)),
+            cache=ResultCache(tmp_path / "cache"), workers=2, retries=1,
+        )
+        assert payloads == [0, "done", 2]
+        assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
+        assert outcomes[1].attempts == 2
 
     def test_exception_message_crosses_the_pipe(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -205,6 +223,12 @@ class TestRunnerConfig:
         task = ExecTask(spec=TaskSpec("t", 7, 0, 1), fn=lambda: 1)
         with pytest.raises(ExecError, match="simulated crash"):
             runner.run([task])
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "-1"])
+    def test_bad_abort_env_raises_exec_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv(ABORT_ENV, value)
+        with pytest.raises(ExecError, match=ABORT_ENV):
+            ExecRunner(ExecConfig(cache_dir=tmp_path))
 
     def test_raise_on_errors(self, tmp_path):
         from repro.exec.plan import ExecTask
