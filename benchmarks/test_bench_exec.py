@@ -46,7 +46,7 @@ def test_exec_parallel_speedup(benchmark, controlled_campaign, tmp_path):
     runner = ExecRunner(ExecConfig(workers=4, cache_dir=tmp_path / "cache"))
     sharded = benchmark.pedantic(
         lambda: run_longitudinal(
-            controlled_campaign, samples=BENCH_SAMPLES, exec_runner=runner
+            controlled_campaign, samples=BENCH_SAMPLES, runner=runner
         ),
         rounds=1,
         iterations=1,
@@ -79,7 +79,7 @@ def test_exec_warm_cache_resume(benchmark, controlled_campaign, tmp_path):
     cold_runner = ExecRunner(ExecConfig(workers=2, cache_dir=cache_dir))
     cold, cold_s = _timed(
         lambda: run_longitudinal(
-            controlled_campaign, samples=BENCH_SAMPLES, exec_runner=cold_runner
+            controlled_campaign, samples=BENCH_SAMPLES, runner=cold_runner
         )
     )
     controlled_campaign.world.internet.set_time(start)
@@ -89,7 +89,7 @@ def test_exec_warm_cache_resume(benchmark, controlled_campaign, tmp_path):
     )
     warm = benchmark.pedantic(
         lambda: run_longitudinal(
-            controlled_campaign, samples=BENCH_SAMPLES, exec_runner=warm_runner
+            controlled_campaign, samples=BENCH_SAMPLES, runner=warm_runner
         ),
         rounds=1,
         iterations=1,

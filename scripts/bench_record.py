@@ -46,7 +46,7 @@ def _bench_demand() -> dict:
         DemandConfig,
         _build_engine,
         _study_inputs,
-        run_demand_exec,
+        run_demand,
     )
 
     config = DemandConfig(seed=7, scale="small")
@@ -68,7 +68,7 @@ def _bench_demand() -> dict:
         with tempfile.TemporaryDirectory() as cache_dir:
             runner = ExecRunner(ExecConfig(workers=workers, cache_dir=cache_dir))
             begin = time.perf_counter()
-            run_demand_exec(campaign, runner)
+            run_demand(campaign, runner)
             walls[workers] = round(time.perf_counter() - begin, 3)
 
     return {
@@ -90,7 +90,7 @@ def _bench_exec() -> dict:
     from repro.control.policy import BestPathPolicy
     from repro.control.probes import ProbeConfig, ProbeScheduler
     from repro.exec.runner import ExecConfig, ExecRunner
-    from repro.experiments.chaos_exp import ChaosConfig, run_chaos_exec
+    from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.experiments.control_exp import _pick_pair
     from repro.experiments.scenario import build_world
 
@@ -144,7 +144,7 @@ def _bench_exec() -> dict:
         with tempfile.TemporaryDirectory() as cache_dir:
             runner = ExecRunner(ExecConfig(cache_dir=cache_dir, **exec_kwargs))
             begin = time.perf_counter()
-            run_chaos_exec(chaos_config, runner)
+            run_chaos(chaos_config, runner)
             walls[label] = round(time.perf_counter() - begin, 3)
 
     campaign("wall_s_workers_1", workers=1)
@@ -173,7 +173,7 @@ def _bench_net(quick: bool = False) -> dict:
     import os
 
     from repro.exec.runner import ExecConfig, ExecRunner
-    from repro.experiments.chaos_exp import ChaosConfig, run_chaos, run_chaos_exec
+    from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.experiments.scenario import build_world
     from repro.faults.scenarios import SCENARIOS
 
@@ -233,23 +233,22 @@ def _bench_net(quick: bool = False) -> dict:
         probe_interval_s=15.0 if quick else 60.0,
     )
 
-    def campaign_serial() -> float:
+    def chaos_wall(runner=None) -> float:
         begin = time.perf_counter()
-        run_chaos(chaos_config)
+        run_chaos(chaos_config, runner)
         return round(time.perf_counter() - begin, 3)
 
     def campaign_exec(workers: int) -> float:
         with tempfile.TemporaryDirectory() as cache_dir:
-            runner = ExecRunner(ExecConfig(workers=workers, cache_dir=cache_dir))
-            begin = time.perf_counter()
-            run_chaos_exec(chaos_config, runner)
-            return round(time.perf_counter() - begin, 3)
+            return chaos_wall(
+                ExecRunner(ExecConfig(workers=workers, cache_dir=cache_dir))
+            )
 
     walls: dict[str, float] = {
-        "wall_s_serial": with_fastpath("1", campaign_serial),
+        "wall_s_serial": with_fastpath("1", chaos_wall),
     }
     if not quick:
-        walls["wall_s_serial_object_mode"] = with_fastpath("0", campaign_serial)
+        walls["wall_s_serial_object_mode"] = with_fastpath("0", chaos_wall)
         walls["speedup_vs_object_mode"] = round(
             walls["wall_s_serial_object_mode"] / walls["wall_s_serial"], 2
         )
@@ -281,7 +280,7 @@ def _bench_colo() -> dict:
         ColoConfig,
         _measure_pair,
         _study_inputs,
-        run_colo_exec,
+        run_colo,
     )
 
     config = ColoConfig(seed=7, scale="small")
@@ -302,7 +301,7 @@ def _bench_colo() -> dict:
         with tempfile.TemporaryDirectory() as cache_dir:
             runner = ExecRunner(ExecConfig(workers=workers, cache_dir=cache_dir))
             begin = time.perf_counter()
-            run_colo_exec(config, runner)
+            run_colo(config, runner)
             walls[workers] = round(time.perf_counter() - begin, 3)
 
     return {

@@ -315,7 +315,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos_exp import ChaosConfig, run_chaos, run_chaos_exec
+    from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.faults.scenarios import SCENARIOS
 
     if args.list_scenarios:
@@ -375,10 +375,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         probe_floor_s=args.probe_floor,
         probe_ceiling_s=args.probe_ceiling,
     )
-    runner = _make_runner(args)
-    # The exec path keeps stdout byte-identical to the serial loop:
-    # CI diffs --workers 1 vs --workers 2 output for exactly that.
-    result = run_chaos(config) if runner is None else run_chaos_exec(config, runner)
+    result = run_chaos(config, _make_runner(args))
     print(result.render())
     if args.out:
         from repro.io import dump_json
@@ -389,11 +386,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_demand(args: argparse.Namespace) -> int:
-    from repro.experiments.demand_exp import (
-        DemandConfig,
-        run_demand,
-        run_demand_exec,
-    )
+    from repro.experiments.demand_exp import DemandConfig, run_demand
 
     kwargs: dict = {"seed": args.seed, "scale": args.scale, "rounds": args.rounds}
     if args.fast:
@@ -404,10 +397,7 @@ def _cmd_demand(args: argparse.Namespace) -> int:
     if args.level:
         kwargs["levels"] = tuple(args.level)
     config = DemandConfig(**kwargs)
-    runner = _make_runner(args)
-    # The exec path keeps stdout byte-identical to the serial loop:
-    # CI diffs --workers 1 vs --workers 2 output for exactly that.
-    result = run_demand(config) if runner is None else run_demand_exec(config, runner)
+    result = run_demand(config, _make_runner(args))
     print(result.render())
     if args.out:
         from repro.io import dump_json
@@ -419,12 +409,7 @@ def _cmd_demand(args: argparse.Namespace) -> int:
 
 def _cmd_colo(args: argparse.Namespace) -> int:
     from repro.colo.facility import DEFAULT_COLO_CITIES
-    from repro.experiments.colo_exp import (
-        FOOTPRINTS,
-        ColoConfig,
-        run_colo,
-        run_colo_exec,
-    )
+    from repro.experiments.colo_exp import FOOTPRINTS, ColoConfig, run_colo
 
     kwargs: dict = {
         "seed": args.seed,
@@ -437,10 +422,7 @@ def _cmd_colo(args: argparse.Namespace) -> int:
     if args.fast:
         kwargs.update(n_clients=6, n_servers=2, demand_epochs=2)
     config = ColoConfig(**kwargs)
-    runner = _make_runner(args)
-    # The exec path keeps stdout byte-identical to the serial loop:
-    # CI diffs --workers 1 vs --workers 2 output for exactly that.
-    result = run_colo(config) if runner is None else run_colo_exec(config, runner)
+    result = run_colo(config, _make_runner(args))
     print(result.render())
     if args.out:
         from repro.io import dump_json
@@ -453,10 +435,10 @@ def _cmd_colo(args: argparse.Namespace) -> int:
 def _run_one(name: str, args: argparse.Namespace, runner=None):
     """Run one experiment; returns the result object.
 
-    With ``runner`` (an :class:`~repro.exec.runner.ExecRunner`), the
-    shardable campaigns — the controlled study, the longitudinal sweep
-    and the chaos study — execute on the worker pool; everything else
-    falls back to the serial path.
+    The shardable campaigns — the controlled study, the longitudinal
+    sweep and the chaos study — run their shards on ``runner`` (an
+    :class:`~repro.exec.runner.ExecRunner`) when given, in-process
+    otherwise; every other experiment ignores it.
     """
     seed, scale = args.seed, args.scale
 
@@ -466,17 +448,9 @@ def _run_one(name: str, args: argparse.Namespace, runner=None):
         return run_weblab(WeblabConfig(seed=seed, scale=scale))
 
     if name in ("fig3-5", "fig6-7", "fig8", "fig9-11", "c45"):
-        from repro.experiments.controlled import (
-            ControlledConfig,
-            run_controlled,
-            run_controlled_exec,
-        )
+        from repro.experiments.controlled import ControlledConfig, run_controlled
 
-        config = ControlledConfig(seed=seed, scale=scale)
-        if runner is None:
-            campaign = run_controlled(config)
-        else:
-            campaign = run_controlled_exec(config, runner)
+        campaign = run_controlled(ControlledConfig(seed=seed, scale=scale), runner)
         if name == "fig3-5":
             return campaign.result
         if name == "fig6-7":
@@ -484,9 +458,7 @@ def _run_one(name: str, args: argparse.Namespace, runner=None):
 
             top_n = 30 if scale == "paper" else 8
             samples = 50 if scale == "paper" else 10
-            return run_longitudinal(
-                campaign, top_n=top_n, samples=samples, exec_runner=runner
-            )
+            return run_longitudinal(campaign, top_n=top_n, samples=samples, runner=runner)
         if name == "fig8":
             from repro.experiments.diversity_exp import run_diversity
 
@@ -545,11 +517,9 @@ def _run_one(name: str, args: argparse.Namespace, runner=None):
         return run_control(ControlExpConfig(seed=seed, scale=scale))
 
     if name == "chaos":
-        from repro.experiments.chaos_exp import ChaosConfig, run_chaos, run_chaos_exec
+        from repro.experiments.chaos_exp import ChaosConfig, run_chaos
 
-        if runner is not None:
-            return run_chaos_exec(ChaosConfig(seed=seed, scale=scale), runner)
-        return run_chaos(ChaosConfig(seed=seed, scale=scale))
+        return run_chaos(ChaosConfig(seed=seed, scale=scale), runner)
 
     if name == "engines":
         from repro.transport.validation import compare_engines, render_comparison

@@ -1,7 +1,7 @@
 """Sharded parallel campaign execution with a content-addressed cache.
 
-``repro.exec`` turns any measurement campaign or experiment sweep into
-a deterministic DAG of shardable tasks:
+``repro.exec`` runs any measurement campaign or experiment sweep as a
+deterministic list of shardable tasks:
 
 * :mod:`~repro.exec.spec` — :class:`TaskSpec`, the hashable identity
   of one shard of work,
@@ -13,21 +13,23 @@ a deterministic DAG of shardable tasks:
   shard, per-task timeout, bounded retry, crash isolation,
 * :mod:`~repro.exec.manifest` — the run manifest (shard assignment,
   timing, cache hits, ok/error counts) ``repro report`` can render,
-* :mod:`~repro.exec.plan` — multi-stage plans (fan-out DAGs),
+* :mod:`~repro.exec.plan` — :class:`ExecTask` and :func:`run_tasks`,
+  which runs a task list in-process or on an :class:`ExecRunner`,
 * :mod:`~repro.exec.runner` — :class:`ExecRunner`, the driver tying
   the pieces together.
 
-The experiment ports live next to the experiments themselves
-(``run_longitudinal(..., exec_runner=...)``,
-``run_controlled_exec``, ``run_chaos_exec``); this package knows
-nothing about what a shard computes.
+Each study builds its task list in its own entry point
+(``run_chaos(config, runner=None)``, ``run_controlled(config,
+runner=None)``, ...) and hands it to :func:`run_tasks`, so a serial run
+and a sharded run execute the same shards; this package knows nothing
+about what a shard computes.
 """
 
 from __future__ import annotations
 
 from repro.exec.cache import MISS, ResultCache, code_salt
 from repro.exec.manifest import RunManifest, ShardRecord
-from repro.exec.plan import ExecPlan, ExecTask, Stage, run_plan
+from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.pool import ShardOutcome, execute_shards
 from repro.exec.runner import ExecConfig, ExecRunner
 from repro.exec.shard import default_shard_count, partition_indices
@@ -35,7 +37,6 @@ from repro.exec.spec import TaskSpec
 
 __all__ = [
     "ExecConfig",
-    "ExecPlan",
     "ExecRunner",
     "ExecTask",
     "MISS",
@@ -43,11 +44,10 @@ __all__ = [
     "RunManifest",
     "ShardOutcome",
     "ShardRecord",
-    "Stage",
     "TaskSpec",
     "code_salt",
     "default_shard_count",
     "execute_shards",
     "partition_indices",
-    "run_plan",
+    "run_tasks",
 ]

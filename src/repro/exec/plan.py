@@ -1,20 +1,20 @@
-"""Multi-stage execution plans — the DAG layer over the shard pool.
+"""Shard task lists and the one function that executes them.
 
-A plan is an ordered list of stages; each stage fans out into shards
-that run in parallel, and the *next* stage's tasks are built from the
-previous stage's merged payloads (a chain of fan-out/fan-in steps —
-the DAG shape every campaign here needs).  Reductions that are cheap
-run in the driver between stages; reductions that are expensive are
-just another stage.
+Every study builds its shard list once, as :class:`ExecTask` objects,
+and hands it to :func:`run_tasks`: in-process without a runner, on the
+shard pool with one.  Both paths call the same ``fn`` per shard, so a
+serial run and a sharded run execute the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.errors import ExecError
 from repro.exec.spec import TaskSpec
+
+if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    from repro.exec.runner import ExecRunner
 
 
 @dataclass(frozen=True)
@@ -32,43 +32,24 @@ class ExecTask:
     fn: Callable[[], Any]
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One fan-out step of a plan.
+def run_tasks(
+    tasks: Sequence[ExecTask],
+    runner: "ExecRunner | None" = None,
+    stage: str = "main",
+    inline: bool = False,
+) -> list[Any]:
+    """Execute ``tasks``; returns their payloads in task order.
 
-    ``build`` receives the merged payloads of the previous stage
-    (``[]`` for the first) and returns this stage's tasks — which is
-    how later stages depend on earlier results without the pool ever
-    shipping payloads between workers.
+    Without ``runner`` each task's ``fn`` runs in order in this
+    process: no fork, no cache, no manifest.  With one, the list runs
+    through :meth:`ExecRunner.run` (or :meth:`ExecRunner.run_inline`
+    when ``inline``, for tasks that must stay in the driver) and any
+    shard that exhausted its retries raises
+    :class:`~repro.errors.ExecError`.
     """
-
-    name: str
-    build: Callable[[list[Any]], Sequence[ExecTask]]
-
-
-@dataclass(frozen=True)
-class ExecPlan:
-    """An ordered chain of stages executed with a barrier between."""
-
-    stages: tuple[Stage, ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ExecError("plan has no stages")
-        names = [stage.name for stage in self.stages]
-        if len(set(names)) != len(names):
-            raise ExecError(f"duplicate stage names in plan: {names}")
-
-
-def run_plan(plan: ExecPlan, runner) -> list[Any]:
-    """Execute every stage through ``runner``; returns the last
-    stage's payloads (in task order).
-
-    ``runner`` is an :class:`~repro.exec.runner.ExecRunner`; its
-    manifest accumulates records across all stages.
-    """
-    payloads: list[Any] = []
-    for stage in plan.stages:
-        tasks = list(stage.build(payloads))
-        payloads = runner.run(tasks, stage=stage.name)
+    if runner is None:
+        return [task.fn() for task in tasks]
+    execute = runner.run_inline if inline else runner.run
+    payloads = execute(tasks, stage=stage)
+    runner.raise_on_errors()
     return payloads

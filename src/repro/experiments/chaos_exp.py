@@ -43,6 +43,8 @@ from repro.control.policy import (
 from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet
 from repro.errors import ExperimentError
+from repro.exec.plan import ExecTask, run_tasks
+from repro.exec.spec import TaskSpec
 from repro.experiments.scenario import World, build_world
 from repro.faults.events import GrayFailure
 from repro.faults.injector import FaultInjector, PathFaultHistory, ProbeFaultModel
@@ -52,6 +54,7 @@ from repro.faults.scenarios import (
     ChaosScenario,
     build_scenario,
 )
+from repro.io import to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
     from repro.exec.runner import ExecRunner
@@ -462,28 +465,18 @@ def _study_inputs(
     return world, pathset, scenarios, result
 
 
-def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
-    """Run the chaos study; deterministic for a fixed seed."""
-    world, pathset, scenarios, result = _study_inputs(config)
-    for scenario in scenarios.values():
-        result.outcomes.extend(_run_scenario(world, pathset, scenario, config))
-    return result
+def run_chaos(
+    config: ChaosConfig = ChaosConfig(), runner: "ExecRunner | None" = None
+) -> ChaosResult:
+    """Run the chaos study as one shard per scenario.
 
-
-def run_chaos_exec(config: ChaosConfig, runner: "ExecRunner") -> ChaosResult:
-    """The chaos study as one shard per scenario.
-
-    A shard is :func:`_run_scenario` on the scenario the parent built
-    (inherited through fork), so its runs share one cache fill exactly
-    as in the serial loop.  Scenario builders are RNG-free and each
-    run's probe streams are memoized under a unique per-run name, so
-    shard order and worker count cannot change any outcome, and
-    results are byte-identical to :func:`run_chaos`.
+    A shard is :func:`_run_scenario` on the scenario the driver built
+    (inherited through fork on the pool), so its runs share one cache
+    fill.  Scenario builders are RNG-free and each run's probe streams
+    are memoized under a unique per-run name, so shard order and worker
+    count cannot change any outcome: output is byte-identical in-process
+    (``runner=None``) and at any worker count.
     """
-    from repro.exec.plan import ExecTask
-    from repro.exec.spec import TaskSpec
-    from repro.io import to_jsonable
-
     world, pathset, scenarios, result = _study_inputs(config)
 
     def shard_fn(scenario: ChaosScenario):
@@ -503,9 +496,7 @@ def run_chaos_exec(config: ChaosConfig, runner: "ExecRunner") -> ChaosResult:
         )
         for i, (name, scenario) in enumerate(scenarios.items())
     ]
-    payloads = runner.run(tasks, stage="chaos.runs")
-    runner.raise_on_errors()
-    for payload in payloads:
+    for payload in run_tasks(tasks, runner, stage="chaos.runs"):
         result.outcomes.extend(ChaosOutcome(**outcome) for outcome in payload)
     return result
 

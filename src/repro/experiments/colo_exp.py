@@ -48,6 +48,9 @@ from repro.demand.engine import DemandEngine, RelayLoadTracker
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
 from repro.errors import ExperimentError
+from repro.exec.plan import ExecTask, run_tasks
+from repro.exec.shard import default_shard_count, partition_indices
+from repro.exec.spec import TaskSpec
 from repro.experiments.classify import FEATURES
 from repro.experiments.demand_exp import _city_clients, build_pair_routes
 from repro.experiments.scenario import World, build_world
@@ -91,9 +94,6 @@ class ColoConfig:
     qps_per_client: float = 15.0
     flow_rate_mbps: float = 0.02
     mean_flow_s: float = 120.0
-    #: Pair-block size for sharded execution (a function of the work,
-    #: never of the worker count).
-    pairs_per_shard: int = 16
 
     def __post_init__(self) -> None:
         if not self.footprints:
@@ -115,10 +115,6 @@ class ColoConfig:
             raise ExperimentError(f"demand level must be positive, got {self.demand_level}")
         if self.demand_epochs < 1:
             raise ExperimentError(f"demand epochs must be >= 1, got {self.demand_epochs}")
-        if self.pairs_per_shard < 1:
-            raise ExperimentError(
-                f"pairs_per_shard must be >= 1, got {self.pairs_per_shard}"
-            )
 
     @property
     def at_time(self) -> float:
@@ -534,37 +530,21 @@ def _finalize(
     return result
 
 
-def run_colo(config: ColoConfig = ColoConfig()) -> ColoResult:
-    """Run the footprint study serially; deterministic for a fixed seed."""
-    world, sites, cronet_all, endpoints, pathsets = _study_inputs(config)
-    rows = [_measure_pair(pathset, config.at_time) for pathset in pathsets]
-    return _finalize(config, world, sites, cronet_all, endpoints, rows)
-
-
-def run_colo_exec(config: ColoConfig, runner: "ExecRunner") -> ColoResult:
-    """The footprint study with the pair matrix sharded over pair blocks.
+def run_colo(
+    config: ColoConfig = ColoConfig(), runner: "ExecRunner | None" = None
+) -> ColoResult:
+    """Run the footprint study with the pair matrix sharded over pair blocks.
 
     Every row is a pure function of (config, pair index) — no RNG in
     the shard path — and blocks are a function of the pair count, so
-    output is byte-identical to :func:`run_colo` at any worker count.
+    output is byte-identical in-process (``runner=None``) and at any
+    worker count.
     """
-    from repro.exec.plan import ExecTask
-    from repro.exec.spec import TaskSpec
-
     world, sites, cronet_all, endpoints, pathsets = _study_inputs(config)
-    blocks = [
-        (start, min(start + config.pairs_per_shard, len(endpoints)))
-        for start in range(0, len(endpoints), config.pairs_per_shard)
-    ]
+    blocks = partition_indices(len(endpoints), default_shard_count(len(endpoints)))
 
-    def shard_fn(block: tuple[int, int]):
-        def fn() -> list[dict]:
-            return [
-                _measure_pair(pathsets[index], config.at_time)
-                for index in range(block[0], block[1])
-            ]
-
-        return fn
+    def shard_fn(block: range):
+        return lambda: [_measure_pair(pathsets[i], config.at_time) for i in block]
 
     config_dict = dataclasses.asdict(config)
     config_dict["port_speed"] = config.port_speed.name
@@ -577,15 +557,11 @@ def run_colo_exec(config: ColoConfig, runner: "ExecRunner") -> ColoResult:
                 seed=config.seed,
                 shard_index=i,
                 shard_count=len(blocks),
-                params={**spec_params, "pair_start": block[0], "pair_end": block[1]},
+                params={**spec_params, "pair_start": block.start, "pair_end": block.stop},
             ),
             fn=shard_fn(block),
         )
         for i, block in enumerate(blocks)
     ]
-    payloads = runner.run(tasks, stage="colo.pairs")
-    runner.raise_on_errors()
-    rows: list[dict] = []
-    for payload in payloads:
-        rows.extend(payload)
+    rows = [row for payload in run_tasks(tasks, runner, stage="colo.pairs") for row in payload]
     return _finalize(config, world, sites, cronet_all, endpoints, rows)

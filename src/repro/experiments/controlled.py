@@ -30,7 +30,11 @@ from repro.analysis.tables import format_series, format_table
 from repro.core.measure_plan import FourWayMeasurement, measure_four_ways
 from repro.core.pathset import PathSet
 from repro.errors import ExperimentError
+from repro.exec.plan import ExecTask, run_tasks
+from repro.exec.shard import default_shard_count, partition_indices
+from repro.exec.spec import TaskSpec
 from repro.experiments.scenario import World, build_world
+from repro.io import to_jsonable
 from repro.planetlab.sites import CONTROLLED_DISTRIBUTION, scale_distribution
 from repro.transport.throughput import FlowStats
 
@@ -184,10 +188,15 @@ class ControlledResult:
         ]
         for name, cdf in self.ratio_cdfs().items():
             parts.append(format_series(f"fig3/{name}", cdf.series(series_points)))
+        # A zero overlay median has no finite reduction factor.
+        reduction = (
+            f"reduction x{direct_med / overlay_med:.1f}"
+            if overlay_med > 0
+            else "overlay median 0"
+        )
         parts.append(
             "Fig. 4 — median retransmission rate: "
-            f"direct={direct_med:.3g} overlay={overlay_med:.3g} "
-            f"(reduction x{direct_med / max(overlay_med, 1e-12):.1f})"
+            f"direct={direct_med:.3g} overlay={overlay_med:.3g} ({reduction})"
         )
         for name, cdf in self.retransmission_cdfs().items():
             parts.append(format_series(f"fig4/{name}", cdf.series(series_points)))
@@ -228,41 +237,6 @@ def _build_pathsets(config: ControlledConfig, world: World) -> list[PathSet]:
     return pathsets
 
 
-def run_controlled(
-    config: ControlledConfig = ControlledConfig(), world: World | None = None
-) -> ControlledCampaign:
-    """Measure every (VM sender, client) pair in all four modes."""
-    if world is None:
-        world = build_world(seed=config.seed, scale=config.scale)
-    at_time = config.at_hours * 3_600.0
-    retx_rng = world.streams.stream("controlled-retx")
-    pathsets = _build_pathsets(config, world)
-
-    pairs: list[ControlledPair] = []
-    for pathset in pathsets:
-        measurement = measure_four_ways(pathset, at_time, config.duration_s)
-        # Fig. 4 reports "the lowest TCP retransmission rates
-        # across the four tunnels for each node pair".
-        overlay_retx = min(
-            observed_retransmission_rate(stats, retx_rng)
-            for _name, stats in sorted(measurement.overlay.items())
-        )
-        pairs.append(
-            ControlledPair(
-                measurement=measurement,
-                direct_retx_observed=observed_retransmission_rate(
-                    measurement.direct, retx_rng
-                ),
-                best_overlay_retx_observed=overlay_retx,
-            )
-        )
-    return ControlledCampaign(
-        result=ControlledResult(config=config, pairs=pairs),
-        pathsets=pathsets,
-        world=world,
-    )
-
-
 def _flow_stats_from_payload(data: dict) -> FlowStats:
     """Rebuild a :class:`FlowStats` from its cached JSON form."""
     return FlowStats(
@@ -293,34 +267,23 @@ def _measurement_from_payload(data: dict) -> FourWayMeasurement:
     )
 
 
-def run_controlled_exec(
-    config: ControlledConfig,
-    runner: "ExecRunner",
-    world: World | None = None,
+def run_controlled(
+    config: ControlledConfig = ControlledConfig(), runner: "ExecRunner | None" = None
 ) -> ControlledCampaign:
-    """The controlled campaign as seed-stable shards on :mod:`repro.exec`.
+    """Measure every (VM sender, client) pair in all four modes.
 
     Pairs are partitioned into contiguous shards whose count depends
     only on the pair count — never on the worker count — so merged
-    results are byte-identical at any parallelism, and cached shards
-    survive ``--resume`` across worker-count changes.
+    results are byte-identical in-process (``runner=None``) and at any
+    parallelism, and cached shards survive ``--resume`` across
+    worker-count changes.
 
-    RNG contract: the serial :func:`run_controlled` draws every pair's
-    retransmission observations from one *sequential* stream, which no
-    sharding can replay.  Here each pair index spawns its own
-    generator (``controlled-retx[i]``) and draws its overlay
-    observations in sorted-tunnel order, then its direct observation —
-    deterministic per pair, independent of shard layout.  The two
-    entry points therefore agree on every throughput/RTT number and
-    differ only in the finite-sample retx noise realization.
+    RNG contract: each pair index spawns its own generator
+    (``controlled-retx[i]``) and draws its overlay observations in
+    sorted-tunnel order, then its direct observation — deterministic
+    per pair, independent of shard layout.
     """
-    from repro.exec.plan import ExecTask
-    from repro.exec.shard import default_shard_count, partition_indices
-    from repro.exec.spec import TaskSpec
-    from repro.io import to_jsonable
-
-    if world is None:
-        world = build_world(seed=config.seed, scale=config.scale)
+    world = build_world(seed=config.seed, scale=config.scale)
     at_time = config.at_hours * 3_600.0
     pathsets = _build_pathsets(config, world)
 
@@ -332,13 +295,14 @@ def run_controlled_exec(
                     pathsets[index], at_time, config.duration_s
                 )
                 rng = world.streams.spawn_generator("controlled-retx", index)
+                # Fig. 4 reports "the lowest TCP retransmission rates
+                # across the four tunnels for each node pair".
                 overlay_retx = min(
                     observed_retransmission_rate(stats, rng)
                     for _name, stats in sorted(measurement.overlay.items())
                 )
                 rows.append(
                     {
-                        "index": index,
                         "measurement": to_jsonable(measurement),
                         "direct_retx": observed_retransmission_rate(
                             measurement.direct, rng
@@ -372,19 +336,14 @@ def run_controlled_exec(
         )
         for i, span in enumerate(spans)
     ]
-    payloads = runner.run(tasks, stage="controlled.pairs")
-    runner.raise_on_errors()
-
-    rows = sorted(
-        (row for payload in payloads for row in payload), key=lambda r: r["index"]
-    )
     pairs = [
         ControlledPair(
             measurement=_measurement_from_payload(row["measurement"]),
             direct_retx_observed=row["direct_retx"],
             best_overlay_retx_observed=row["overlay_retx"],
         )
-        for row in rows
+        for payload in run_tasks(tasks, runner, stage="controlled.pairs")
+        for row in payload
     ]
     return ControlledCampaign(
         result=ControlledResult(config=config, pairs=pairs),

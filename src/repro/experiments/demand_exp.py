@@ -17,7 +17,7 @@ win rate inverts (drops below half), and how much of the inversion the
 load-aware policies claw back.
 
 Deterministic: epoch samples are seeded per (seed, city, epoch) and no
-state crosses epochs, so ``run_demand_exec`` shards the study one arm
+state crosses epochs, so ``run_demand`` shards the study one arm
 per task with byte-identical results at any worker count.
 """
 
@@ -41,6 +41,8 @@ from repro.demand.engine import DemandEngine, PairRoutes, RelayLoadTracker
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
 from repro.errors import ExperimentError
+from repro.exec.plan import ExecTask, run_tasks
+from repro.exec.spec import TaskSpec
 from repro.experiments.scenario import World, build_world
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
@@ -366,29 +368,18 @@ def _run_arm(
     return [engine.epoch_metrics(epoch, config.epoch_s) for epoch in range(config.epochs)]
 
 
-def run_demand(config: DemandConfig = DemandConfig()) -> DemandResult:
-    """Run the demand study serially; deterministic for a fixed seed."""
-    pairs, relays, model = _study_inputs(config)
-    result = DemandResult(config=config, n_pairs=len(pairs))
-    for policy_name, level in config.arms:
-        epochs = _run_arm(pairs, relays, model, policy_name, level, config)
-        result.arms.append(ArmSeries(policy=policy_name, level=level, epochs=epochs))
-    return result
-
-
-def run_demand_exec(config: DemandConfig, runner: "ExecRunner") -> DemandResult:
-    """The demand study as one shard per (policy, level) arm.
+def run_demand(
+    config: DemandConfig = DemandConfig(), runner: "ExecRunner | None" = None
+) -> DemandResult:
+    """Run the demand study as one shard per (policy, level) arm.
 
     Every epoch is a pure function of (config, epoch index) — samples
     are seeded per (city, epoch) and the engine resets its load tracker
     at each epoch start — so shard order and worker count cannot change
-    any metric, and results are byte-identical to the serial
-    :func:`run_demand` loop.  One shard per arm lets the arm's epochs
+    any metric: output is byte-identical in-process (``runner=None``)
+    and at any worker count.  One shard per arm lets the arm's epochs
     share one engine, built inside the shard.
     """
-    from repro.exec.plan import ExecTask
-    from repro.exec.spec import TaskSpec
-
     pairs, relays, model = _study_inputs(config)
     result = DemandResult(config=config, n_pairs=len(pairs))
 
@@ -409,8 +400,7 @@ def run_demand_exec(config: DemandConfig, runner: "ExecRunner") -> DemandResult:
         )
         for i, (policy_name, level) in enumerate(config.arms)
     ]
-    payloads = runner.run(tasks, stage="demand.epochs")
-    runner.raise_on_errors()
+    payloads = run_tasks(tasks, runner, stage="demand.epochs")
     for (policy_name, level), epochs in zip(config.arms, payloads):
         result.arms.append(ArmSeries(policy=policy_name, level=level, epochs=epochs))
     return result

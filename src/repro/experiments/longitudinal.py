@@ -173,16 +173,16 @@ def run_longitudinal(
     top_n: int = TOP_PATH_COUNT,
     samples: int = SAMPLE_COUNT,
     interval_s: float = SAMPLE_INTERVAL_S,
-    exec_runner: "ExecRunner | None" = None,
+    runner: "ExecRunner | None" = None,
 ) -> LongitudinalResult:
     """Track the top-``top_n`` most-improved pairs over a week.
 
     The sweep runs as a :class:`~repro.measure.runner.MeasurementCampaign`
     (one task per tracked path), so flaky vantage points surface in
-    :attr:`LongitudinalResult.campaign_summary`.  With ``exec_runner``
-    the campaign executes as seed-stable shards on the
-    :mod:`repro.exec` worker pool — byte-identical to the serial run
-    at any worker count, resumable from the result cache.
+    :attr:`LongitudinalResult.campaign_summary`.  The campaign executes
+    as seed-stable shards, in-process without ``runner`` and on the
+    :mod:`repro.exec` worker pool with one — byte-identical at any
+    worker count, resumable from the result cache.
     """
     if top_n <= 0 or samples <= 0:
         raise ExperimentError(f"invalid plan: top_n={top_n} samples={samples}")
@@ -210,21 +210,18 @@ def run_longitudinal(
 
     start = world.internet.now
     sampler = MeasurementCampaign(world.internet, interval_s=interval_s, iterations=samples)
-    if exec_runner is None:
-        results = sampler.run(tasks)
-    else:
-        results = sampler.run_sharded(
-            tasks,
-            exec_runner,
-            seed=world.seed,
-            params={
-                "experiment": "longitudinal",
-                "scale": world.scale,
-                "config": dataclasses.asdict(campaign.result.config),
-                "top_n": top_n,
-            },
-            kind="longitudinal.samples",
-        )
+    results = sampler.run(
+        tasks,
+        runner,
+        seed=world.seed,
+        params={
+            "experiment": "longitudinal",
+            "scale": world.scale,
+            "config": dataclasses.asdict(campaign.result.config),
+            "top_n": top_n,
+        },
+        kind="longitudinal.samples",
+    )
     for record, (index, _item) in zip(paths, enumerate(ranked, start=1)):
         for sample in results[f"path-{index:03d}"]:
             if not sample.ok:

@@ -4,7 +4,7 @@ The longitudinal study (Sec. IV) samples 30 paths 50 times at 3-hour
 intervals over a week; the MPTCP validation (Sec. VI-B) repeats
 measurements 5 times at 6-hour intervals.  ``MeasurementCampaign``
 drives any set of per-instant measurement tasks across such a schedule,
-advancing the world clock between iterations.
+setting the world clock to each iteration's instant.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import MeasurementError
+from repro.exec.plan import ExecTask, run_tasks
+from repro.exec.shard import default_shard_count, partition_indices
+from repro.exec.spec import TaskSpec
 from repro.net.world import Internet
 
-if TYPE_CHECKING:  # pragma: no cover — typing-only import, avoids a hard dep
+if TYPE_CHECKING:  # pragma: no cover — typing-only import
     from repro.exec.runner import ExecRunner
 
 
@@ -108,14 +111,34 @@ class MeasurementCampaign:
     def run(
         self,
         tasks: dict[str, Callable[[float], Any]],
+        runner: "ExecRunner | None" = None,
+        *,
+        seed: int = 0,
+        params: dict[str, Any] | None = None,
+        kind: str = "campaign.samples",
         metrics=None,
     ) -> dict[str, list[Sample]]:
         """Execute every task at every iteration.
 
-        Tasks receive the current world time and return any value
-        (typically a :class:`~repro.transport.throughput.FlowStats`).
-        The world clock is advanced by ``interval_s`` *between*
-        iterations, so scheduled failures and diurnal load apply.
+        Tasks receive the world time and return any value (typically a
+        :class:`~repro.transport.throughput.FlowStats`).  Tasks are
+        partitioned into seed-stable shards; each shard replays every
+        iteration for its task subset at the *absolute* instants
+        ``now + i * interval_s`` (via ``set_time``, so shard order
+        cannot matter), so scheduled failures and diurnal load apply.
+        The shards run in-process without ``runner`` and on the
+        :mod:`repro.exec` pool with one.  Either way the results are
+        equal only when tasks are deterministic functions of time — the
+        contract every simulated measurement here satisfies; tasks
+        drawing from a shared sequential RNG stream must derive
+        per-task generators instead.
+
+        ``params`` must fingerprint everything that shapes the task
+        values (world seed and scale, config knobs...): together with
+        ``seed`` it forms the cache key, so an incomplete fingerprint
+        would let stale cached samples impersonate fresh ones.  On the
+        pool, sample values round-trip through the JSON result cache
+        and come back as plain data (dicts/lists/floats).
 
         A task that raises does not abort the campaign: the failure is
         recorded as an error-marked :class:`Sample` (``ok=False``) and
@@ -125,88 +148,12 @@ class MeasurementCampaign:
         :class:`~repro.control.metrics.MetricsRegistry`, duck-typed) is
         given, every sample also increments a
         ``campaign_samples_total{task=..., outcome=ok|error}`` counter.
+        The clock ends on the last iteration's instant.
         """
-        if not tasks:
-            raise MeasurementError("campaign has no tasks")
-        results: dict[str, list[Sample]] = {task_id: [] for task_id in tasks}
-        ok_counts = {task_id: 0 for task_id in tasks}
-        error_counts = {task_id: 0 for task_id in tasks}
-        for iteration in range(self.iterations):
-            now = self.internet.now
-            for task_id, task in tasks.items():
-                try:
-                    sample = Sample(
-                        task_id=task_id, iteration=iteration, at_time=now, value=task(now)
-                    )
-                except Exception as error:
-                    sample = Sample(
-                        task_id=task_id,
-                        iteration=iteration,
-                        at_time=now,
-                        value=None,
-                        ok=False,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                results[task_id].append(sample)
-                if sample.ok:
-                    ok_counts[task_id] += 1
-                else:
-                    error_counts[task_id] += 1
-                if metrics is not None:
-                    outcome = "ok" if sample.ok else "error"
-                    metrics.counter(
-                        "campaign_samples_total",
-                        {"task": task_id, "outcome": outcome},
-                    ).inc()
-            if iteration != self.iterations - 1:
-                self.internet.advance(self.interval_s)
-        self.summary = CampaignSummary(
-            counts={
-                task_id: TaskCounts(ok=ok_counts[task_id], errors=error_counts[task_id])
-                for task_id in tasks
-            }
-        )
-        return results
-
-    def run_sharded(
-        self,
-        tasks: dict[str, Callable[[float], Any]],
-        runner: "ExecRunner",
-        *,
-        seed: int,
-        params: dict[str, Any] | None = None,
-        shard_count: int | None = None,
-        kind: str = "campaign.samples",
-    ) -> dict[str, list[Sample]]:
-        """Execute the campaign as shards through :mod:`repro.exec`.
-
-        Tasks are partitioned into seed-stable groups; each shard
-        replays every iteration for its task subset at the *absolute*
-        instants ``now + i * interval_s`` (via ``set_time``, so shard
-        order cannot matter).  This is only equivalent to :meth:`run`
-        when tasks are deterministic functions of time — the contract
-        every simulated measurement here satisfies; tasks drawing from
-        a shared sequential RNG stream must derive per-task generators
-        instead.
-
-        ``params`` must fingerprint everything that shapes the task
-        values (world seed and scale, config knobs...): together with
-        ``seed`` it forms the cache key, so an incomplete fingerprint
-        would let stale cached samples impersonate fresh ones.
-
-        Sample values round-trip through the JSON result cache, so
-        they come back as plain data (dicts/lists/floats), not live
-        objects.  The clock ends where :meth:`run` leaves it and
-        :attr:`summary` is populated identically.
-        """
-        from repro.exec.plan import ExecTask
-        from repro.exec.shard import default_shard_count, partition_indices
-        from repro.exec.spec import TaskSpec
-
         if not tasks:
             raise MeasurementError("campaign has no tasks")
         task_ids = list(tasks)
-        shards = shard_count or default_shard_count(len(task_ids))
+        shards = default_shard_count(len(task_ids))
         ranges = partition_indices(len(task_ids), shards)
         base = self.internet.now
         spec_params = {
@@ -255,25 +202,12 @@ class MeasurementCampaign:
             )
             for i, span in enumerate(ranges)
         ]
-        payloads = runner.run(exec_tasks, stage=kind)
-        runner.raise_on_errors()
-
         results: dict[str, list[Sample]] = {task_id: [] for task_id in task_ids}
-        for payload in payloads:
+        for payload in run_tasks(exec_tasks, runner, stage=kind):
             for row in payload:
-                results[row["task_id"]].append(
-                    Sample(
-                        task_id=row["task_id"],
-                        iteration=row["iteration"],
-                        at_time=row["at_time"],
-                        value=row["value"],
-                        ok=row["ok"],
-                        error=row["error"],
-                    )
-                )
+                results[row["task_id"]].append(Sample(**row))
         for samples in results.values():
             samples.sort(key=lambda s: s.iteration)
-        # Match run(): the clock rests on the last iteration's instant.
         self.internet.set_time(base + (self.iterations - 1) * self.interval_s)
         self.summary = CampaignSummary(
             counts={
@@ -284,4 +218,12 @@ class MeasurementCampaign:
                 for task_id, samples in results.items()
             }
         )
+        if metrics is not None:
+            for task_id, counts in self.summary.counts.items():
+                for outcome, count in (("ok", counts.ok), ("error", counts.errors)):
+                    if count:
+                        metrics.counter(
+                            "campaign_samples_total",
+                            {"task": task_id, "outcome": outcome},
+                        ).inc(count)
         return results

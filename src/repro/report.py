@@ -89,12 +89,10 @@ def generate_sections(
     behind them) never recompute — and the skipped/recomputed counts
     are logged.
     """
+    from repro.exec.plan import ExecTask, run_tasks
+    from repro.exec.spec import TaskSpec
     from repro.experiments.classify import run_classify
-    from repro.experiments.controlled import (
-        ControlledConfig,
-        run_controlled,
-        run_controlled_exec,
-    )
+    from repro.experiments.controlled import ControlledConfig, run_controlled
     from repro.experiments.cost import run_cost
     from repro.experiments.diversity_exp import run_diversity
     from repro.experiments.factors import run_factors
@@ -117,13 +115,10 @@ def generate_sections(
         return once("weblab", lambda: run_weblab(WeblabConfig(seed=seed, scale=scale)))
 
     def campaign_of():
-        def build():
-            config = ControlledConfig(seed=seed, scale=scale)
-            if exec_runner is None:
-                return run_controlled(config)
-            return run_controlled_exec(config, exec_runner)
-
-        return once("campaign", build)
+        return once(
+            "campaign",
+            lambda: run_controlled(ControlledConfig(seed=seed, scale=scale), exec_runner),
+        )
 
     def longitudinal_of():
         top_n = 30 if scale == "paper" else 8
@@ -131,7 +126,7 @@ def generate_sections(
         return once(
             "longitudinal",
             lambda: run_longitudinal(
-                campaign_of(), top_n=top_n, samples=samples, exec_runner=exec_runner
+                campaign_of(), top_n=top_n, samples=samples, runner=exec_runner
             ),
         )
 
@@ -156,26 +151,20 @@ def generate_sections(
          lambda: run_multihop(seed=seed, scale=scale).render()),
     ]
     entries = [(title, reference) for title, reference, _build in builders]
-
-    if exec_runner is None:
-        bodies = [build() for _title, _reference, build in builders]
-    else:
-        from repro.exec.plan import ExecTask
-        from repro.exec.spec import TaskSpec
-
-        tasks = [
-            ExecTask(
-                spec=TaskSpec(
-                    "report.section", seed, index, len(builders),
-                    params={"scale": scale, "title": title},
-                ),
-                fn=build,
-            )
-            for index, (title, _reference, build) in enumerate(builders)
-        ]
-        # run_inline, not run: section thunks drive the exec runner
-        # themselves (campaign shards), so they must stay in-driver.
-        bodies = exec_runner.run_inline(tasks, stage="report.sections")
+    tasks = [
+        ExecTask(
+            spec=TaskSpec(
+                "report.section", seed, index, len(builders),
+                params={"scale": scale, "title": title},
+            ),
+            fn=build,
+        )
+        for index, (title, _reference, build) in enumerate(builders)
+    ]
+    # Inline, not pooled: section thunks drive the exec runner
+    # themselves (campaign shards), so they must stay in-driver.
+    bodies = run_tasks(tasks, exec_runner, stage="report.sections", inline=True)
+    if exec_runner is not None:
         records = [
             record for record in exec_runner.manifest.records
             if record.stage == "report.sections"

@@ -198,6 +198,31 @@ class TestExecCli:
         assert main(["run", "fig3-5", "--seed", "3", "--scale", "small"]) == 0
         assert "exec run" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig6-7", "--seed", "3"],
+            ["chaos", "--seed", "3", "--scenario", "as-outage", "--fast"],
+            ["demand", "--seed", "3", "--fast"],
+            ["colo", "--seed", "3", "--fast", "--footprint", "cloud"],
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "run" else argv[1],
+    )
+    def test_no_exec_flags_no_fork_no_cache(self, argv, capsys, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from repro.exec.runner import ExecRunner
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run without exec flags touched the pool")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(ExecRunner, "__init__", forbidden)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        assert main(argv) == 0
+        assert "exec run" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_removed_backend_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["run", "fig3-5", "--backend", "local-fork"])

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.exec.runner import ExecConfig, ExecRunner
-from repro.experiments.colo_exp import ColoConfig, run_colo, run_colo_exec
+from repro.experiments.colo_exp import ColoConfig, run_colo
 from repro.experiments.scenario import build_world
 
 SEED = 7
@@ -49,8 +49,6 @@ class TestConfig:
             ColoConfig(demand_level=0.0)
         with pytest.raises(ExperimentError):
             ColoConfig(demand_epochs=0)
-        with pytest.raises(ExperimentError):
-            ColoConfig(pairs_per_shard=0)
 
 
 class TestZeroColoIdentity:
@@ -81,18 +79,20 @@ class TestZeroColoIdentity:
             runner = ExecRunner(
                 ExecConfig(workers=workers, cache_dir=tmp_path / f"s{seed}w{workers}")
             )
-            assert run_colo_exec(config, runner).render() == serial
+            assert run_colo(config, runner).render() == serial
 
 
 class TestShardingParity:
     def test_mixed_serial_matches_exec_at_any_worker_count(self, tmp_path):
-        config = ColoConfig(**FAST, pairs_per_shard=4)
+        # FAST's 12 pairs give 12 one-pair shards.
+        config = ColoConfig(**FAST)
         serial = run_colo(config).render()
         for workers in (1, 2):
             runner = ExecRunner(
                 ExecConfig(workers=workers, cache_dir=tmp_path / f"w{workers}")
             )
-            assert run_colo_exec(config, runner).render() == serial
+            assert run_colo(config, runner).render() == serial
+            assert len(runner.manifest.records) == 12
 
 
 class TestHeadline:

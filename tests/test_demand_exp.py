@@ -13,7 +13,6 @@ from repro.experiments.demand_exp import (
     DemandConfig,
     build_pair_routes,
     run_demand,
-    run_demand_exec,
 )
 from repro.io import to_jsonable
 
@@ -65,14 +64,14 @@ class TestDeterminism:
             runner = ExecRunner(
                 ExecConfig(workers=workers, cache_dir=tmp_path / f"w{workers}")
             )
-            sharded = run_demand_exec(DemandConfig(**FAST), runner)
+            sharded = run_demand(DemandConfig(**FAST), runner)
             assert to_jsonable(sharded) == to_jsonable(fast_result)
             assert sharded.render() == fast_result.render()
 
     def test_exec_runs_one_shard_per_arm(self, tmp_path):
         config = DemandConfig(**FAST)
         runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path))
-        run_demand_exec(config, runner)
+        run_demand(config, runner)
         records = runner.manifest.records
         assert len(records) == len(config.arms)
         assert {record.stage for record in records} == {"demand.epochs"}

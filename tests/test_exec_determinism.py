@@ -4,8 +4,10 @@
   worker count (1 / 4 / 8),
 * a run killed mid-campaign resumes to completion with zero
   recomputation of already-cached shards,
-* the sharded chaos and longitudinal ports reproduce the serial
-  entry points exactly.
+* the chaos and longitudinal studies print the same result
+  in-process (no runner) as on the pool,
+* ``run_tasks`` runs a task list in-process without a runner and
+  raises on failed shards with one.
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ import pytest
 
 from repro.errors import ExecError
 from repro.exec.manifest import RunManifest
-from repro.exec.plan import ExecPlan, ExecTask, Stage, run_plan
+from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
 from repro.experiments.chaos_exp import (
     STRATEGIES,
     ChaosConfig,
     run_chaos,
-    run_chaos_exec,
 )
-from repro.experiments.controlled import ControlledConfig, run_controlled_exec
+from repro.experiments.controlled import ControlledConfig, run_controlled
 from repro.experiments.longitudinal import run_longitudinal
 from repro.faults.scenarios import SCENARIOS
 from repro.io import dump_json
@@ -40,10 +41,8 @@ def _campaign_result_file(tmp_path, tag: str, workers: int, cache_dir, resume=Fa
     runner = ExecRunner(
         ExecConfig(workers=workers, cache_dir=cache_dir, resume=resume)
     )
-    campaign = run_controlled_exec(ControlledConfig(seed=SEED, scale="small"), runner)
-    longitudinal = run_longitudinal(
-        campaign, top_n=TOP_N, samples=SAMPLES, exec_runner=runner
-    )
+    campaign = run_controlled(ControlledConfig(seed=SEED, scale="small"), runner)
+    longitudinal = run_longitudinal(campaign, top_n=TOP_N, samples=SAMPLES, runner=runner)
     target = dump_json(longitudinal, tmp_path / f"result-{tag}.json")
     return target.read_bytes(), runner
 
@@ -66,7 +65,7 @@ class TestWorkerCountInvariance:
             runner = ExecRunner(
                 ExecConfig(workers=workers, cache_dir=tmp_path / f"c{workers}")
             )
-            run_controlled_exec(ControlledConfig(seed=SEED, scale="small"), runner)
+            run_controlled(ControlledConfig(seed=SEED, scale="small"), runner)
             keys[workers] = [r.key for r in runner.manifest.records]
         assert keys[1] == keys[8]
 
@@ -115,7 +114,7 @@ class TestSerialEquivalence:
         )
         serial = run_chaos(config)
         runner = ExecRunner(ExecConfig(workers=4, cache_dir=tmp_path / "cache"))
-        sharded = run_chaos_exec(config, runner)
+        sharded = run_chaos(config, runner)
         assert json.dumps(to_jsonable(serial), sort_keys=True) == json.dumps(
             to_jsonable(sharded), sort_keys=True
         )
@@ -134,7 +133,7 @@ class TestSerialEquivalence:
             probe_interval_s=15.0,
         )
         runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path / "cache"))
-        result = run_chaos_exec(config, runner)
+        result = run_chaos(config, runner)
         manifest = RunManifest.load(runner.write_manifest())
         assert len(manifest.records) == len(config.scenario_names)
         assert {record.stage for record in manifest.records} == {"chaos.runs"}
@@ -143,7 +142,6 @@ class TestSerialEquivalence:
         assert len(result.outcomes) == runs * len(config.scenario_names)
 
     def test_longitudinal_exec_matches_serial_campaign(self, tmp_path):
-        from repro.experiments.controlled import run_controlled
         from repro.io import to_jsonable
 
         config = ControlledConfig(seed=SEED, scale="small")
@@ -152,41 +150,38 @@ class TestSerialEquivalence:
         )
         runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path / "cache"))
         exec_long = run_longitudinal(
-            run_controlled_exec(config, runner),
-            top_n=TOP_N,
-            samples=SAMPLES,
-            exec_runner=runner,
+            run_controlled(config, runner), top_n=TOP_N, samples=SAMPLES, runner=runner
         )
-        # The longitudinal sweep is RNG-free, so the sharded port must
-        # reproduce the serial numbers exactly, not just statistically.
+        # The longitudinal sweep is RNG-free, so the pool must
+        # reproduce the in-process numbers exactly, not just statistically.
         assert to_jsonable(serial_long) == to_jsonable(exec_long)
 
 
-class TestPlan:
-    def test_two_stage_plan_feeds_payloads_forward(self, tmp_path):
-        runner = ExecRunner(ExecConfig(workers=2, cache_dir=tmp_path / "cache"))
+class TestRunTasks:
+    def test_without_runner_runs_in_process_in_order(self):
+        calls: list[int] = []
 
-        def stage1(_prev):
-            return [
-                ExecTask(spec=TaskSpec("square", 7, i, 3), fn=lambda i=i: i * i)
-                for i in range(3)
-            ]
+        def task(i: int) -> ExecTask:
+            def fn() -> int:
+                calls.append(i)  # visible here only because nothing forked
+                return i * i
 
-        def stage2(prev):
-            total = sum(prev)
-            return [
-                ExecTask(spec=TaskSpec("sum", 7, 0, 1), fn=lambda: {"total": total})
-            ]
+            return ExecTask(spec=TaskSpec("square", 7, i, 3), fn=fn)
 
-        plan = ExecPlan(stages=(Stage("square", stage1), Stage("sum", stage2)))
-        payloads = run_plan(plan, runner)
-        assert payloads == [{"total": 0 + 1 + 4}]
-        assert set(runner.manifest.stage_counts()) == {"square", "sum"}
+        assert run_tasks([task(i) for i in range(3)]) == [0, 1, 4]
+        assert calls == [0, 1, 2]
 
-    def test_plan_rejects_duplicate_stage_names(self):
-        with pytest.raises(ExecError):
-            ExecPlan(stages=(Stage("a", lambda p: []), Stage("a", lambda p: [])))
+    def test_failed_shard_raises_with_runner(self, tmp_path):
+        def boom() -> int:
+            raise RuntimeError("boom")
 
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ExecError):
-            ExecPlan(stages=())
+        runner = ExecRunner(
+            ExecConfig(workers=2, cache_dir=tmp_path / "cache", retries=0)
+        )
+        tasks = [
+            ExecTask(spec=TaskSpec("ok", 7, 0, 2), fn=lambda: 1),
+            ExecTask(spec=TaskSpec("boom", 7, 1, 2), fn=boom),
+        ]
+        with pytest.raises(ExecError, match="1 shard"):
+            run_tasks(tasks, runner, stage="mixed")
+        assert runner.manifest.stage_counts() == {"mixed": (1, 0, 1)}

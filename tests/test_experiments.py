@@ -8,12 +8,16 @@ benchmark harness at larger scale.
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments import build_world
 from repro.experiments.classify import run_classify
-from repro.experiments.controlled import ControlledConfig, run_controlled
+from repro.experiments.controlled import ControlledConfig, ControlledResult, run_controlled
 from repro.experiments.cost import run_cost
 from repro.experiments.diversity_exp import run_diversity
 from repro.experiments.factors import run_factors
@@ -100,6 +104,60 @@ class TestControlled:
         text = small_campaign.result.render(series_points=5)
         for marker in ("Fig. 3", "Fig. 4", "Fig. 5"):
             assert marker in text
+
+    def test_zero_overlay_median_renders_without_reduction_factor(self, small_campaign):
+        # Regression: a zero best-overlay median used to print the
+        # direct median over a 1e-12 floor (e.g. "reduction x51918384.3").
+        result = small_campaign.result
+
+        def with_retx(direct: float, overlay: float) -> str:
+            pairs = [
+                dataclasses.replace(
+                    pair, direct_retx_observed=direct, best_overlay_retx_observed=overlay
+                )
+                for pair in result.pairs
+            ]
+            return ControlledResult(config=result.config, pairs=pairs).render()
+
+        assert "direct=0.001 overlay=0.0001 (reduction x10.0)" in with_retx(1e-3, 1e-4)
+        zeroed = with_retx(5e-5, 0.0)
+        assert "direct=5e-05 overlay=0 (overlay median 0)" in zeroed
+        assert "reduction x" not in zeroed
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run_stdout(capsys, argv: list[str]) -> str:
+    """``repro`` stdout with any trailing exec manifest cut off."""
+    from repro.cli import main
+
+    assert main(argv) == 0
+    # The same cut as CI's `sed '/^exec run /,$d'`.
+    return re.sub(r"^exec run .*", "", capsys.readouterr().out, flags=re.M | re.S)
+
+
+class TestControlledGolden:
+    # Serial runs execute the same shard list as the pool, so Fig. 4's
+    # per-pair retransmission draws and Fig. 10's loss bins cannot
+    # depend on --workers.  Regenerate with
+    # `python -m repro run fig3-5 --seed 7` only when a change is meant
+    # to move the science.
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_fig3_5_matches_committed_output(self, capsys, tmp_path, workers):
+        argv = ["run", "fig3-5", "--seed", "7"]
+        if workers is not None:
+            argv += ["--workers", workers, "--cache-dir", str(tmp_path)]
+        golden = (GOLDEN / "controlled_fig3-5_seed7.txt").read_text()
+        assert _run_stdout(capsys, argv) == golden
+
+    def test_fig9_11_serial_matches_workers_2(self, capsys, tmp_path):
+        serial = _run_stdout(capsys, ["run", "fig9-11", "--seed", "7"])
+        sharded = _run_stdout(
+            capsys,
+            ["run", "fig9-11", "--seed", "7", "--workers", "2", "--cache-dir", str(tmp_path)],
+        )
+        assert serial == sharded
 
 
 class TestLongitudinal:

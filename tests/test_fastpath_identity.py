@@ -4,17 +4,16 @@ For each study (chaos, demand, controlled) and several seeds, the
 dumped result JSON must be byte-identical between
 
 * object mode (``REPRO_FASTPATH=0`` — the scalar per-link walk),
-* fastpath at 1 worker, and
-* fastpath at 8 workers (exec backends fork, so workers inherit the
+  in-process,
+* fastpath in-process (no runner), and
+* fastpath at 1 and 8 workers (the pool forks, so workers inherit the
   parent's mode choice).
 
-Serial entry points are compared against serial references and exec
-entry points against exec references — the controlled study's serial
-and exec ports draw retransmission noise from differently scoped
-streams, a (documented) difference orthogonal to the mirror.  Byte
-equality of the serialized artifact is deliberately the bar: it is
-what the exec cache keys on and what the paper-repro pipeline diffs
-between runs.
+Each study has one entry point, ``run_X(config, runner=None)``, that
+runs the same shard list in-process or on the pool, so every run is
+compared against the one object-mode reference.  Byte equality of the
+serialized artifact is deliberately the bar: it is what the exec cache
+keys on and what the paper-repro pipeline diffs between runs.
 """
 
 from __future__ import annotations
@@ -22,13 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.runner import ExecConfig, ExecRunner
-from repro.experiments.chaos_exp import ChaosConfig, run_chaos, run_chaos_exec
-from repro.experiments.controlled import (
-    ControlledConfig,
-    run_controlled,
-    run_controlled_exec,
-)
-from repro.experiments.demand_exp import DemandConfig, run_demand, run_demand_exec
+from repro.experiments.chaos_exp import ChaosConfig, run_chaos
+from repro.experiments.controlled import ControlledConfig, run_controlled
+from repro.experiments.demand_exp import DemandConfig, run_demand
 from repro.io import dump_json
 
 SEEDS = (3, 11)
@@ -72,9 +67,9 @@ def _controlled_config(seed: int) -> ControlledConfig:
 
 
 STUDIES = {
-    "chaos": (_chaos_config, run_chaos, run_chaos_exec),
-    "demand": (_demand_config, run_demand, run_demand_exec),
-    "controlled": (_controlled_config, run_controlled, run_controlled_exec),
+    "chaos": (_chaos_config, run_chaos),
+    "demand": (_demand_config, run_demand),
+    "controlled": (_controlled_config, run_controlled),
 }
 
 
@@ -83,32 +78,25 @@ STUDIES = {
 def test_fastpath_output_byte_identical_to_object_mode(
     study, seed, tmp_path, monkeypatch
 ):
-    make_config, run_serial, run_exec = STUDIES[study]
+    make_config, run_study = STUDIES[study]
 
     monkeypatch.setenv("REPRO_FASTPATH", "0")
-    ref_serial = _dump(tmp_path, f"{study}-obj-serial", run_serial(make_config(seed)))
-    ref_exec = _dump(
-        tmp_path,
-        f"{study}-obj-exec",
-        run_exec(make_config(seed), _runner(tmp_path, f"{study}-obj", 1)),
-    )
+    reference = _dump(tmp_path, f"{study}-obj", run_study(make_config(seed)))
 
     monkeypatch.setenv("REPRO_FASTPATH", "1")
-    fast_serial = _dump(
-        tmp_path, f"{study}-fast-serial", run_serial(make_config(seed))
-    )
-    assert fast_serial == ref_serial, (
-        f"{study} seed {seed}: serial fastpath output differs from object mode"
+    fast_serial = _dump(tmp_path, f"{study}-fast-serial", run_study(make_config(seed)))
+    assert fast_serial == reference, (
+        f"{study} seed {seed}: in-process fastpath output differs from object mode"
     )
     for workers in (1, 8):
         fast = _dump(
             tmp_path,
             f"{study}-fast-w{workers}",
-            run_exec(
+            run_study(
                 make_config(seed), _runner(tmp_path, f"{study}-{workers}", workers)
             ),
         )
-        assert fast == ref_exec, (
+        assert fast == reference, (
             f"{study} seed {seed}: fastpath output at {workers} workers "
             "differs from object mode"
         )
