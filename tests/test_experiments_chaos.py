@@ -289,3 +289,14 @@ class TestGolden:
         assert main(argv) == 0
         golden = (GOLDEN / "chaos_gray_detect_seed7.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    # Every scenario of the chaos study, fast horizon: the outage,
+    # flap and gray-failure arms all run through the FaultInjector.
+    # Regenerate with `python -m repro chaos --scenario all --fast
+    # --seed 7` only when a change is meant to move the science.
+    def test_all_fast_matches_committed_output(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--scenario", "all", "--fast", "--seed", "7"]) == 0
+        golden = (GOLDEN / "chaos_all_fast_seed7.txt").read_text()
+        assert capsys.readouterr().out == golden

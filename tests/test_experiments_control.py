@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -108,3 +110,20 @@ class TestConfigValidation:
         pathset = cronet.path_set(world.server_names[0], world.client_names()[0])
         with pytest.raises(ExperimentError):
             pick_unique_link(pathset.direct, [pathset.direct])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    # The default failover study pinned byte for byte: downtime,
+    # recovery, goodput, probe bytes and the decision log of every
+    # strategy around the two surgical link outages.  Regenerate with
+    # `python -m repro control --seed 7` only when a change is meant to
+    # move the science.
+    def test_default_study_matches_committed_output(self, capsys):
+        from repro.cli import main
+
+        assert main(["control", "--seed", "7"]) == 0
+        golden = (GOLDEN / "control_seed7.txt").read_text()
+        assert capsys.readouterr().out == golden
