@@ -3,8 +3,8 @@
 :class:`OverlayController` closes the loop the one-shot experiment
 drivers leave open.  Each tick of simulated time it:
 
-1. advances the world clock (scheduled :class:`~repro.net.failures.
-   FailureSchedule` outages fire here),
+1. advances the world clock (the events of an installed
+   :class:`~repro.faults.injector.FaultInjector` fire here),
 2. fires any due probes from the :class:`~repro.control.probes.
    ProbeScheduler` (budgeted, jittered),
 3. feeds results into the per-path :class:`~repro.control.health.

@@ -25,6 +25,8 @@ from repro.analysis.tables import format_table
 from repro.core.pathset import PathSet, PathType
 from repro.errors import ExperimentError
 from repro.experiments.scenario import World, build_world
+from repro.faults.events import LinkOutage, Window
+from repro.faults.injector import FaultInjector
 from repro.net.links import LinkClass
 
 
@@ -76,8 +78,8 @@ class AvailabilityResult:
         )
 
 
-def _schedule_outages(world: World, config: AvailabilityConfig) -> int:
-    """Schedule random outages on core/transit links."""
+def _install_outages(world: World, config: AvailabilityConfig) -> FaultInjector:
+    """Install random outages on core, transit and access links."""
     rng = world.streams.stream("availability")
     candidates = [
         link
@@ -92,13 +94,13 @@ def _schedule_outages(world: World, config: AvailabilityConfig) -> int:
     if not candidates:
         raise ExperimentError("no candidate links for outage injection")
     horizon = config.duration_hours * 3_600.0
-    injected = 0
+    injector = FaultInjector(world.internet)
     for _ in range(config.outages):
         link = candidates[int(rng.integers(0, len(candidates)))]
         start = float(rng.uniform(0.0, horizon))
-        world.internet.failures.schedule(link.link_id, start, config.outage_duration_s)
-        injected += 1
-    return injected
+        window = Window(start, config.outage_duration_s)
+        injector.add(LinkOutage(link_ids=(link.link_id,), window=window))
+    return injector.install()
 
 
 def run_availability(config: AvailabilityConfig = AvailabilityConfig()) -> AvailabilityResult:
@@ -120,7 +122,7 @@ def run_availability(config: AvailabilityConfig = AvailabilityConfig()) -> Avail
             next(j for j, o in enumerate(pathset.options) if o.name == best_name)
         )
 
-    outages = _schedule_outages(world, config)
+    injector = _install_outages(world, config)
 
     checks = direct_up = static_up = mptcp_up = 0
     t = 0.0
@@ -143,7 +145,7 @@ def run_availability(config: AvailabilityConfig = AvailabilityConfig()) -> Avail
             mptcp_up += direct_alive or any(overlay_alive)
         t += config.check_interval_s
     # Leave the world clean for any reuse.
-    world.internet.set_time(horizon + 2 * config.outage_duration_s)
+    injector.uninstall()
 
     return AvailabilityResult(
         config=config,
@@ -151,5 +153,5 @@ def run_availability(config: AvailabilityConfig = AvailabilityConfig()) -> Avail
         direct_up=direct_up,
         static_up=static_up,
         mptcp_up=mptcp_up,
-        outages_injected=outages,
+        outages_injected=len(injector.events),
     )

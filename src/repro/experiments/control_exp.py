@@ -42,6 +42,8 @@ from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet, PathType
 from repro.errors import ExperimentError
 from repro.experiments.scenario import World, build_world
+from repro.faults.events import LinkOutage, Window
+from repro.faults.injector import FaultInjector
 from repro.net.path import RouterPath
 
 
@@ -208,10 +210,10 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
     world = build_world(seed=config.seed, scale=config.scale)
     cronet = world.cronet()
     pathset, failed_links = _pick_pair(world, cronet)
-    for link_id in failed_links.values():
-        world.internet.failures.schedule(
-            link_id, config.outage_start_s, config.outage_duration_s
-        )
+    injector = FaultInjector(world.internet)
+    window = Window(config.outage_start_s, config.outage_duration_s)
+    injector.add(LinkOutage(link_ids=tuple(failed_links.values()), window=window))
+    injector.install()
 
     def scheduler_for(strategy: str) -> ProbeScheduler:
         probe_config = ProbeConfig(
@@ -237,7 +239,7 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
     for name, policy, probed in strategies:
         # Each strategy replays the same world from t=0: the clock
         # drives every stochastic process, so rewinding it (and letting
-        # the failure schedule re-apply) reproduces identical dynamics.
+        # the injector re-apply) reproduces identical dynamics.
         world.internet.set_time(0.0)
         controller = OverlayController(
             internet=world.internet,
@@ -264,8 +266,8 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
             controller_metrics = report.metrics
             decision_log = report.decisions.render()
 
-    # Leave the clock past the schedule so links are restored for reuse.
-    world.internet.set_time(config.duration_s + config.outage_duration_s)
+    # Restore the failed links for any reuse of the world.
+    injector.uninstall()
     return ControlExpResult(
         config=config,
         pair=(pathset.src_name, pathset.dst_name),

@@ -1,8 +1,9 @@
 """Correlated fault injection: deterministic chaos for the overlay.
 
-Generalises the single-link :class:`~repro.net.failures.FailureSchedule`
-to the correlated scenarios the paper blames for the largest overlay
-wins (Sec. IV): AS-level outages, BGP route flaps, gray failures,
+The one way the reproduction schedules link outages, from a single
+:class:`LinkOutage` (the availability and failover studies) to the
+correlated scenarios the paper blames for the largest overlay wins
+(Sec. IV): AS-level outages, BGP route flaps, gray failures,
 congestion storms, and faults in the probe plane itself.  Every event
 is a pure function of simulated time, so a fixed seed replays the same
 chaos bit-for-bit.

@@ -2,9 +2,9 @@
 
 The paper's biggest overlay wins come from transient events at
 intermediate ISPs (Sec. IV); surviving them is half the pitch for MPTCP
-path selection (Sec. VI-A).  This module generalises the single-link
-on/off schedule in :mod:`repro.net.failures` to the correlated
-scenarios a real overlay meets:
+path selection (Sec. VI-A).  This module describes everything from a
+single-link on/off outage to the correlated scenarios a real overlay
+meets:
 
 * :class:`LinkOutage` — one or more links hard-down over a window,
 * :class:`AsOutage` — every link touching an AS down together (the
@@ -406,7 +406,7 @@ class ProbeFaultEvent:
 
 
 def window_for(start_s: float, duration_s: float) -> Window:
-    """Convenience constructor mirroring ``FailureSchedule.schedule``."""
+    """A :class:`Window` from ``(start_s, duration_s)``; both must be finite."""
     if not math.isfinite(start_s) or not math.isfinite(duration_s):
         raise ConfigError("fault windows must be finite")
     return Window(start_s=start_s, duration_s=duration_s)

@@ -25,7 +25,6 @@ from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
 from repro.net.bgp import BgpRouting
 from repro.net.congestion import BackgroundLoad, peak_hour_for_longitude
-from repro.net.failures import FailureSchedule
 from repro.net.fastpath import FastPath, fastpath_enabled
 from repro.net.links import Link, LinkClass, mutation_epoch
 from repro.net.path import RouterPath
@@ -147,9 +146,9 @@ class Internet:
         self._next_link_id = 1
         self._next_host_id = HOST_ID_BASE
         self._clock_s = 0.0
-        self.failures = FailureSchedule(links_by_id=self.links_by_id)
-        #: Called with the new time after every clock move (fault
-        #: injectors hook in here, after the legacy failure schedule).
+        #: Called with the new time after every clock move; an
+        #: installed :class:`~repro.faults.injector.FaultInjector`
+        #: hooks in here to take links down and bring them back.
         self.clock_hooks: list[Callable[[float], None]] = []
         self.addresses = AddressPlan()
         self._path_cache: dict[tuple[str, str], RouterPath] = {}
@@ -428,14 +427,10 @@ class Internet:
         return self._clock_s
 
     def advance(self, seconds: float) -> float:
-        """Move the clock forward and apply any scheduled failures."""
+        """Move the clock forward by ``seconds`` (>= 0); see :meth:`set_time`."""
         if seconds < 0:
             raise ConfigError(f"cannot advance time by {seconds}")
-        self._clock_s += seconds
-        self.failures.apply(self._clock_s)
-        for hook in self.clock_hooks:
-            hook(self._clock_s)
-        return self._clock_s
+        return self.set_time(self._clock_s + seconds)
 
     def set_time(self, t: float) -> float:
         """Jump the clock to absolute time ``t`` (seconds, >= 0).
@@ -446,7 +441,7 @@ class Internet:
         mid-flap, after the injector invalidated and re-resolved) must
         not survive into the replayed history.  Clock hooks are then
         re-applied at ``t`` as usual; hooks must therefore be pure
-        functions of time (both built-in appliers are), not
+        functions of time (``FaultInjector.apply`` is), not
         accumulators that assume monotonic ticks.
         """
         if t < 0:
@@ -454,7 +449,6 @@ class Internet:
         if t < self._clock_s:
             self.invalidate_path_cache()
         self._clock_s = t
-        self.failures.apply(self._clock_s)
         for hook in self.clock_hooks:
             hook(self._clock_s)
         return self._clock_s

@@ -1,4 +1,4 @@
-"""End-to-end failover: controller + FailureSchedule + policies.
+"""End-to-end failover: controller + FaultInjector + policies.
 
 The acceptance scenario: a link on the active path fails mid-run; the
 health machine degrades it; the policy switches; the path recovers
@@ -16,6 +16,7 @@ from repro.control.policy import BestPathPolicy, MptcpSubflowPolicy, StaticPolic
 from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet
 from repro.errors import ControlError
+from repro.faults import FaultInjector, LinkOutage, Window
 from repro.rand import RandomStreams
 from repro.tunnel.node import OverlayNode
 
@@ -37,6 +38,12 @@ def direct_only_link(pathset: PathSet):
         if link.link_id not in overlay_ids:
             return link
     raise AssertionError("no direct-only link in this world")
+
+
+def fail_during(small_internet, link, start_s: float, duration_s: float) -> None:
+    injector = FaultInjector(small_internet)
+    injector.add(LinkOutage(link_ids=(link.link_id,), window=Window(start_s, duration_s)))
+    injector.install()
 
 
 def controller_for(small_internet, pathset, policy, probed=True) -> OverlayController:
@@ -62,7 +69,7 @@ class TestFailoverScenario:
     def test_controller_switches_and_recovers_without_flapping(self, small_internet, pathset):
         link = direct_only_link(pathset)
         # Outage covers [300, 900) of an 1800 s run.
-        small_internet.failures.schedule(link.link_id, 300.0, 600.0)
+        fail_during(small_internet, link, 300.0, 600.0)
         controller = controller_for(small_internet, pathset, BestPathPolicy())
         report = controller.run(1800.0)
 
@@ -88,7 +95,7 @@ class TestFailoverScenario:
 
     def test_downtime_bounded_by_detection(self, small_internet, pathset):
         link = direct_only_link(pathset)
-        small_internet.failures.schedule(link.link_id, 300.0, 600.0)
+        fail_during(small_internet, link, 300.0, 600.0)
         controller = controller_for(small_internet, pathset, BestPathPolicy())
         report = controller.run(1800.0)
         # fail_after=2 probes at 30 s plus one decision tick, rounded up.
@@ -97,7 +104,7 @@ class TestFailoverScenario:
 
     def test_static_policy_eats_the_whole_outage(self, small_internet, pathset):
         link = direct_only_link(pathset)
-        small_internet.failures.schedule(link.link_id, 300.0, 600.0)
+        fail_during(small_internet, link, 300.0, 600.0)
         controller = controller_for(
             small_internet, pathset, StaticPolicy("direct"), probed=False
         )
@@ -108,7 +115,7 @@ class TestFailoverScenario:
 
     def test_mptcp_policy_prunes_and_readds_subflow(self, small_internet, pathset):
         link = direct_only_link(pathset)
-        small_internet.failures.schedule(link.link_id, 300.0, 600.0)
+        fail_during(small_internet, link, 300.0, 600.0)
         controller = controller_for(small_internet, pathset, MptcpSubflowPolicy())
         report = controller.run(1800.0)
         active_sets = [s.active for s in report.samples]
@@ -120,7 +127,7 @@ class TestFailoverScenario:
 
     def test_metrics_account_for_the_run(self, small_internet, pathset):
         link = direct_only_link(pathset)
-        small_internet.failures.schedule(link.link_id, 300.0, 600.0)
+        fail_during(small_internet, link, 300.0, 600.0)
         controller = controller_for(small_internet, pathset, BestPathPolicy())
         report = controller.run(1800.0)
         metrics = report.metrics

@@ -107,21 +107,135 @@ class TestInjection:
         assert states() == states()
 
 
-class TestLegacyScheduleOverlap:
-    def test_injector_never_restores_legacy_held_link(self, small_internet):
-        # Legacy schedule holds [100, 300); the injected event ends at
-        # 200 — the link must stay down until *both* windows clear.
+def outage(link, start_s: float, duration_s: float) -> LinkOutage:
+    return LinkOutage(link_ids=(link.link_id,), window=Window(start_s, duration_s))
+
+
+class TestOverlappingEvents:
+    def test_overlap_keeps_link_down_through_union(self, small_internet):
+        # [100, 200) and [150, 300): the first event's end must not
+        # restore the link while the second still covers the instant.
         link = any_link(small_internet)
-        small_internet.failures.schedule(link.link_id, 100.0, 200.0)
         injector = FaultInjector(small_internet)
-        injector.add(LinkOutage(link_ids=(link.link_id,), window=Window(150.0, 50.0)))
+        injector.add(outage(link, 100.0, 100.0))
+        injector.add(outage(link, 150.0, 150.0))
         injector.install()
+        for t, down in ((99.0, False), (120.0, True), (250.0, True), (300.0, False)):
+            small_internet.set_time(t)
+            assert link.failed is down, f"at t={t}"
+
+    def test_adjacent_windows_merge_seamlessly(self, small_internet):
+        # [100, 200) then [200, 300): no one-instant blip in between.
+        link = any_link(small_internet)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 100.0))
+        injector.add(outage(link, 200.0, 100.0))
+        injector.install()
+        for t in (199.0, 200.0, 201.0, 299.0):
+            small_internet.set_time(t)
+            assert link.failed, f"at t={t}"
+        small_internet.set_time(300.0)
+        assert not link.failed
+
+    def test_second_injector_never_restores_a_link_the_first_holds(
+        self, small_internet
+    ):
+        # The outer injector holds [100, 300); the inner one's event
+        # ends at 200 and must not bring the link up early.
+        link = any_link(small_internet)
+        outer = FaultInjector(small_internet)
+        outer.add(outage(link, 100.0, 200.0))
+        outer.install()
+        inner = FaultInjector(small_internet)
+        inner.add(outage(link, 150.0, 50.0))
+        inner.install()
         small_internet.set_time(175.0)
         assert link.failed
-        small_internet.set_time(250.0)  # injected event over, legacy still active
+        small_internet.set_time(250.0)  # inner event over, outer still active
         assert link.failed
         small_internet.set_time(350.0)
         assert not link.failed
+
+
+class TestOwnership:
+    """The injector restores only links *it* failed."""
+
+    def test_manual_failure_survives_window_end(self, small_internet):
+        # A link failed by hand before an overlapping window ends must
+        # stay down: the injector never owned it.
+        link = any_link(small_internet)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 100.0))
+        injector.install()
+        link.fail()  # manual, outside any apply()
+        small_internet.set_time(150.0)  # window active; link already down
+        assert link.failed
+        small_internet.set_time(250.0)  # window over; manual failure persists
+        assert link.failed
+        link.restore()
+
+    def test_injected_failure_still_restored(self, small_internet):
+        link = any_link(small_internet)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 100.0))
+        injector.install()
+        small_internet.set_time(150.0)  # the injector itself fails the link
+        assert link.failed
+        small_internet.set_time(250.0)
+        assert not link.failed
+
+    def test_ownership_resets_each_window(self, small_internet):
+        # Own the link in window one, release it, then respect a manual
+        # failure that lands between the windows.
+        link = any_link(small_internet)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 50.0))
+        injector.add(outage(link, 300.0, 50.0))
+        injector.install()
+        small_internet.set_time(120.0)
+        assert link.failed
+        small_internet.set_time(200.0)
+        assert not link.failed
+        link.fail()  # manual failure between the two windows
+        small_internet.set_time(320.0)
+        assert link.failed
+        small_internet.set_time(400.0)  # second window ends: manual owner keeps it
+        assert link.failed
+        link.restore()
+
+    def test_install_keeps_a_manually_failed_link_down(self, small_internet):
+        # Installing at t=0, before the event's window, must not bring
+        # up a link someone else failed.
+        link = any_link(small_internet)
+        link.fail()
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 50.0))
+        injector.install()
+        assert link.failed
+        link.restore()
+
+    def test_uninstall_keeps_a_manually_failed_link_down(self, small_internet):
+        link = any_link(small_internet)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(link, 100.0, 50.0))
+        injector.install()
+        link.fail()  # manual failure before the window opens
+        small_internet.set_time(120.0)
+        injector.uninstall()
+        assert link.failed
+        link.restore()
+
+    def test_unmanaged_links_left_alone(self, small_internet):
+        links = iter(small_internet.links_by_id.values())
+        scheduled, bystander = next(links), next(links)
+        injector = FaultInjector(small_internet)
+        injector.add(outage(scheduled, 100.0, 50.0))
+        injector.install()
+        bystander.fail()  # manual failure on a link no event names
+        small_internet.set_time(200.0)
+        injector.uninstall()
+        assert bystander.failed
+        bystander.restore()
 
 
 class TestRouteFlapEdges:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, RoutingError
+from repro.faults import FaultInjector, LinkOutage, Window
 from repro.net import Internet, LinkClass
 from repro.net.world import HOST_ID_BASE
 
@@ -162,7 +163,9 @@ class TestClockAndFailures:
     def test_scheduled_failure_kills_and_restores_path(self, small_internet):
         path = small_internet.resolve_path("client", "server")
         victim = path.links[len(path.links) // 2]
-        small_internet.failures.schedule(victim.link_id, start_s=100.0, duration_s=50.0)
+        injector = FaultInjector(small_internet)
+        injector.add(LinkOutage(link_ids=(victim.link_id,), window=Window(100.0, 50.0)))
+        injector.install()
 
         small_internet.set_time(99.0)
         assert path.is_alive()
@@ -174,4 +177,6 @@ class TestClockAndFailures:
 
     def test_failure_on_unknown_link_rejected(self, small_internet):
         with pytest.raises(ConfigError):
-            small_internet.failures.schedule(999_999, start_s=0.0, duration_s=1.0)
+            FaultInjector(small_internet).add(
+                LinkOutage(link_ids=(999_999,), window=Window(0.0, 1.0))
+            )
