@@ -300,3 +300,15 @@ class TestGolden:
         assert main(["chaos", "--scenario", "all", "--fast", "--seed", "7"]) == 0
         golden = (GOLDEN / "chaos_all_fast_seed7.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    # E20 pinned byte for byte: every scenario replayed through the
+    # packet engine, with the gray-detect overlay leg held to the
+    # 0.02 Mbps Mathis floor. Regenerate with `python -m repro chaos
+    # --engine packet --fast --seed 7` only when a change is meant to
+    # move the science.
+    def test_packet_fast_matches_committed_output(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--engine", "packet", "--fast", "--seed", "7"]) == 0
+        golden = (GOLDEN / "chaos_packet_fast_seed7.txt").read_text()
+        assert capsys.readouterr().out == golden

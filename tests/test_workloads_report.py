@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,12 @@ class TestReport:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _without_health(report: str) -> str:
+    """The report minus its "Measurement health" section, which lists
+    exec shards and their wall time by design."""
+    return re.sub(r"^## Measurement health .*?(?=^## )", "", report, flags=re.M | re.S)
+
+
 class TestPaperGolden:
     # The paper itself pinned byte for byte at paper scale: E1-E9, E12
     # and the placement and multi-hop extensions in one file.
@@ -152,3 +159,18 @@ class TestPaperGolden:
         assert main(argv) == 0
         golden = (GOLDEN / "report_paper_seed7.md").read_text()
         assert target.read_text() == golden
+
+    # On the worker pool every section but the run-specific health
+    # table must match the serial golden.
+    def test_sharded_paper_report_matches_committed_output(self, tmp_path):
+        from repro.cli import main
+
+        target = tmp_path / "report.md"
+        argv = [
+            "report", "--scale", "paper", "--seed", "7", "--out", str(target),
+            "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        golden = (GOLDEN / "report_paper_seed7.md").read_text()
+        assert "## Measurement health" in golden
+        assert _without_health(target.read_text()) == _without_health(golden)
