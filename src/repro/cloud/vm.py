@@ -14,6 +14,11 @@ from repro.cloud.datacenter import DataCenter, PortSpeed
 from repro.errors import CloudError
 from repro.net.world import Host
 
+#: Packets/sec a single-core relay VM can forward through the tunnel
+#: stack (soft-switch ballpark; deliberately below line rate for a
+#: 10G port so the CPU, not the NIC, is the interesting ceiling).
+DEFAULT_CPU_PPS = 120_000.0
+
 
 @dataclass(frozen=True, slots=True)
 class VirtualServer:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.cloud.vm import DEFAULT_CPU_PPS
 from repro.errors import ColoError
 from repro.net.world import Host
 
@@ -25,7 +26,7 @@ SUBSTRATES = ("cloud", "colo")
 
 #: Packets/sec a bare-metal colo server forwards through the tunnel
 #: stack — kernel forwarding on dedicated cores, ~5x the single-core
-#: VM budget (:data:`repro.demand.relay.DEFAULT_CPU_PPS`).
+#: VM budget (:data:`repro.cloud.vm.DEFAULT_CPU_PPS`).
 COLO_CPU_PPS = 600_000.0
 
 
@@ -62,18 +63,13 @@ class RelaySite:
         return self.host.city_name
 
     @classmethod
-    def from_vm(cls, vm: "VirtualServer", cpu_pps: float | None = None) -> "RelaySite":
+    def from_vm(cls, vm: "VirtualServer", cpu_pps: float = DEFAULT_CPU_PPS) -> "RelaySite":
         """Wrap a rented cloud VM as a relay site.
 
-        ``cpu_pps`` defaults to the demand layer's single-core budget
-        (:data:`repro.demand.relay.DEFAULT_CPU_PPS`, imported lazily —
-        this module sits below ``repro.demand`` in the import graph),
-        so a site-built capacity model matches a VM-built one exactly.
+        ``cpu_pps`` defaults to the single-core VM budget the demand
+        layer also uses (:data:`repro.cloud.vm.DEFAULT_CPU_PPS`), so a
+        site-built capacity model matches a VM-built one exactly.
         """
-        if cpu_pps is None:
-            from repro.demand.relay import DEFAULT_CPU_PPS
-
-            cpu_pps = DEFAULT_CPU_PPS
         return cls(
             host=vm.host,
             substrate="cloud",

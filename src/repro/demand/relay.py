@@ -20,14 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cloud.vm import VirtualServer
+from repro.cloud.vm import DEFAULT_CPU_PPS, VirtualServer
 from repro.errors import ConfigError
 from repro.units import DEFAULT_MSS
-
-#: Packets/sec a single-core relay can forward through the tunnel
-#: stack (soft-switch ballpark; deliberately below line rate for a
-#: 10G port so the CPU, not the NIC, is the interesting ceiling).
-DEFAULT_CPU_PPS = 120_000.0
 
 #: CPU packets/sec charged per concurrent flow for connection upkeep.
 DEFAULT_PER_FLOW_PPS = 0.05

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_table
 from repro.core.multihop import MultiHopPathSet
 from repro.errors import ExperimentError
-from repro.experiments.scenario import build_world
+from repro.experiments.scenario import World, build_world
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +77,19 @@ class MultiHopResult:
 
 
 def run_multihop(
-    seed: int = 7, scale: str = "small", n_pairs: int = 10, at_hours: float = 6.0
+    seed: int = 7,
+    scale: str = "small",
+    n_pairs: int = 10,
+    at_hours: float = 6.0,
+    world: World | None = None,
 ) -> MultiHopResult:
-    """Compare hop counts across a workload of server→client pairs."""
-    world = build_world(seed=seed, scale=scale)
+    """Compare hop counts across a workload of server→client pairs.
+
+    ``world`` shares an already-built ``(seed, scale)`` world; by
+    default the study builds its own.
+    """
+    if world is None:
+        world = build_world(seed=seed, scale=scale)
     cronet = world.cronet()
     at_time = at_hours * 3_600.0
     records: list[MultiHopRecord] = []
