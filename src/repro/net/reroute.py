@@ -19,6 +19,7 @@ replaying a fault schedule reproduces identical convergence decisions.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import TYPE_CHECKING
 
 from repro.errors import RoutingError
@@ -45,15 +46,61 @@ def dark_routers(internet: "Internet") -> frozenset[int]:
     return frozenset(has_failed - has_live)
 
 
-def _live_adjacency(internet: "Internet", asn: int) -> dict[int, list[tuple[int, Link]]]:
-    """``router_id -> [(neighbor, link)]`` over the AS's live internal mesh."""
-    members = {router.router_id for router in internet.routers.of_as(asn)}
-    adjacency: dict[int, list[tuple[int, Link]]] = {}
-    for (a, b), link in internet._internal.items():
-        if link.failed or a not in members or b not in members:
-            continue
-        adjacency.setdefault(a, []).append((b, link))
+def internal_adjacency(
+    internet: "Internet", asn: int, live: bool = False
+) -> dict[int, list[tuple[int, Link]]]:
+    """``router_id -> [(neighbor, link)]`` over the AS's internal mesh.
+
+    Every router of the AS is a key.  Neighbours are listed in the
+    order the edges were added, walking router pairs in creation
+    order; :func:`shortest_routes` breaks ties on that order.  With
+    ``live=True`` failed links are left out.
+    """
+    ids = [router.router_id for router in internet.routers.of_as(asn)]
+    adjacency: dict[int, list[tuple[int, Link]]] = {rid: [] for rid in ids}
+    for a in ids:
+        for b in ids:
+            link = internet._internal.get((a, b))
+            if link is None or a > b or (live and link.failed):
+                continue
+            adjacency[a].append((b, link))
+            adjacency[b].append((a, link))
     return adjacency
+
+
+def shortest_routes(
+    adjacency: dict[int, list[tuple[int, Link]]], source: int
+) -> dict[int, tuple[tuple[int, ...], tuple[Link, ...]]]:
+    """Delay-weighted shortest routes from ``source`` (Dijkstra).
+
+    Returns ``target -> (router ids after source, links in order)`` for
+    every reachable target but the source.  Ties break as in networkx's
+    Dijkstra, which built the static routes before this one did:
+    neighbours in adjacency order, equal distances popped first in
+    first out, and a route replaced only by a strictly shorter one.
+    """
+    paths: dict[int, tuple[list[int], list[Link]]] = {source: ([], [])}
+    best = {source: 0.0}
+    done: set[int] = set()
+    order = itertools.count()
+    fringe = [(0.0, next(order), source)]
+    while fringe:
+        dist, _, node = heapq.heappop(fringe)
+        if node in done:
+            continue
+        done.add(node)
+        routers, links = paths[node]
+        for neighbor, link in adjacency[node]:
+            candidate = dist + link.prop_delay_ms
+            if neighbor not in done and candidate < best.get(neighbor, float("inf")):
+                best[neighbor] = candidate
+                paths[neighbor] = (routers + [neighbor], links + [link])
+                heapq.heappush(fringe, (candidate, next(order), neighbor))
+    return {
+        target: (tuple(routers), tuple(links))
+        for target, (routers, links) in paths.items()
+        if target != source
+    }
 
 
 def live_internal_route(
@@ -61,48 +108,21 @@ def live_internal_route(
 ) -> tuple[tuple[int, ...], tuple[Link, ...]]:
     """Shortest *live* intra-AS route (delay-weighted, Dijkstra).
 
-    The IGP view of re-convergence: same weights as the precomputed
-    static routes (propagation delay), but walking only non-failed
-    links.  Returns ``(router ids after the start, links in order)``
-    like ``Internet._internal_route``; raises :class:`RoutingError`
-    when the failure pattern disconnects the two routers.  Ties break
-    on router id, so the detour is deterministic.
+    The IGP view of re-convergence: the same weights and tie-breaks as
+    the precomputed static routes (propagation delay), but walking
+    only non-failed links.  Returns ``(router ids after the start,
+    links in order)`` like ``Internet._internal_route``; raises
+    :class:`RoutingError` when the failure pattern disconnects the two
+    routers.
     """
     if src_id == dst_id:
         return ((), ())
-    adjacency = _live_adjacency(internet, asn)
-    dist: dict[int, float] = {src_id: 0.0}
-    prev: dict[int, tuple[int, Link]] = {}
-    visited: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, src_id)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == dst_id:
-            break
-        for neighbor, link in sorted(adjacency.get(node, ()), key=lambda edge: edge[0]):
-            candidate = d + link.prop_delay_ms
-            if neighbor not in dist or candidate < dist[neighbor] - 1e-12:
-                dist[neighbor] = candidate
-                prev[neighbor] = (node, link)
-                heapq.heappush(heap, (candidate, neighbor))
-    if dst_id not in visited:
+    route = shortest_routes(internal_adjacency(internet, asn, live=True), src_id).get(dst_id)
+    if route is None:
         raise RoutingError(
             f"AS{asn} has no live internal route between routers {src_id} and {dst_id}"
         )
-    routers: list[int] = []
-    links: list[Link] = []
-    node = dst_id
-    while node != src_id:
-        parent, link = prev[node]
-        routers.append(node)
-        links.append(link)
-        node = parent
-    routers.reverse()
-    links.reverse()
-    return (tuple(routers), tuple(links))
+    return route
 
 
 def has_live_internal_route(
