@@ -7,8 +7,8 @@ layer above it: flows collapse into **classes** (same path, same
 per-flow demand), a class carries a *count* (an integer that may be in
 the millions), and one epoch is solved in a handful of vectorized
 numpy passes over the (class, resource) incidence — the same
-demand-vs-capacity fluid argument as the tick loop, amortized over an
-epoch instead of re-derived every 5 ms.
+demand-vs-capacity fluid argument as the tick loop, solved once per
+epoch instead of once per change of a window or background sample.
 
 The solver is deterministic (fixed iteration count, pure numpy) and
 its cost is O(classes x hops x iterations): independent of the flow
