@@ -32,11 +32,12 @@ Both expose the relay utilization they acted on through
 :attr:`PolicyDecision.relay_load`, which the decision log renders.
 
 Aggregate engines decide for many flows at once through
-:meth:`Policy.batch`: one (flows x relays) split matrix per call
-instead of one :meth:`Policy.decide` per flow.  The base class builds
-the matrix from ``decide`` once, which is right for load-blind
+:meth:`Policy.batch`: one call maps a stack of relay-load vectors to a
+stack of (flows x relays) split matrices instead of one
+:meth:`Policy.decide` per flow and load reading.  The base class
+builds the matrix from ``decide`` once, which is right for load-blind
 policies; a policy that reads a :class:`LoadSignal` must override
-``batch`` so every call sees the current load.
+``batch`` so every slice sees its own loads.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ from repro.errors import ControlError
 C45_RTT_CUT = 0.105
 C45_LOSS_CUT = 0.121
 
-#: A bound batch decision: ``now`` -> (flows x relays) split matrix.
-#: Row ``r`` is flow ``r``'s traffic split over the relay columns
-#: (sorted labels); it sums to 1, or is all zero when the flow has no
-#: usable relay.
-SplitFn = Callable[[float], np.ndarray]
+#: A bound batch decision: (loads x relays) utilization matrix ->
+#: (loads x flows x relays) split matrices.  Load row ``e`` stands for
+#: what the policy's :class:`LoadSignal` would report, per relay
+#: column (sorted labels); in split slice ``e``, row ``r`` is flow
+#: ``r``'s traffic split under those loads.  It sums to 1, or is all
+#: zero when the flow has no usable relay.
+SplitFn = Callable[[np.ndarray], np.ndarray]
 
 
 def _left_sum(values) -> float:
@@ -77,11 +80,22 @@ def _left_sum(values) -> float:
 
 
 def _left_sum_columns(matrix: np.ndarray) -> np.ndarray:
-    """Per-row :func:`_left_sum` of a 2-D array, one column at a time."""
-    total = np.zeros(matrix.shape[0])
-    for column in range(matrix.shape[1]):
-        total += matrix[:, column]
+    """:func:`_left_sum` over the last axis, one column at a time."""
+    total = np.zeros(matrix.shape[:-1])
+    for column in range(matrix.shape[-1]):
+        total += matrix[..., column]
     return total
+
+
+def _clamp_loads(loads: np.ndarray, signal: "LoadSignal | None") -> np.ndarray:
+    """The batched ``max(0.0, signal.relay_load(...))`` of ``_load_of``.
+
+    ``np.where`` keeps Python ``max``'s answer for -0.0 and NaN (both
+    read 0.0); a policy without a signal reads every relay as idle.
+    """
+    if signal is None:
+        return np.zeros(loads.shape)
+    return np.where(loads > 0.0, loads, 0.0)
 
 
 @runtime_checkable
@@ -177,14 +191,16 @@ class Policy(abc.ABC):
         """Bind the policy to many flows' static probes at once.
 
         Returns a :data:`SplitFn` over the ``sorted(health)`` relay
-        columns; row ``r`` is the split of ``decide(now, health,
-        probe_rows[r], current=())``: its weights normalised to sum 1,
-        or all traffic on ``active[0]`` when it has none.
+        columns; row ``r`` of a slice is the split of ``decide(now,
+        health, probe_rows[r], current=())`` with the signal reading
+        that slice's loads: its weights normalised to sum 1, or all
+        traffic on ``active[0]`` when it has none.
 
         This base form calls ``decide`` once per row, here, and serves
-        that matrix at every ``now`` — exact for load-blind policies,
-        whose answer cannot change while health and probes stand
-        still.  Policies that read a :class:`LoadSignal` override it.
+        that matrix for every load row — exact for load-blind
+        policies, whose answer cannot change while health and probes
+        stand still.  Policies that read a :class:`LoadSignal`
+        override it.
         """
         labels = sorted(health)
         column = {label: j for j, label in enumerate(labels)}
@@ -204,8 +220,7 @@ class Policy(abc.ABC):
                         f"{self.name} chose {label!r}, which is not a batch relay"
                     )
                 matrix[row, column[label]] = weight / total
-        matrix.flags.writeable = False
-        return lambda now: matrix
+        return lambda loads: np.broadcast_to(matrix, (len(loads), *matrix.shape))
 
     @staticmethod
     def _score(label: str, probes: Mapping[str, ProbeResult]) -> float:
@@ -604,44 +619,41 @@ class QpsWeightedPolicy(Policy):
         health: Mapping[str, PathHealth],
         probe_rows: Sequence[Mapping[str, ProbeResult]],
     ) -> SplitFn:
-        """Batched :meth:`decide`: one weight matrix per load reading.
+        """Batched :meth:`decide`: one weight matrix per load row.
 
-        Scores are static, so they are packed once.  Each call reads
-        the load signal once per relay and redoes ``decide``'s
-        arithmetic column-wise in the same order — the (-weight, label)
-        sort, this policy's normalisation, then the split's
-        re-normalisation — so every row is bit-identical to the scalar
-        path.
+        Scores are static, so they are packed once.  Each call redoes
+        ``decide``'s arithmetic over the relay axis in the same order —
+        the (-weight, label) sort, this policy's normalisation, then
+        the split's re-normalisation — so every row is bit-identical to
+        the scalar path.
         """
-        labels = sorted(health)
         score = _probe_matrix(health, probe_rows, _positive_score, unusable=0.0)
         if not np.isfinite(score).all():
             raise ControlError("qps-weighted probe scores must be finite")
         candidate = score > 0.0
 
-        def splits(now: float) -> np.ndarray:
-            headroom = np.array(
-                [max(0.0, 1.0 - self._load_of(label, now)) + self.smoothing for label in labels]
-            )
-            weight = score * headroom
+        def splits(loads: np.ndarray) -> np.ndarray:
+            free = 1.0 - _clamp_loads(loads, self.load)
+            headroom = np.where(free > 0.0, free, 0.0) + self.smoothing
+            weight = score * headroom[:, None, :]
             # A stable sort of -weight over label-sorted columns is the
             # scalar (-weight, label) order; non-candidates go last.
-            order = np.argsort(np.where(candidate, -weight, np.inf), axis=1, kind="stable")
-            kept = np.take_along_axis(candidate, order, axis=1)
+            order = np.argsort(np.where(candidate, -weight, np.inf), axis=2, kind="stable")
+            kept = np.take_along_axis(np.broadcast_to(candidate, order.shape), order, axis=2)
             if self.max_relays is not None:
-                kept[:, self.max_relays :] = False
-            routed = kept.any(axis=1)[:, None]
-            ranked = np.where(kept, np.take_along_axis(weight, order, axis=1), 0.0)
+                kept[..., self.max_relays :] = False
+            routed = kept.any(axis=2)[..., None]
+            ranked = np.where(kept, np.take_along_axis(weight, order, axis=2), 0.0)
             share = np.divide(
-                ranked, _left_sum_columns(ranked)[:, None],
+                ranked, _left_sum_columns(ranked)[..., None],
                 out=np.zeros_like(ranked), where=routed,
             )
             share = np.divide(
-                share, _left_sum_columns(share)[:, None],
+                share, _left_sum_columns(share)[..., None],
                 out=np.zeros_like(share), where=routed,
             )
             out = np.zeros_like(share)
-            np.put_along_axis(out, order, share, axis=1)
+            np.put_along_axis(out, order, share, axis=2)
             return out
 
         return splits
@@ -734,25 +746,22 @@ class AnycastIngressPolicy(Policy):
         The ingress order is static, so it is packed once (a stable
         sort over label-sorted columns is the scalar (RTT, label)
         order); each call only asks which relays sit at or above
-        ``spill_threshold``.
+        ``spill_threshold`` in each load row.
         """
-        labels = sorted(health)
         rtt = _probe_matrix(health, probe_rows, self._ingress_rtt, unusable=math.inf)
         rtt[~np.isfinite(rtt)] = math.inf
         order = np.argsort(rtt, axis=1, kind="stable")
         ranked = np.isfinite(np.take_along_axis(rtt, order, axis=1))
         routed = np.flatnonzero(ranked.any(axis=1))
 
-        def splits(now: float) -> np.ndarray:
-            cool = np.array(
-                [self._load_of(label, now) < self.spill_threshold for label in labels],
-                dtype=bool,
-            )
-            pick = ranked & cool[order]
+        def splits(loads: np.ndarray) -> np.ndarray:
+            cool = _clamp_loads(loads, self.load) < self.spill_threshold
+            pick = ranked & cool[:, order]
             # First cool ranked ingress, else the nearest (position 0).
-            position = np.where(pick.any(axis=1), pick.argmax(axis=1), 0)
-            out = np.zeros(rtt.shape)
-            out[routed, order[routed, position[routed]]] = 1.0
+            position = np.where(pick.any(axis=2), pick.argmax(axis=2), 0)[:, routed]
+            out = np.zeros((len(loads), *rtt.shape))
+            slices = np.arange(len(loads))[:, None]
+            out[slices, routed, order[routed, position]] = 1.0
             return out
 
         return splits

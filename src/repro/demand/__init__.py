@@ -15,8 +15,8 @@ instead:
   objects, so an epoch with millions of concurrent flows costs
   O(paths), not O(flows),
 * :mod:`repro.demand.engine` — ties the three together and drives the
-  load-aware policies of :mod:`repro.control.policy` one epoch at a
-  time.
+  load-aware policies of :mod:`repro.control.policy` over a batch of
+  epochs at a time.
 """
 
 from repro.demand.aggregate import EpochAllocation, FlowClass, Resource, solve_epoch

@@ -115,45 +115,24 @@ class EpochAllocation:
         return achieved / offered
 
 
-def solve_epoch(
-    classes: tuple[FlowClass, ...] | list[FlowClass],
-    resources: tuple[Resource, ...] | list[Resource],
+def solve_rates(
+    desired: np.ndarray,
+    capacity: np.ndarray,
+    ci: np.ndarray,
+    ri: np.ndarray,
     iterations: int = SOLVER_ITERATIONS,
-) -> EpochAllocation:
-    """Solve one epoch's demand-vs-capacity allocation.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array-level solver core behind :func:`solve_epoch`.
 
-    Fixed-point iteration of the fluid layer's over-demand argument:
-    compute per-resource load from current rates, derive the scale
-    factor ``min(1, capacity / load)``, and cap every class at its
-    most-binding resource, damped toward the fixed point.  Rates never
-    exceed demand and never go negative; a class with no resources
-    keeps its demand untouched.
+    ``desired`` is each class's offered rate, ``capacity`` each
+    resource's; ``(ci[k], ri[k])`` is one (class, resource) incidence.
+    Returns per-class rates and per-resource offered and carried load.
+    Scatters run in incidence order, so resources that share no class
+    (one epoch's relays against another's) solve exactly as they would
+    alone: the demand engine flattens many epochs into one call.
     """
-    classes = tuple(classes)
-    resources = tuple(resources)
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    for cls in classes:
-        for idx in cls.resources:
-            if not 0 <= idx < len(resources):
-                raise ConfigError(
-                    f"class {cls.label!r} references resource {idx}, "
-                    f"but only {len(resources)} exist"
-                )
-
-    n_classes = len(classes)
-    n_resources = len(resources)
-    desired = np.array([c.demand_mbps for c in classes], dtype=np.float64)
-    capacity = np.array([r.capacity_mbps for r in resources], dtype=np.float64)
-
-    # (class, resource) incidence as flat scatter indices.
-    ci = np.array(
-        [i for i, c in enumerate(classes) for _ in c.resources], dtype=np.intp
-    )
-    ri = np.array(
-        [idx for c in classes for idx in c.resources], dtype=np.intp
-    )
-
+    n_classes = len(desired)
+    n_resources = len(capacity)
     rate = desired.copy()
     offered = np.zeros(n_resources, dtype=np.float64)
     if n_resources:
@@ -182,6 +161,45 @@ def solve_epoch(
     carried = np.zeros(n_resources, dtype=np.float64)
     if ci.size:
         np.add.at(carried, ri, rate[ci])
+    return rate, offered, carried
+
+
+def solve_epoch(
+    classes: tuple[FlowClass, ...] | list[FlowClass],
+    resources: tuple[Resource, ...] | list[Resource],
+    iterations: int = SOLVER_ITERATIONS,
+) -> EpochAllocation:
+    """Solve one epoch's demand-vs-capacity allocation.
+
+    Fixed-point iteration of the fluid layer's over-demand argument:
+    compute per-resource load from current rates, derive the scale
+    factor ``min(1, capacity / load)``, and cap every class at its
+    most-binding resource, damped toward the fixed point.  Rates never
+    exceed demand and never go negative; a class with no resources
+    keeps its demand untouched.
+    """
+    classes = tuple(classes)
+    resources = tuple(resources)
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    for cls in classes:
+        for idx in cls.resources:
+            if not 0 <= idx < len(resources):
+                raise ConfigError(
+                    f"class {cls.label!r} references resource {idx}, "
+                    f"but only {len(resources)} exist"
+                )
+
+    desired = np.array([c.demand_mbps for c in classes], dtype=np.float64)
+    capacity = np.array([r.capacity_mbps for r in resources], dtype=np.float64)
+    # (class, resource) incidence as flat scatter indices.
+    ci = np.array(
+        [i for i, c in enumerate(classes) for _ in c.resources], dtype=np.intp
+    )
+    ri = np.array(
+        [idx for c in classes for idx in c.resources], dtype=np.intp
+    )
+    rate, offered, carried = solve_rates(desired, capacity, ci, ri, iterations)
 
     counts = np.array([c.count for c in classes], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):

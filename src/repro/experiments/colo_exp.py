@@ -295,7 +295,7 @@ def _demand_column(
         load_scale=config.demand_level,
         rounds=config.rounds,
     )
-    epochs = [engine.epoch_metrics(epoch, config.epoch_s) for epoch in range(config.demand_epochs)]
+    epochs = engine.run(range(config.demand_epochs), config.epoch_s)
     return {
         "win_rate": sum(e["win_rate"] for e in epochs) / len(epochs),
         "peak_utilization": max(e["peak_utilization"] for e in epochs),

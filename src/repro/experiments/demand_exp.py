@@ -24,6 +24,7 @@ per task with byte-identical results at any worker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -87,8 +88,8 @@ class DemandConfig:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ExperimentError("demand study needs at least one load level")
-        if any(level <= 0 for level in self.levels):
-            raise ExperimentError(f"levels must be positive, got {self.levels}")
+        if any(not math.isfinite(level) or level <= 0 for level in self.levels):
+            raise ExperimentError(f"levels must be positive and finite, got {self.levels}")
         if len(set(self.levels)) != len(self.levels):
             raise ExperimentError(f"duplicate levels: {self.levels}")
         if self.epochs < 1:
@@ -363,9 +364,9 @@ def _run_arm(
     level: float,
     config: DemandConfig,
 ) -> list[dict]:
-    """One arm's per-epoch metrics, from one engine."""
+    """One arm's per-epoch metrics, from one batched engine call."""
     engine = _build_engine(pairs, relays, model, policy_name, level, config)
-    return [engine.epoch_metrics(epoch, config.epoch_s) for epoch in range(config.epochs)]
+    return engine.run(range(config.epochs), config.epoch_s)
 
 
 def run_demand(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -127,11 +128,47 @@ class TestEngineValidation:
         with pytest.raises(ConfigError):
             make_engine().epoch_metrics(0, 0.0)
 
+    @pytest.mark.parametrize("epoch_s", [math.nan, math.inf])
+    def test_rejects_non_finite_epoch_duration(self, epoch_s):
+        # NaN used to fail inside the Poisson draw ("cannot convert
+        # float NaN to integer").
+        with pytest.raises(ConfigError, match="epoch_s"):
+            make_engine().epoch_metrics(0, epoch_s)
+
+    def test_rejects_negative_epoch_index(self):
+        # Epoch -1 used to simulate t = -1800 s without complaint.
+        with pytest.raises(ConfigError, match="epoch"):
+            make_engine().epoch_metrics(-1, 3_600.0)
+        with pytest.raises(ConfigError, match="epoch"):
+            make_engine().run([0, -1], 3_600.0)
+
+    @pytest.mark.parametrize("load_scale", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_load_scale(self, load_scale):
+        with pytest.raises(ConfigError, match="load_scale"):
+            make_engine(load_scale=load_scale)
+
 
 class TestEpochMetrics:
     def test_repeat_call_is_identical(self):
         engine = make_engine()
         assert engine.epoch_metrics(4, 3_600.0) == engine.epoch_metrics(4, 3_600.0)
+
+    @pytest.mark.parametrize("load_scale", [0.01, 1.0, 500.0])
+    def test_batch_equals_one_epoch_at_a_time(self, load_scale):
+        engine = make_engine(load_scale=load_scale)
+        epochs = [5, 0, 3, 3, 1]
+        batch = engine.run(epochs, 3_600.0)
+        assert batch == [engine.epoch_metrics(e, 3_600.0) for e in epochs]
+        assert engine.run([], 3_600.0) == []
+
+    def test_tracker_holds_the_last_epochs_converged_load(self):
+        engine = make_engine(load_scale=50.0)
+        engine.run([2, 0], 3_600.0)
+        loads = {label: engine.tracker.relay_load(label, 0.0) for label in ("ams", "dc")}
+        single = make_engine(load_scale=50.0)
+        single.epoch_metrics(0, 3_600.0)
+        assert loads == {label: single.tracker.relay_load(label, 0.0) for label in loads}
+        assert min(loads.values()) > 0.0
 
     def test_epoch_order_is_irrelevant(self):
         forward = make_engine()

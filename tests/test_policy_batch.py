@@ -1,9 +1,11 @@
 """Batched policy decisions equal the scalar ones, float for float.
 
 :meth:`Policy.batch` replaced the demand engine's per-pair loop of
-``policy.decide`` plus a weight normalisation.  Every row of a batched
-split matrix must equal that loop's result for the same flow, compared
-with exact ``==``: the demand study's byte-identity rests on it.
+``policy.decide`` plus a weight normalisation.  It maps a stack of
+relay-load rows (one per epoch) to a stack of split matrices.  Every
+row of every slice must equal that loop's result for the same flow
+with the signal reading that slice's loads, compared with exact
+``==``: the demand study's byte-identity rests on it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.control.health import HealthConfig, PathHealth, PathState
@@ -27,9 +30,14 @@ from repro.control.probes import ProbeResult
 from repro.errors import ControlError
 
 SPILL = 0.95
-#: Utilizations the load signal serves: idle, exactly the spill
-#: threshold, saturated, over-subscribed, and an unreachable relay.
-LOADS = (0.0, 0.3, SPILL, 1.0, 1.7, math.inf)
+#: Utilizations the load signal serves: idle, negative zero, exactly
+#: the spill threshold, saturated, over-subscribed, an unreachable
+#: relay, and NaN — the engine's fictitious-play signal after two
+#: infinite snapshots (``inf + (inf - inf) / k``).
+LOADS = (0.0, -0.0, 0.3, SPILL, 1.0, 1.7, math.inf, math.nan)
+
+#: Load rows per batched call: one per epoch of a multi-epoch batch.
+EPOCHS = 6
 
 
 class FixedLoad:
@@ -112,6 +120,22 @@ def assert_rows_match(policy, health, rows, matrix, now: float) -> None:
         assert got == expected, f"row {row}: {probes}"
 
 
+def assert_slices_match(policy, signal, health, rows, rng) -> None:
+    """Every epoch slice of one batched call equals scalar ``decide``.
+
+    The load matrix is drawn per (epoch, relay); the scalar reference
+    reads that epoch's row through ``signal``.
+    """
+    labels = sorted(health)
+    loads = np.array([[rng.choice(LOADS) for _ in labels] for _ in range(EPOCHS)])
+    stack = policy.batch(health, rows)(loads)
+    assert stack.shape == (EPOCHS, len(rows), len(labels))
+    for epoch, now in enumerate(np.arange(EPOCHS) * 3_600.0 + 1_800.0):
+        if signal is not None:
+            signal.loads = dict(zip(labels, loads[epoch].tolist()))
+        assert_rows_match(policy, health, rows, stack[epoch], now)
+
+
 SEEDS = range(25)
 
 
@@ -121,10 +145,7 @@ def test_qps_weighted_rows_equal_scalar(seed, max_relays):
     rng, health, rows = random_table(seed)
     signal = FixedLoad()
     policy = QpsWeightedPolicy(load=signal, max_relays=max_relays)
-    splits = policy.batch(health, rows)
-    for now in (0.0, 1_800.0, 5_400.0):
-        signal.loads = {label: rng.choice(LOADS) for label in health}
-        assert_rows_match(policy, health, rows, splits(now), now)
+    assert_slices_match(policy, signal, health, rows, rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -132,10 +153,7 @@ def test_anycast_rows_equal_scalar(seed):
     rng, health, rows = random_table(seed)
     signal = FixedLoad()
     policy = AnycastIngressPolicy(load=signal, spill_threshold=SPILL)
-    splits = policy.batch(health, rows)
-    for now in (0.0, 1_800.0, 5_400.0):
-        signal.loads = {label: rng.choice(LOADS) for label in health}
-        assert_rows_match(policy, health, rows, splits(now), now)
+    assert_slices_match(policy, signal, health, rows, rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -151,11 +169,9 @@ def test_anycast_rows_equal_scalar(seed):
     ids=["qps-no-load", "anycast-no-load", "best-path", "c45-rule", "mptcp"],
 )
 def test_load_blind_rows_equal_scalar(seed, make_policy):
-    _, health, rows = random_table(seed)
-    policy = make_policy()
-    splits = policy.batch(health, rows)
-    for now in (0.0, 3_600.0):
-        assert_rows_match(policy, health, rows, splits(now), now)
+    # Loads vary per slice, but a policy without a signal ignores them.
+    rng, health, rows = random_table(seed)
+    assert_slices_match(make_policy(), None, health, rows, rng)
 
 
 def test_rows_without_usable_relay_are_zero_not_nan():
@@ -163,8 +179,8 @@ def test_rows_without_usable_relay_are_zero_not_nan():
     health["b"].state = PathState.FAILED
     rows = [{}, {"b": ProbeResult("b", 0.0, True, 10.0, 0.0, 5.0, 0)}]
     for policy in (QpsWeightedPolicy(load=FixedLoad()), AnycastIngressPolicy()):
-        matrix = policy.batch(health, rows)(0.0)
-        assert matrix.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        stack = policy.batch(health, rows)(np.zeros((1, 2)))
+        assert stack.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
 
 
 def test_base_batch_rejects_labels_outside_the_columns():
