@@ -19,7 +19,7 @@ results.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -69,6 +69,12 @@ class DemandModel:
 
     seed: int
     cities: tuple[CityDemand, ...]
+    #: Initial PCG64 state of each (epoch, city) draw, filled on first
+    #: use.  Every load level draws from the same state, and seeding a
+    #: fresh ``default_rng`` costs several times the draw itself.
+    _draw_states: dict[tuple[int, str], dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = [c.city for c in self.cities]
@@ -149,10 +155,16 @@ class DemandModel:
         if scale < 0:
             raise ConfigError(f"scale must be >= 0, got {scale}")
         out: dict[str, int] = {}
+        # Each draw first loads its own state into this generator: the
+        # same numbers as a fresh default_rng(seed), since a Generator
+        # keeps no state outside its bit generator.
+        rng = np.random.Generator(np.random.PCG64(0))
         for c in self.cities:
             mean = c.expected_concurrent(t, mean_flow_s) * scale
-            rng = np.random.default_rng(
-                _derive_seed(self.seed, f"epoch/{epoch_index}/{c.city}")
-            )
+            key = (epoch_index, c.city)
+            if key not in self._draw_states:
+                seed = _derive_seed(self.seed, f"epoch/{epoch_index}/{c.city}")
+                self._draw_states[key] = np.random.PCG64(seed).state
+            rng.bit_generator.state = self._draw_states[key]
             out[c.city] = int(rng.poisson(mean))
         return out
