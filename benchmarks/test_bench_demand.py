@@ -1,14 +1,15 @@
 """Demand-engine perf signal: million-flow epochs without flow objects.
 
-The aggregate layer's contract (DESIGN.md §13): epoch cost is a few
-numpy passes over the (pairs x relays) split matrix per selection
-round plus one aggregate solve over (pair, relay) classes — about
-1.5-3 ms on a 2-vCPU 2.1 GHz Xeon VM — and *independent of the flow
+The aggregate layer's contract (DESIGN.md §13): an arm's epochs run
+as one batch, a few numpy passes over the (epochs x pairs x relays)
+split stack per selection round plus one aggregate solve over
+(epoch, pair, relay) classes, and the cost is *independent of the flow
 count*.  Two numbers the BENCH trajectory tracks:
 
 * **million-flow epoch** — one epoch at 100x regional load pushes
   >= 1M concurrent flows through the shared relays; asserted directly
-  on the epoch's ``flows`` metric and bounded in wall-clock.
+  on the epoch's ``flows`` metric and bounded in wall-clock (the
+  batch's wall-clock per epoch).
 * **flow-count independence** — the same epoch at 1x load (tens of
   thousands of flows) costs within a small factor of the 100x epoch
   (~2.4M flows): a 100x flow increase must not show up as wall-clock.
@@ -28,21 +29,18 @@ BENCH_SEED = 7
 BENCH_EPOCHS = 24
 
 #: The 100x epoch may cost at most this many times the 1x epoch.  The
-#: true ratio is ~1 (identical class/resource counts; 0.7-1.2x measured
-#: at 1.5-3 ms per epoch); 5x leaves room for cache effects and CI
-#: jitter while still refuting any per-flow work, which would show up
-#: as ~100x.
+#: true ratio is ~1 (identical class/resource counts); 5x leaves room
+#: for cache effects and CI jitter while still refuting any per-flow
+#: work, which would show up as ~100x.
 INDEPENDENCE_FACTOR = 5.0
 
 
 def _epoch_seconds(engine, config) -> tuple[float, int]:
-    """Mean wall-clock per epoch and the peak concurrent flow count."""
+    """Mean wall-clock per epoch of one batched call, and the peak flows."""
     start = time.perf_counter()
-    peak_flows = 0
-    for epoch in range(BENCH_EPOCHS):
-        metrics = engine.epoch_metrics(epoch, config.epoch_s)
-        peak_flows = max(peak_flows, metrics["flows"])
-    return (time.perf_counter() - start) / BENCH_EPOCHS, peak_flows
+    metrics = engine.run(range(BENCH_EPOCHS), config.epoch_s)
+    elapsed = time.perf_counter() - start
+    return elapsed / BENCH_EPOCHS, max(epoch["flows"] for epoch in metrics)
 
 
 def test_demand_million_flow_epochs(benchmark):
