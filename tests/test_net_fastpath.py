@@ -30,12 +30,26 @@ def fastpath(small_internet):
 
 
 def _assert_lists_match_links(fastpath, t: float) -> None:
-    one_way, loss, bulk, avail = fastpath.metric_lists(t, fastpath.state_key())
-    for i, link in enumerate(fastpath._links):
-        assert one_way[i] == link.one_way_delay_ms(t)
-        assert loss[i] == link.loss(t)
-        assert bulk[i] == link.bulk_loss(t)
-        assert avail[i] == link.available_bw_mbps(t)
+    # The lists only cover rows some path has read: read every row
+    # first, so no link drops out of the check.
+    state = fastpath.state_key()
+    positions = fastpath._positions(range(len(fastpath._links)))
+    one_way, loss, bulk, avail = fastpath.metric_lists(t, state)
+    for p, link in zip(positions, fastpath._links, strict=True):
+        assert one_way[p] == link.one_way_delay_ms(t)
+        assert loss[p] == link.loss(t)
+        assert bulk[p] == link.bulk_loss(t)
+        assert avail[p] == link.available_bw_mbps(t)
+
+
+def _bare(path: RouterPath) -> RouterPath:
+    """The same path without a mirror handle: always walks link objects."""
+    return RouterPath(
+        src_name=path.src_name,
+        dst_name=path.dst_name,
+        router_ids=path.router_ids,
+        links=path.links,
+    )
 
 
 class TestMetricIdentity:
@@ -57,15 +71,61 @@ class TestMetricIdentity:
 
     def test_path_metrics_match_object_walk(self, small_internet):
         path = small_internet.resolve_live_path("server", "client")
-        bare = RouterPath(  # no mirror handle: always walks link objects
-            src_name=path.src_name,
-            dst_name=path.dst_name,
-            router_ids=path.router_ids,
-            links=path.links,
-        )
+        bare = _bare(path)
         for t in TIMES:
             assert path.metrics(t) == bare.metrics(t)
             assert path.is_alive() == bare.is_alive()
+
+    def test_cached_instant_extends_to_unread_links(self, small_internet, fastpath):
+        first = small_internet.resolve_live_path("server", "client")
+        second = small_internet.resolve_live_path("vm", "client")
+        first_ids = {link.link_id for link in first.links}
+        unread = [link for link in second.links if link.link_id not in first_ids]
+        assert len(unread) >= 2
+        # An instant inside one of an unread link's episodes.
+        t = next(
+            ep.start_s + ep.duration_s / 2.0
+            for day in range(30)
+            for ep in unread[0].load._episodes.episodes_for_day(day)
+        )
+        assert unread[0].load._episodes.extra_at(t) > 0.0
+        unread[1].impair(extra_loss=0.1, extra_delay_ms=15.0, util_surge=0.2)
+        first.metrics(t)
+        state = fastpath.state_key()
+        entry = fastpath._mcache[(t, state)]
+        assert len(entry[0]) == len(first_ids)
+        assert second.metrics(t) == _bare(second).metrics(t)
+        assert fastpath.state_key() == state
+        assert fastpath._mcache[(t, state)] is entry  # extended in place
+        assert len(entry[0]) == len(first_ids) + len(unread)
+        assert first.metrics(t) == _bare(first).metrics(t)
+
+
+class TestRowsRead:
+    """Only the links some path folds are evaluated or draw episodes."""
+
+    def test_fold_reads_only_its_path(self, small_internet, fastpath):
+        path = small_internet.resolve_live_path("server", "client")
+        t = 43_200.0
+        path.metrics(t)
+        rows = [fastpath._row[link.link_id] for link in path.links]
+        distinct = list(dict.fromkeys(rows))
+        lists = fastpath.metric_lists(t, fastpath.state_key())
+        assert [len(values) for values in lists] == [len(distinct)] * 4
+        assert fastpath._read == distinct
+        on_path = {link.link_id for link in path.links}
+        drawn = [
+            link.link_id
+            for link in small_internet.links_by_id.values()
+            if link.link_id not in on_path and link.load._episodes._cache
+        ]
+        assert drawn == []
+
+    def test_liveness_registers_no_rows(self, small_internet, fastpath):
+        path = small_internet.resolve_live_path("server", "client")
+        path.links[0].fail()
+        assert not path.is_alive()
+        assert fastpath._read == []
 
 
 class TestInvalidation:
@@ -116,6 +176,28 @@ class TestStateInterning:
         fastpath.sync()
         for link_id, row in rows_before.items():
             assert fastpath._row[link_id] == row
+
+    def test_positions_and_cached_instants_survive_host_attach(
+        self, small_internet, fastpath
+    ):
+        path = small_internet.resolve_live_path("server", "client")
+        t = 1_800.0
+        before = path.metrics(t)
+        state = fastpath.state_key()
+        read = list(fastpath._read)
+        positions = list(path.__dict__["_fp_pos"])
+        entry = fastpath._mcache[(t, state)]
+        values = [list(v) for v in entry]
+        stub = small_internet.topology.ases_of_kind(ASKind.STUB)[1]
+        small_internet.attach_host("late-probe", stub.asn, kind="planetlab")
+        assert fastpath.state_key() != state  # one more link in the state
+        assert fastpath._read == read
+        assert path.__dict__["_fp_pos"] == positions
+        assert fastpath._mcache[(t, state)] is entry
+        assert [list(v) for v in entry] == values
+        late = small_internet.resolve_live_path("late-probe", "server")
+        assert late.metrics(t) == _bare(late).metrics(t)
+        assert path.metrics(t) == before
 
 
 class TestDecisionMemoInvalidation:
