@@ -22,6 +22,7 @@ MetricsRegistry`, so a fixed seed yields a byte-identical snapshot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.control.decisions import DecisionLog, DecisionRecord
@@ -129,8 +130,8 @@ class OverlayController:
         track_oracle: bool = False,
         flap_history=None,
     ) -> None:
-        if tick_s <= 0:
-            raise ControlError(f"tick must be positive, got {tick_s}")
+        if not 0 < tick_s < math.inf:
+            raise ControlError(f"tick must be positive and finite, got {tick_s}")
         if scheduler is not None and scheduler.pathset is not pathset:
             raise ControlError("scheduler was built for a different path set")
         if mode is PathType.DIRECT:
@@ -390,8 +391,8 @@ class OverlayController:
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> ControllerReport:
         """Drive the loop for ``duration_s`` of simulated time."""
-        if duration_s <= 0:
-            raise ControlError(f"duration must be positive, got {duration_s}")
+        if not 0 < duration_s < math.inf:
+            raise ControlError(f"duration must be positive and finite, got {duration_s}")
         samples: list[GoodputSample] = []
         downtime_s = 0.0
         wrong_path_s = 0.0

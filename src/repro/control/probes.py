@@ -104,8 +104,10 @@ class ProbeConfig:
     relax_factor: float = 1.25
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ControlError(f"probe interval must be positive, got {self.interval_s}")
+        if not 0 < self.interval_s < math.inf:
+            raise ControlError(
+                f"probe interval must be positive and finite, got {self.interval_s}"
+            )
         if not 0.0 <= self.jitter_frac < 1.0:
             raise ControlError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
         if self.ping_count <= 0 or self.ping_bytes <= 0:
@@ -118,14 +120,18 @@ class ProbeConfig:
             raise ControlError(f"probe timeout must be positive, got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ControlError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_s <= 0:
-            raise ControlError(f"retry backoff must be positive, got {self.retry_backoff_s}")
+        if not 0 < self.retry_backoff_s < math.inf:
+            raise ControlError(
+                f"retry backoff must be positive and finite, got {self.retry_backoff_s}"
+            )
         if self.stale_after_s is not None and self.stale_after_s <= 0:
             raise ControlError(f"stale_after_s must be positive, got {self.stale_after_s}")
-        if self.min_interval_s is not None and self.min_interval_s <= 0:
+        if self.min_interval_s is not None and not 0 < self.min_interval_s < math.inf:
             raise ControlError(
-                f"min_interval_s must be positive, got {self.min_interval_s}"
+                f"min_interval_s must be positive and finite, got {self.min_interval_s}"
             )
+        if self.max_interval_s is not None and not math.isfinite(self.max_interval_s):
+            raise ControlError(f"max_interval_s must be finite, got {self.max_interval_s}")
         if self.max_interval_s is not None and self.max_interval_s < (
             self.min_interval_s if self.min_interval_s is not None else 0.0
         ):
@@ -137,8 +143,10 @@ class ProbeConfig:
             raise ControlError(
                 f"tighten_factor must be in (0, 1), got {self.tighten_factor}"
             )
-        if self.relax_factor <= 1.0:
-            raise ControlError(f"relax_factor must exceed 1.0, got {self.relax_factor}")
+        if not 1.0 < self.relax_factor < math.inf:
+            raise ControlError(
+                f"relax_factor must exceed 1.0 and be finite, got {self.relax_factor}"
+            )
 
     @property
     def floor_interval_s(self) -> float:

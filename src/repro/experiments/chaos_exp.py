@@ -25,6 +25,7 @@ produce identical reports.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -94,19 +95,22 @@ class ChaosConfig:
     flap_margin_per_failure: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.tick_s <= 0 or self.probe_interval_s <= 0:
-            raise ExperimentError("durations and intervals must be positive")
+        if not all(
+            0 < value < math.inf
+            for value in (self.duration_s, self.tick_s, self.probe_interval_s)
+        ):
+            raise ExperimentError("durations and intervals must be positive and finite")
         unknown = [name for name in self.scenarios if name not in SCENARIOS]
         if unknown:
             raise ExperimentError(
                 f"unknown chaos scenarios {unknown}; choose from {sorted(SCENARIOS)}"
             )
-        if self.probe_floor_s is not None and self.probe_floor_s <= 0:
-            raise ExperimentError("probe_floor_s must be positive when set")
-        if self.probe_ceiling_s is not None and self.probe_ceiling_s <= 0:
-            raise ExperimentError("probe_ceiling_s must be positive when set")
-        if self.flap_margin_per_failure < 0:
-            raise ExperimentError("flap_margin_per_failure must be >= 0")
+        if self.probe_floor_s is not None and not 0 < self.probe_floor_s < math.inf:
+            raise ExperimentError("probe_floor_s must be positive and finite when set")
+        if self.probe_ceiling_s is not None and not 0 < self.probe_ceiling_s < math.inf:
+            raise ExperimentError("probe_ceiling_s must be positive and finite when set")
+        if not 0 <= self.flap_margin_per_failure < math.inf:
+            raise ExperimentError("flap_margin_per_failure must be >= 0 and finite")
 
     @property
     def scenario_names(self) -> tuple[str, ...]:
@@ -526,8 +530,8 @@ class PacketReplayConfig:
     queue_packets: int = 128
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.flow_s <= 0:
-            raise ExperimentError("durations must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.flow_s < math.inf):
+            raise ExperimentError("durations must be positive and finite")
         if self.queue_packets < 1:
             raise ExperimentError("queue must hold >= 1 packet")
         unknown = [name for name in self.scenarios if name not in SCENARIOS]

@@ -25,6 +25,7 @@ controller run, which the acceptance test pins for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import format_table
@@ -61,9 +62,15 @@ class ControlExpConfig:
     probe_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.tick_s <= 0 or self.probe_interval_s <= 0:
-            raise ExperimentError("durations and intervals must be positive")
-        if self.outage_start_s < 0 or self.outage_duration_s <= 0:
+        if not all(
+            0 < value < math.inf
+            for value in (self.duration_s, self.tick_s, self.probe_interval_s)
+        ):
+            raise ExperimentError("durations and intervals must be positive and finite")
+        if not (
+            0 <= self.outage_start_s < math.inf
+            and 0 < self.outage_duration_s < math.inf
+        ):
             raise ExperimentError("outage window invalid")
         if self.outage_start_s + self.outage_duration_s > self.duration_s:
             raise ExperimentError("outage must end within the experiment horizon")

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, main
 
 
@@ -239,3 +244,34 @@ class TestChaosAblationCli:
         out = capsys.readouterr().out
         assert "adaptive" in out
         assert "detect" in out
+
+
+class TestNonFiniteNumbers:
+    """nan and inf are no durations: the CLI must say so, not run.
+
+    Each case runs in a subprocess with a timeout because an infinite
+    horizon used to loop forever.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chaos", "--duration", "nan"),
+            ("chaos", "--duration", "inf"),
+            ("chaos", "--tick", "nan"),
+            ("control", "--duration", "nan"),
+            ("control", "--tick", "nan"),
+            ("control", "--probe-interval", "nan"),
+            ("control", "--outage-start", "nan"),
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_with_an_error(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""

@@ -7,6 +7,8 @@ with hysteresis and no flapping.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.control.controller import OverlayController
@@ -144,6 +146,24 @@ class TestFailoverScenario:
         controller = controller_for(small_internet, pathset, BestPathPolicy())
         with pytest.raises(ControlError):
             controller.run(0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_controller_rejects_non_finite_tick(self, small_internet, pathset, value):
+        with pytest.raises(ControlError):
+            OverlayController(small_internet, pathset, BestPathPolicy(), tick_s=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_controller_rejects_non_finite_duration(
+        self, small_internet, pathset, monkeypatch, value
+    ):
+        controller = controller_for(small_internet, pathset, BestPathPolicy())
+
+        def entered(*args, **kwargs):  # an infinite horizon would never end
+            raise AssertionError("run entered its loop")
+
+        monkeypatch.setattr(controller, "_decide", entered)
+        with pytest.raises(ControlError):
+            controller.run(value)
 
     def test_scheduler_pathset_mismatch_rejected(self, small_internet, pathset):
         other = PathSet.build(

@@ -135,6 +135,21 @@ class TestConfigValidation:
         with pytest.raises(ControlError):
             ProbeConfig(budget_bytes_per_interval=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "interval_s",
+            "min_interval_s",
+            "max_interval_s",
+            "retry_backoff_s",
+            "relax_factor",
+        ],
+    )
+    def test_non_finite_cadence_rejected(self, field, value):
+        with pytest.raises(ControlError):
+            ProbeConfig(adaptive=True, **{field: value})
+
 
 class TestAdaptiveCadence:
     def adaptive(self, pathset, **overrides) -> ProbeScheduler:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,22 @@ class TestAdaptiveArm:
         with pytest.raises(ExperimentError):
             ChaosConfig(scenarios=("gray-detect",), probe_ceiling_s=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "duration_s",
+            "tick_s",
+            "probe_interval_s",
+            "probe_floor_s",
+            "probe_ceiling_s",
+            "flap_margin_per_failure",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ExperimentError):
+            ChaosConfig(**{field: value})
+
 
 class TestAdaptiveAblationKnobs:
     def test_bundle_turns_on_every_knob(self):
@@ -263,6 +280,12 @@ class TestPacketReplay:
         monkeypatch.setenv("REPRO_PACKET_FASTPATH", "0")
         scalar = run_chaos_packet(self.CONFIG)
         assert fast.samples == scalar.samples
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["duration_s", "flow_s"])
+    def test_non_finite_durations_rejected(self, field, value):
+        with pytest.raises(ExperimentError):
+            PacketReplayConfig(**{field: value})
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ExperimentError):

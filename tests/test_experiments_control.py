@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,23 @@ class TestConfigValidation:
     def test_outage_must_fit_horizon(self):
         with pytest.raises(ExperimentError):
             ControlExpConfig(duration_s=100.0, outage_start_s=90.0, outage_duration_s=60.0)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("duration_s", math.nan),
+            ("duration_s", math.inf),
+            ("tick_s", math.nan),
+            ("tick_s", math.inf),
+            ("probe_interval_s", math.nan),
+            ("probe_interval_s", math.inf),
+            ("outage_start_s", math.nan),
+            ("outage_duration_s", math.nan),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ExperimentError):
+            ControlExpConfig(**{field: value})
 
     def test_pick_unique_link_requires_disjoint_link(self, result):
         # Guard utility: identical paths can never be isolated.
