@@ -88,10 +88,6 @@ class BackgroundLoad:
             seed=self.seed,
         )
 
-    def _episodes_for_day(self, day: int) -> tuple[Episode, ...]:
-        """The episode schedule for one day (kept for introspection)."""
-        return self._episodes.episodes_for_day(day)
-
     def utilization(self, t: float) -> float:
         """Utilization of the link at absolute time ``t`` (seconds)."""
         if t < 0:
