@@ -6,7 +6,7 @@ from repro.geo.coords import (
     propagation_delay_ms,
     rtt_floor_ms,
 )
-from repro.geo.cities import CITIES, City, city, cities_in_region
+from repro.geo.cities import CITIES, City, city, cities_in_region, city_distance_km
 
 __all__ = [
     "GeoPoint",
@@ -17,4 +17,5 @@ __all__ = [
     "City",
     "city",
     "cities_in_region",
+    "city_distance_km",
 ]

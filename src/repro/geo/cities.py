@@ -9,10 +9,11 @@ the 9-server MPTCP study).  Coordinates are approximate city centers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import GeoPoint, haversine_km
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +112,17 @@ def city(name: str) -> City:
         return CITIES[name]
     except KeyError:
         raise ConfigError(f"unknown city {name!r}; known: {sorted(CITIES)}") from None
+
+
+@functools.cache
+def city_distance_km(a: str, b: str) -> float:
+    """Great-circle distance between two known cities, in kilometers.
+
+    Memoised per ordered name pair: topology generation and interconnect
+    choice ask for the same few thousand pairs tens of thousands of
+    times, and the database is fixed, so each pair is computed once.
+    """
+    return haversine_km(city(a).point, city(b).point)
 
 
 def cities_in_region(region: str) -> list[City]:

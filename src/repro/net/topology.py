@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, TopologyError
-from repro.geo import city as lookup_city, haversine_km
+from repro.geo import city as lookup_city, city_distance_km
 from repro.net.asn import ASKind, AutonomousSystem
 from repro.rand import RandomStreams
 
@@ -203,10 +203,7 @@ class Topology:
         if len(points) < max_points and len(cities_a) >= 3 and len(cities_b) >= 3:
             pairs = sorted(
                 itertools.product(cities_a, cities_b),
-                key=lambda pair: (
-                    haversine_km(lookup_city(pair[0]).point, lookup_city(pair[1]).point),
-                    pair,
-                ),
+                key=lambda pair: (city_distance_km(*pair), pair),
             )
             used_a = {pa for pa, _ in points}
             used_b = {pb for _, pb in points}
@@ -221,10 +218,7 @@ class Topology:
         if not points:
             pairs = sorted(
                 itertools.product(cities_a, cities_b),
-                key=lambda pair: (
-                    haversine_km(lookup_city(pair[0]).point, lookup_city(pair[1]).point),
-                    pair,
-                ),
+                key=lambda pair: (city_distance_km(*pair), pair),
             )
             points.append(pairs[0])
         return tuple(points)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigError, RoutingError, TopologyError
-from repro.geo import city as lookup_city, haversine_km, propagation_delay_ms
+from repro.geo import city_distance_km, propagation_delay_ms
 from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
 from repro.net.bgp import BgpRouting
@@ -293,7 +293,7 @@ class Internet:
         for router in pops:
             others = sorted(
                 (o for o in pops if o.router_id != router.router_id),
-                key=lambda o: (haversine_km(router.city.point, o.city.point), o.router_id),
+                key=lambda o: (city_distance_km(router.city_name, o.city_name), o.router_id),
             )
             for neighbor in others[:2]:
                 add(router, neighbor)
@@ -672,11 +672,11 @@ class Internet:
             return (route.kind, route.length, 0, 0, -1)
         next_asn = route.path[1]
         relation = self.topology.relation_between(src.asn, next_asn)
-        src_city = self.routers.get(src.attachment_router_id).city
+        src_city = self.routers.get(src.attachment_router_id).city_name
         best_km = float("inf")
         for city_a, city_b in relation.interconnect_cities:
             egress_city = city_a if relation.a == src.asn else city_b
-            km = haversine_km(src_city.point, lookup_city(egress_city).point)
+            km = city_distance_km(src_city, egress_city)
             best_km = min(best_km, km)
         # Coarse distance buckets: IGP metrics are not geo-precise,
         # and near-ties break on router-level details that differ
@@ -699,7 +699,7 @@ class Internet:
         sibling PoP instead.
         """
         relation = self.topology.relation_between(here_asn, next_asn)
-        current_city = self.routers.get(current_router).city
+        current_city = self.routers.get(current_router).city_name
         dark = self._dark_routers() if live else frozenset()
         best: tuple[float, int, int, Link] | None = None
         for city_a, city_b in relation.interconnect_cities:
@@ -721,7 +721,7 @@ class Internet:
                     here_asn, current_router, egress.router_id
                 ):
                     continue
-            distance = haversine_km(current_city.point, egress.city.point)
+            distance = city_distance_km(current_city, egress.city_name)
             candidate = (distance, egress.router_id, ingress.router_id, link)
             if best is None or candidate[:2] < best[:2]:
                 best = candidate
