@@ -133,10 +133,15 @@ class PathSet:
 
     def _receiver_params(self) -> TcpParams:
         """Base TCP parameters for this pair (receiver-window bound)."""
-        return TcpParams(
-            mss_bytes=DEFAULT_MSS,
-            rwnd_bytes=self.internet.host(self.dst_name).rwnd_bytes,
-        )
+        cache = self._conn_cache()
+        params = cache.get("params")
+        if params is None:
+            params = TcpParams(
+                mss_bytes=DEFAULT_MSS,
+                rwnd_bytes=self.internet.host(self.dst_name).rwnd_bytes,
+            )
+            cache["params"] = params
+        return params
 
     def direct_connection(self) -> TcpConnection:
         """Single-path TCP over the default Internet route."""
@@ -157,13 +162,16 @@ class PathSet:
         key = ("overlay", option.name)
         conn = cache.get(key)
         if conn is None:
-            tunnel = option.node.tunnel_for(self.dst_name)
-            forwarder = option.node.with_mode(NodeMode.FORWARD)
-            params = self._receiver_params().with_mss(tunnel.inner_mss_bytes)
-            params = params.with_efficiency(forwarder.relay_efficiency)
-            conn = TcpConnection(option.concatenated, params)
+            conn = TcpConnection(option.concatenated, self.overlay_params(option))
             cache[key] = conn
         return conn
+
+    def overlay_params(self, option: OverlayPathOption) -> TcpParams:
+        """TCP parameters of the tunnel overlay through ``option``."""
+        tunnel = option.node.tunnel_for(self.dst_name)
+        forwarder = option.node.with_mode(NodeMode.FORWARD)
+        params = self._receiver_params().with_mss(tunnel.inner_mss_bytes)
+        return params.with_efficiency(forwarder.relay_efficiency)
 
     def split_chain(self, option: OverlayPathOption) -> SplitTcpChain:
         """Split-TCP through the node (split-overlay mode).

@@ -27,7 +27,7 @@ import numpy as np
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.improvement import ImprovementSummary, summarize_ratios
 from repro.analysis.tables import format_series, format_table
-from repro.core.measure_plan import FourWayMeasurement, measure_four_ways
+from repro.core.measure_plan import FourWayMeasurement, measure_four_ways_batch
 from repro.core.pathset import PathSet
 from repro.errors import ExperimentError
 from repro.exec.plan import ExecTask, run_tasks
@@ -282,7 +282,8 @@ def run_controlled(
     only on the pair count — never on the worker count — so merged
     results are byte-identical in-process (``runner=None``) and at any
     parallelism, and cached shards survive ``--resume`` across
-    worker-count changes.
+    worker-count changes.  A shard's pairs are measured together at
+    each sample instant (:func:`measure_four_ways_batch`).
 
     RNG contract: each pair index spawns its own generator
     (``controlled-retx[i]``) and draws its overlay observations in
@@ -297,10 +298,10 @@ def run_controlled(
     def shard_fn(span: range):
         def fn() -> list[dict]:
             rows: list[dict] = []
-            for index in span:
-                measurement = measure_four_ways(
-                    pathsets[index], at_time, config.duration_s
-                )
+            measurements = measure_four_ways_batch(
+                [pathsets[index] for index in span], at_time, config.duration_s
+            )
+            for index, measurement in zip(span, measurements):
                 rng = world.streams.spawn_generator("controlled-retx", index)
                 # Fig. 4 reports "the lowest TCP retransmission rates
                 # across the four tunnels for each node pair".

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
-from repro.core.pathset import PathSet, PathType
+from repro.core.measure_plan import PathSetBatch
+from repro.core.pathset import PathSet
 from repro.core.placement import improvement_vs_node_count, min_nodes_for_max_throughput
 from repro.errors import ExperimentError
 from repro.experiments.controlled import ControlledCampaign
@@ -151,21 +152,30 @@ class LongitudinalResult:
         return "\n\n".join(parts)
 
 
-def _path_task(pathset: PathSet):
-    """One tracked path's per-instant measurement task.
+def _path_values(pathsets: list[PathSet]):
+    """Tracked paths' per-instant measurement, all paths in one batch.
 
-    Returns the direct throughput and every node's split-overlay
-    throughput in one JSON-able value, so one campaign task covers one
-    path (the shardable unit of the week-long sweep).
+    Each path's value holds its direct throughput and every node's
+    split-overlay throughput in one JSON-able dict, so one campaign task
+    covers one path (the shardable unit of the week-long sweep).
     """
+    batch = PathSetBatch(pathsets)
 
-    def task(at_time: float) -> dict:
-        return {
-            "direct": pathset.direct_connection().throughput_at(at_time),
-            "nodes": dict(pathset.throughput(PathType.SPLIT_OVERLAY, at_time)),
-        }
+    def measure(at_time: float) -> list[dict]:
+        return [
+            {
+                "direct": sample.direct.rate_mbps,
+                "nodes": {name: leg.rate_mbps for name, leg in sample.split.items()},
+            }
+            for sample in batch.sample(at_time)
+        ]
 
-    return task
+    return measure
+
+
+def _path_task(pathset: PathSet):
+    """One tracked path's measurement task (a batch of one)."""
+    return lambda at_time: _path_values([pathset])(at_time)[0]
 
 
 def run_longitudinal(
@@ -182,7 +192,8 @@ def run_longitudinal(
     :attr:`LongitudinalResult.campaign_summary`.  The campaign executes
     as seed-stable shards, in-process without ``runner`` and on the
     :mod:`repro.exec` worker pool with one — byte-identical at any
-    worker count, resumable from the result cache.
+    worker count, resumable from the result cache.  Each shard's paths
+    are measured together at each instant.
     """
     if top_n <= 0 or samples <= 0:
         raise ExperimentError(f"invalid plan: top_n={top_n} samples={samples}")
@@ -195,7 +206,7 @@ def run_longitudinal(
 
     world = campaign.world
     paths: list[LongitudinalPath] = []
-    tasks: dict[str, object] = {}
+    pathsets: dict[str, PathSet] = {}
     for index, (_pair, pathset) in enumerate(ranked, start=1):
         paths.append(
             LongitudinalPath(
@@ -206,12 +217,12 @@ def run_longitudinal(
                 node_samples={option.name: [] for option in pathset.options},
             )
         )
-        tasks[f"path-{index:03d}"] = _path_task(pathset)
+        pathsets[f"path-{index:03d}"] = pathset
 
     start = world.internet.now
     sampler = MeasurementCampaign(world.internet, interval_s=interval_s, iterations=samples)
     results = sampler.run(
-        tasks,
+        {task_id: _path_task(pathset) for task_id, pathset in pathsets.items()},
         runner,
         seed=world.seed,
         params={
@@ -221,6 +232,7 @@ def run_longitudinal(
             "top_n": top_n,
         },
         kind="longitudinal.samples",
+        batch=lambda ids: _path_values([pathsets[task_id] for task_id in ids]),
     )
     for record, (index, _item) in zip(paths, enumerate(ranked, start=1)):
         for sample in results[f"path-{index:03d}"]:

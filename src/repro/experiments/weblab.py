@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.improvement import ImprovementSummary, summarize_ratios
 from repro.analysis.tables import format_series, format_table
-from repro.core.pathset import PathType
+from repro.core.measure_plan import PathSetBatch
 from repro.errors import ExperimentError
 from repro.experiments.scenario import World, build_world
 
@@ -132,25 +132,27 @@ def run_weblab(config: WeblabConfig = WeblabConfig(), world: World | None = None
         )
     cronet = world.cronet()
     at_time = config.at_hours * 3_600.0
-    pairs: list[PairRecord] = []
-    for client in world.client_names():
-        for server in world.server_names:
-            pathset = cronet.path_set(server, client)
-            # Ratios compare sustained rates on an equal footing; the
-            # 100 MB download is long enough that slow start washes out
-            # identically across the path types.
-            direct_mbps = pathset.direct_connection().throughput_at(at_time)
-            _, best_overlay = pathset.best_overlay(PathType.OVERLAY, at_time)
-            _, best_split = pathset.best_overlay(PathType.SPLIT_OVERLAY, at_time)
-            pairs.append(
-                PairRecord(
-                    server=server,
-                    client=client,
-                    server_city=world.internet.host(server).city_name,
-                    client_city=world.internet.host(client).city_name,
-                    direct_mbps=direct_mbps,
-                    best_overlay_mbps=best_overlay,
-                    best_split_mbps=best_split,
-                )
-            )
+    pathsets = [
+        cronet.path_set(server, client)
+        for client in world.client_names()
+        for server in world.server_names
+    ]
+    # Ratios compare sustained rates on an equal footing; the 100 MB
+    # download is long enough that slow start washes out identically
+    # across the path types.  The whole study is one instant, so every
+    # pair is measured in one batch.
+    samples = PathSetBatch(pathsets).sample(at_time)
+    host = world.internet.host
+    pairs = [
+        PairRecord(
+            server=pathset.src_name,
+            client=pathset.dst_name,
+            server_city=host(pathset.src_name).city_name,
+            client_city=host(pathset.dst_name).city_name,
+            direct_mbps=sample.direct.rate_mbps,
+            best_overlay_mbps=max(leg.rate_mbps for leg in sample.overlay.values()),
+            best_split_mbps=max(leg.rate_mbps for leg in sample.split.values()),
+        )
+        for pathset, sample in zip(pathsets, samples)
+    ]
     return WeblabResult(config=config, pairs=pairs)

@@ -117,6 +117,7 @@ class MeasurementCampaign:
         params: dict[str, Any] | None = None,
         kind: str = "campaign.samples",
         metrics=None,
+        batch: Callable[[list[str]], Callable[[float], list[Any]]] | None = None,
     ) -> dict[str, list[Sample]]:
         """Execute every task at every iteration.
 
@@ -149,6 +150,13 @@ class MeasurementCampaign:
         given, every sample also increments a
         ``campaign_samples_total{task=..., outcome=ok|error}`` counter.
         The clock ends on the last iteration's instant.
+
+        ``batch``, when given, maps a shard's task ids to one callable
+        that measures all of them at an instant and returns their
+        values in id order; it must equal the per-task calls.  At an
+        instant where it raises, the shard falls back to the per-task
+        calls, so the failing task still gets its own error-marked
+        sample and its neighbours stay ok.
         """
         if not tasks:
             raise MeasurementError("campaign has no tasks")
@@ -166,15 +174,23 @@ class MeasurementCampaign:
         def shard_fn(ids: list[str]) -> Callable[[], list[dict[str, Any]]]:
             def fn() -> list[dict[str, Any]]:
                 collected: list[dict[str, Any]] = []
+                measure_all = batch(ids) if batch is not None else None
                 for iteration in range(self.iterations):
                     now = base + iteration * self.interval_s
                     self.internet.set_time(now)
-                    for task_id in ids:
-                        try:
-                            value, ok, error = tasks[task_id](now), True, None
-                        except Exception as exc:
-                            value, ok = None, False
-                            error = f"{type(exc).__name__}: {exc}"
+                    try:
+                        values = measure_all(now) if measure_all else None
+                    except Exception:
+                        values = None  # measured task by task below
+                    for k, task_id in enumerate(ids):
+                        if values is not None:
+                            value, ok, error = values[k], True, None
+                        else:
+                            try:
+                                value, ok, error = tasks[task_id](now), True, None
+                            except Exception as exc:
+                                value, ok = None, False
+                                error = f"{type(exc).__name__}: {exc}"
                         collected.append(
                             {
                                 "task_id": task_id,

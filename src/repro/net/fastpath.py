@@ -37,6 +37,11 @@ Profiling a chaos campaign puts >85 % of wall-clock in that walk.
   rewind the clock and replay the same fault timeline re-enter
   previously seen states and hit the metric and per-path fold caches
   their predecessor runs populated.
+* **batched folds**: a :class:`LegBatch` of legs (tuples of path
+  segments) is folded at one instant in one pass (:meth:`FastPath.fold`)
+  from a per-(t, state) operand table that is filled only at the
+  positions batches read, so measuring many paths at one instant costs
+  one vectorized fold, not one Python walk per path.
 
 **Byte-identity.**  The vector pass mirrors the scalar formulas of
 :mod:`repro.net.links` operation-for-operation: elementwise IEEE-754
@@ -46,9 +51,10 @@ are the same hardware instructions as Python float arithmetic).  Two
 places need care: the diurnal cosine is evaluated with ``math.cos``
 per *unique* peak hour of the rows read (``np.cos`` may differ in the
 last ulp) and scattered back through a ``np.unique`` inverse; and
-per-path aggregation folds sequentially in Python over the indexed
-values (``numpy.sum`` uses pairwise summation, which is *not* the
-scalar accumulation order).  The episode overlay is each read link's
+per-path aggregation folds sequentially, in Python over the indexed
+values or with ufunc ``accumulate`` down a batch's hops
+(``numpy.sum`` uses pairwise summation, which is *not* the scalar
+accumulation order).  The episode overlay is each read link's
 own :meth:`EpisodeProcess.extra_at
 <repro.net.diurnal.EpisodeProcess.extra_at>` — the sampler and the
 accumulation the scalar ``BackgroundLoad.utilization`` uses — so
@@ -63,10 +69,12 @@ against).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -77,17 +85,22 @@ from repro.net.links import (
     QUEUE_KNEE,
     mutation_epoch,
 )
-from repro.net.path import PathMetrics
+from repro.net.path import LegMetrics, PathMetrics, RouterPath
 from repro.units import SECONDS_PER_HOUR
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.net.path import RouterPath
     from repro.net.world import Internet
 
 #: Cap on cached per-(t, state) metric-list sets; cleared when full.
 _METRIC_CACHE_MAX = 1024
 #: Cap on cached per-(path, t, state) fold results; cleared when full.
 _PATH_CACHE_MAX = 262144
+#: Gathered operand entries per block of a batched fold (legs x hops).
+_FOLD_BLOCK = 1 << 14
+#: Cap on cached per-(t, state) batch operand tables; cleared when full.
+_BATCH_CACHE_MAX = 128
+#: A batched fold's padding column: the identity of each fold's operation.
+_PADDING = np.array([0.0, 1.0, 1.0, math.inf])
 
 
 def fastpath_enabled() -> bool:
@@ -142,6 +155,8 @@ class FastPath:
         #: only ever grow, so a position is as stable as a row.
         self._read: list[int] = []
         self._pos: dict[int, int] = {}
+        #: Each read row's episode overlay, by position (rows never move).
+        self._extra_at: list = []
         #: Number of positions the per-position arrays cover (-1: none).
         self._n_gathered = -1
         #: (t, state id) -> (one_way, loss, bulk_loss, avail) lists,
@@ -149,6 +164,9 @@ class FastPath:
         self._mcache: dict[tuple[float, int], tuple] = {}
         #: (path serial, t, state id) -> PathMetrics.
         self._pmcache: dict[tuple[int, float, int], PathMetrics] = {}
+        #: (t, state id) -> (batched-fold operands, evaluated-column
+        #: mask), filled only at the positions batches read.
+        self._bcache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # synchronisation with the object world
@@ -270,14 +288,19 @@ class FastPath:
         self._peaks_key = tuple(self._peak_unique)
         self._p_peak_inverse = inverse
         links = self._links
-        self._p_extra_at = [links[r].load._episodes.extra_at for r in self._read]
+        self._extra_at.extend(
+            links[r].load._episodes.extra_at for r in self._read[len(self._extra_at) :]
+        )
+        # An object array, so a batch's positions index it like the rest.
+        self._p_extra_at = np.empty(len(idx), dtype=object)
+        self._p_extra_at[:] = self._extra_at
         self._n_gathered = len(idx)
 
     # ------------------------------------------------------------------
     # vectorized link metrics
     # ------------------------------------------------------------------
-    def _diurnal_offset(self, t: float, span: slice) -> np.ndarray:
-        """Diurnal swing at ``t`` of the positions in ``span``.
+    def _diurnal_offset(self, t: float, sel) -> np.ndarray:
+        """Diurnal swing at ``t`` of the positions ``sel`` selects.
 
         ``math.cos`` per *unique* read peak hour (not ``np.cos``, which
         may differ in the last ulp from the scalar path), scattered
@@ -298,25 +321,26 @@ class FastPath:
             if len(FastPath._cos_cache) >= FastPath._COS_CACHE_MAX:
                 FastPath._cos_cache.clear()
             FastPath._cos_cache[key] = cos_by_peak
-        return self._p_amplitude[span] * cos_by_peak[self._p_peak_inverse[span]]
+        return self._p_amplitude[sel] * cos_by_peak[self._p_peak_inverse[sel]]
 
-    def _link_metrics(self, t: float, lo: int, hi: int) -> tuple:
-        """Metric lists at ``t`` for positions ``lo`` to ``hi - 1``.
+    def _link_metrics(self, t: float, sel) -> tuple:
+        """(one_way, loss, bulk_loss, avail) arrays at ``t``.
 
-        The formulas mirror :class:`~repro.net.links.Link` op-for-op
-        (see the module docstring for the byte-identity argument); the
-        ``_any_*``-gated skips are identity operations on the values
-        they skip.  Reads the *current* dynamic arrays.
+        ``sel`` selects positions: a slice, or an index array of the
+        positions one batch reads.  The formulas mirror
+        :class:`~repro.net.links.Link` op-for-op (see the module
+        docstring for the byte-identity argument); the ``_any_*``-gated
+        skips are identity operations on the values they skip.  Reads
+        the *current* dynamic arrays.
         """
         if self._n_gathered != len(self._read):
             self._gather_read()
-        span = slice(lo, hi)
-        rows = self._read_idx[span]
+        rows = self._read_idx[sel]
         # BackgroundLoad.utilization: base + diurnal + episodes, clamped.
-        util = self._p_base_util[span] + self._diurnal_offset(t, span)
+        util = self._p_base_util[sel] + self._diurnal_offset(t, sel)
         # Adding an all-zero overlay is the identity (the base+diurnal
         # sum is never -0.0: x + (-x) rounds to +0.0), so it is skipped.
-        extra = [extra_at(t) for extra_at in self._p_extra_at[span]]
+        extra = [extra_at(t) for extra_at in self._p_extra_at[sel].tolist()]
         if any(extra):
             util = util + np.array(extra, dtype=np.float64)
         util = np.minimum(np.maximum(util, 0.0), 0.995)
@@ -328,8 +352,8 @@ class FastPath:
             u = np.where(failed, 0.0, u)
         # Link.queuing_delay_ms.
         fill = (u - QUEUE_KNEE) / (1.0 - QUEUE_KNEE)
-        queue = np.where(u <= QUEUE_KNEE, 0.0, self._p_max_queue[span] * fill * fill)
-        one_way = self._p_prop[span] + queue
+        queue = np.where(u <= QUEUE_KNEE, 0.0, self._p_max_queue[sel] * fill * fill)
+        one_way = self._p_prop[sel] + queue
         if self._any_extra_delay:
             one_way = one_way + self._extra_delay[rows]
         # Link.loss.
@@ -337,7 +361,7 @@ class FastPath:
         congestion = np.where(
             u > LOSS_KNEE, MAX_CONGESTION_LOSS * severity * severity, 0.0
         )
-        loss = np.minimum(self._p_base_loss[span] + congestion, 1.0)
+        loss = np.minimum(self._p_base_loss[sel] + congestion, 1.0)
         if self._any_extra_loss:
             extra_loss = self._extra_loss[rows]
             composed = np.minimum(1.0 - (1.0 - loss) * (1.0 - extra_loss), 1.0)
@@ -355,10 +379,10 @@ class FastPath:
         else:
             bulk = loss
         # Link.available_bw_mbps.
-        avail = np.maximum((1.0 - u) * self._p_capacity[span], self._p_min_fair[span])
+        avail = np.maximum((1.0 - u) * self._p_capacity[sel], self._p_min_fair[sel])
         if failed is not None:
             avail = np.where(failed, 0.0, avail)
-        return (one_way.tolist(), loss.tolist(), bulk.tolist(), avail.tolist())
+        return one_way, loss, bulk, avail
 
     def metric_lists(self, t: float, state: int) -> tuple:
         """(one_way_ms, loss, bulk_loss, avail_mbps) lists at ``t``.
@@ -379,11 +403,12 @@ class FastPath:
         if cached is None:
             if len(self._mcache) >= _METRIC_CACHE_MAX:
                 self._mcache.clear()
-            cached = self._link_metrics(t, 0, n)
+            cached = tuple(a.tolist() for a in self._link_metrics(t, slice(0, n)))
             self._mcache[key] = cached
         elif len(cached[0]) < n:
-            for values, tail in zip(cached, self._link_metrics(t, len(cached[0]), n)):
-                values.extend(tail)
+            tail = self._link_metrics(t, slice(len(cached[0]), n))
+            for values, extra in zip(cached, tail):
+                values.extend(extra.tolist())
         return cached
 
     def state_key(self) -> int:
@@ -498,3 +523,164 @@ class FastPath:
         object.__setattr__(path, "_fp_mkey", key)
         object.__setattr__(path, "_fp_mval", metrics)
         return metrics
+
+    # ------------------------------------------------------------------
+    # batched folds
+    # ------------------------------------------------------------------
+    def _fold_plan(self, legs: Sequence[tuple["RouterPath", ...]]) -> "_FoldPlan":
+        """Register a batch's legs and lay them out for :meth:`fold`.
+
+        Each leg's positions (its segments' in order) become one column
+        of a (max hops x legs) matrix of operand columns: position ``p``
+        is column ``p + 1`` and padding is column 0.
+        """
+        segments = [self._path_positions(segment) for leg in legs for segment in leg]
+        segment_lengths = np.fromiter(map(len, segments), dtype=np.int32, count=len(segments))
+        per_leg = np.fromiter(map(len, legs), dtype=np.int32, count=len(legs))
+        lengths = np.add.reduceat(segment_lengths, np.cumsum(per_leg) - per_leg)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(segments),
+            dtype=np.int32,
+            count=int(segment_lengths.sum()),
+        )
+        flat += 1
+        n_legs = len(legs)
+        columns = np.zeros((int(lengths.max()), n_legs), dtype=np.int32)
+        starts = np.cumsum(lengths, dtype=np.int32) - lengths
+        hop = np.arange(len(flat), dtype=np.int32) - np.repeat(starts, lengths)
+        columns[hop, np.repeat(np.arange(n_legs, dtype=np.int32), lengths)] = flat
+        used = np.zeros(len(self._read) + 1, dtype=bool)
+        used[flat] = True
+        if self._n_gathered != len(self._read):
+            self._gather_read()
+        by_column = np.append(math.inf, self._p_capacity)
+        capacity = np.full(n_legs, math.inf)
+        for hops in columns:
+            np.minimum(capacity, by_column[hops], out=capacity)
+        return _FoldPlan(np.flatnonzero(used), columns, capacity)
+
+    def _operands(self, t: float, read: np.ndarray) -> np.ndarray:
+        """Fold operands at ``t``: one column per position, padding first.
+
+        Rows are one-way delay, survival (``1 - loss``), bulk survival
+        and available bandwidth; column 0 is the padding, each fold's
+        identity (+0.0, 1.0, 1.0, inf), and column ``p + 1`` holds
+        position ``p``.  Kept per (t, state id) and filled only at the
+        columns in ``read`` that no batch has read there yet, so the
+        shards of one campaign, which share their instants, evaluate the
+        links they have in common once.
+        """
+        key = (t, self._state_id)
+        width = len(self._read) + 1
+        entry = self._bcache.get(key)
+        if entry is None or len(entry[1]) < width:
+            operands = np.empty((4, width))
+            have = np.zeros(width, dtype=bool)
+            if entry is None:
+                operands[:, 0] = _PADDING
+                have[0] = True
+                if len(self._bcache) >= _BATCH_CACHE_MAX:
+                    self._bcache.clear()
+            else:
+                operands[:, : len(entry[1])] = entry[0]
+                have[: len(entry[1])] = entry[1]
+            entry = self._bcache[key] = (operands, have)
+        operands, have = entry
+        need = read[~have[read]]
+        if len(need):
+            one_way, loss, bulk, avail = self._link_metrics(t, need - 1)
+            operands[0, need] = one_way
+            operands[1, need] = 1.0 - loss
+            operands[2, need] = 1.0 - bulk
+            operands[3, need] = avail
+            have[need] = True
+        return operands
+
+    def fold(self, batch: "LegBatch", t: float) -> LegMetrics:
+        """Every leg of ``batch`` at ``t``, in one pass (``t >= 0``).
+
+        Link metrics are evaluated for the batch's own positions only,
+        not for every row read so far, so a fresh instant draws episode
+        days only for the links the batch uses.  The padded column
+        matrix is folded one hop at a time, left to right — the scalar
+        walk's accumulation order — and the padding is the identity of
+        each fold.
+        """
+        self.sync()
+        plan = batch._plan
+        if plan is None:
+            plan = batch._plan = self._fold_plan(batch.legs)
+        operands = self._operands(t, plan.read)
+        # Blocks of hops bound the gathered operands' size.  Down a block,
+        # accumulate is the sequential left fold, one hop at a time; each
+        # block starts from the previous block's result (the sum from the
+        # scalar's 0.0; 1.0 and inf are exact identities).
+        sums = 0.0
+        survive = lowest = None
+        step = max(1, _FOLD_BLOCK // plan.columns.shape[1])
+        for lo in range(0, len(plan.columns), step):
+            block = operands.take(plan.columns[lo : lo + step], axis=1)
+            block[0, 0] += sums
+            if survive is not None:
+                block[1:3, 0] *= survive
+            sums = np.add.accumulate(block[0], axis=0)[-1]
+            survive = np.multiply.accumulate(block[1:3], axis=1)[:, -1]
+            low = block[3].min(axis=0)
+            lowest = low if lowest is None else np.minimum(lowest, low)
+        loss, bulk_loss = 1.0 - survive
+        return LegMetrics(
+            rtt_ms=2.0 * sums,
+            loss=loss,
+            bulk_loss=bulk_loss,
+            available_bw_mbps=lowest,
+            capacity_mbps=plan.capacity,
+        ).checked()
+
+
+class _FoldPlan(NamedTuple):
+    """A batch's layout in one mirror (positions are stable, so it is too)."""
+
+    #: The operand columns the batch reads, ascending.
+    read: np.ndarray
+    #: (max hops x legs) operand columns; 0 is the padding.
+    columns: np.ndarray
+    #: Each leg's bottleneck capacity (static link state).
+    capacity: np.ndarray
+
+
+class LegBatch:
+    """Legs whose metrics are folded together, one instant at a time.
+
+    A leg is a tuple of path segments whose links run end to end: a
+    direct path is one segment, and an overlay leg is the to-node leg
+    followed by the from-node leg — the link order of
+    :meth:`RouterPath.concatenate`, so the batch builds no joined path
+    on the fastpath.  When every segment shares one world's mirror,
+    :meth:`metrics` is :meth:`FastPath.fold`; otherwise (object mode,
+    hand-built paths, or ``t < 0``) each leg's snapshot is its joined
+    path's :meth:`RouterPath.metrics`.  Either way the arrays are
+    bit-identical to the per-path snapshots.
+    """
+
+    def __init__(self, legs: Sequence[tuple[RouterPath, ...]]) -> None:
+        self.legs = list(legs)
+        fastpath = self.legs[0][0].__dict__.get("_fastpath") if self.legs else None
+        if any(
+            segment.__dict__.get("_fastpath") is not fastpath
+            for leg in self.legs
+            for segment in leg
+        ):
+            fastpath = None
+        self._fastpath: FastPath | None = fastpath
+        self._plan: _FoldPlan | None = None
+        self._joined: list[RouterPath] | None = None
+
+    def metrics(self, t: float) -> LegMetrics:
+        """Every leg's metrics at ``t``."""
+        if self._fastpath is not None and t >= 0:
+            return self._fastpath.fold(self, t)
+        if self._joined is None:
+            self._joined = [
+                functools.reduce(RouterPath.concatenate, leg) for leg in self.legs
+            ]
+        return LegMetrics.stack([path.metrics(t) for path in self._joined])

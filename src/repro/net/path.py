@@ -13,7 +13,11 @@ follows the composition rules the transport models need:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.errors import RoutingError
 from repro.net.links import Link
@@ -45,6 +49,50 @@ class PathMetrics:
             object.__setattr__(self, "bulk_loss", self.loss)
         elif not 0.0 <= self.bulk_loss <= 1.0:
             raise RoutingError(f"bulk loss out of range: {self.bulk_loss}")
+
+
+class LegMetrics(NamedTuple):
+    """Per-leg metric arrays of a batch of paths at one instant.
+
+    The array twin of :class:`PathMetrics`: entry ``i`` of each array is
+    what ``PathMetrics`` would hold for leg ``i``, bit for bit.
+    """
+
+    rtt_ms: np.ndarray
+    loss: np.ndarray
+    bulk_loss: np.ndarray
+    available_bw_mbps: np.ndarray
+    capacity_mbps: np.ndarray
+
+    @classmethod
+    def stack(cls, metrics: Sequence[PathMetrics]) -> "LegMetrics":
+        """Arrays of the given per-leg snapshots, in order."""
+        return cls(
+            *(
+                np.array([getattr(m, name) for m in metrics], dtype=np.float64)
+                for name in cls._fields
+            )
+        )
+
+    def checked(self) -> "LegMetrics":
+        """Self, or the :class:`PathMetrics` range error of the first bad leg."""
+        loss, bulk = self.loss, self.bulk_loss
+        bad = (
+            (self.rtt_ms < 0)
+            | ~((0.0 <= loss) & (loss <= 1.0))
+            | ~((0.0 <= bulk) & (bulk <= 1.0))
+        )
+        if bad.any():
+            # Building the leg's snapshot raises exactly the scalar error.
+            i = int(bad.argmax())
+            PathMetrics(
+                rtt_ms=float(self.rtt_ms[i]),
+                loss=float(loss[i]),
+                available_bw_mbps=float(self.available_bw_mbps[i]),
+                capacity_mbps=float(self.capacity_mbps[i]),
+                bulk_loss=float(bulk[i]),
+            )
+        return self
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.errors import TransportError
 from repro.net.path import PathMetrics, RouterPath
 from repro.transport.throughput import FlowStats, TcpParams, steady_state_throughput_mbps
-from repro.units import mbps_to_bytes_per_sec
 
 #: Relay efficiency of a userspace split-TCP proxy.
 DEFAULT_PROXY_EFFICIENCY = 0.98
@@ -64,9 +63,14 @@ class SplitTcpChain:
         """End-to-end rate: min over segments, shaved per relay."""
         return self._rate(self.segment_throughputs(t))
 
+    @property
+    def relay_shave(self) -> float:
+        """Rate factor of the relays: the proxy efficiency once per relay."""
+        return self.proxy_efficiency**self.relay_count
+
     def _rate(self, segment_rates: list[float]) -> float:
         """End-to-end rate from the per-segment rates."""
-        return min(segment_rates) * self.proxy_efficiency**self.relay_count
+        return min(segment_rates) * self.relay_shave
 
     def discrete_bound_at(self, t: float) -> float:
         """The paper's *discrete overlay* upper bound (no relay shave)."""
@@ -92,12 +96,4 @@ class SplitTcpChain:
             rates.append(self._rate(self._segment_rates(metrics)))
             rtt_sums.append(sum(m.rtt_ms for m in metrics))
             first_losses.append(metrics[0].loss)
-        rate = sum(rates) / samples
-        bytes_acked = int(mbps_to_bytes_per_sec(rate) * duration_s)
-        return FlowStats(
-            duration_s=duration_s,
-            bytes_acked=bytes_acked,
-            bytes_retransmitted=int(bytes_acked * (sum(first_losses) / samples)),
-            avg_rtt_ms=sum(rtt_sums) / samples,
-            throughput_mbps=rate,
-        )
+        return FlowStats.from_samples(duration_s, rates, rtt_sums, first_losses)

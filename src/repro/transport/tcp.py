@@ -57,17 +57,7 @@ class TcpConnection:
             rtts.append(metrics.rtt_ms)
             # Retransmissions are data segments: they pay the bulk loss.
             losses.append(metrics.bulk_loss)
-        rate = sum(rates) / samples
-        avg_rtt = sum(rtts) / samples
-        avg_loss = sum(losses) / samples
-        bytes_acked = int(mbps_to_bytes_per_sec(rate) * duration_s)
-        return FlowStats(
-            duration_s=duration_s,
-            bytes_acked=bytes_acked,
-            bytes_retransmitted=int(bytes_acked * avg_loss),
-            avg_rtt_ms=avg_rtt,
-            throughput_mbps=rate,
-        )
+        return FlowStats.from_samples(duration_s, rates, rtts, losses)
 
     def transfer(self, start_time: float, size_bytes: int) -> FlowStats:
         """Download ``size_bytes`` (e.g. the paper's 100 MB file).

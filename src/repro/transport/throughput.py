@@ -12,12 +12,15 @@ A TCP connection's achievable rate is the minimum of three limits:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TransportError
-from repro.net.path import PathMetrics
-from repro.transport.mathis import mathis_throughput_mbps
-from repro.units import DEFAULT_MSS
+from repro.net.path import LegMetrics, PathMetrics
+from repro.transport.mathis import MATHIS_CONSTANT, mathis_throughput_mbps
+from repro.units import DEFAULT_MSS, mbps_to_bytes_per_sec
 
 #: Throughput floor: a connection that completes at all delivers
 #: something, and ratios against zero are undefined.
@@ -77,6 +80,41 @@ def steady_state_throughput_mbps(metrics: PathMetrics, params: TcpParams) -> flo
     return max(min(limits) * params.efficiency, MIN_THROUGHPUT_MBPS)
 
 
+def steady_state_rates(
+    metrics: LegMetrics,
+    mss_bytes: np.ndarray,
+    rwnd_bytes: np.ndarray,
+    efficiency: np.ndarray,
+) -> np.ndarray:
+    """:func:`steady_state_throughput_mbps` over a batch of legs.
+
+    Leg ``i`` runs with ``mss_bytes[i]``, ``rwnd_bytes[i]`` and
+    ``efficiency[i]``.  Every operation has the scalar's operands in
+    the scalar's order (the Mathis limit inlined from
+    :func:`~repro.transport.mathis.mathis_throughput_mbps`, whose
+    ``sqrt`` is correctly rounded in both), so each rate is
+    bit-identical to the per-leg call, dead legs included; an RTT that
+    is not positive on a live leg raises the same :class:`TransportError`.
+    """
+    loss = metrics.bulk_loss
+    rtt_ms = metrics.rtt_ms
+    live = ~(loss >= 1.0)
+    rtt_s = rtt_ms / 1_000.0
+    bad = live & (rtt_s <= 0)
+    if bad.any():
+        raise TransportError(
+            f"RTT must be positive, got {float(rtt_ms[bad.argmax()])} ms"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rwnd_limit = rwnd_bytes * 8 / rtt_s / 1e6
+        limit = np.minimum(
+            np.minimum(metrics.available_bw_mbps, metrics.capacity_mbps), rwnd_limit
+        )
+        mathis = (mss_bytes / rtt_s) * MATHIS_CONSTANT / np.sqrt(loss) * 8 / 1e6
+        limit = np.where(live & (loss > 0.0), np.minimum(limit, mathis), limit)
+    return np.where(live, np.maximum(limit * efficiency, MIN_THROUGHPUT_MBPS), 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class FlowStats:
     """What a finished (or sampled) transfer reports.
@@ -97,6 +135,31 @@ class FlowStats:
             raise TransportError(f"duration must be positive, got {self.duration_s}")
         if self.bytes_acked < 0 or self.bytes_retransmitted < 0:
             raise TransportError("byte counters must be non-negative")
+
+    @classmethod
+    def from_samples(
+        cls,
+        duration_s: float,
+        rates: Sequence[float],
+        rtts: Sequence[float],
+        losses: Sequence[float],
+    ) -> "FlowStats":
+        """A transfer's stats from its per-instant samples.
+
+        The rate, RTT and retransmitted-segment loss are each the plain
+        mean of the samples — how a long transfer rides through load
+        variation.
+        """
+        samples = len(rates)
+        rate = sum(rates) / samples
+        bytes_acked = int(mbps_to_bytes_per_sec(rate) * duration_s)
+        return cls(
+            duration_s=duration_s,
+            bytes_acked=bytes_acked,
+            bytes_retransmitted=int(bytes_acked * (sum(losses) / samples)),
+            avg_rtt_ms=sum(rtts) / samples,
+            throughput_mbps=rate,
+        )
 
     @property
     def retransmission_rate(self) -> float:

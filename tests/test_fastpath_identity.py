@@ -1,13 +1,14 @@
 """Property tests: the fastpath mirror is invisible in study output.
 
-For each study (chaos, demand, controlled) and several seeds, the
-dumped result JSON must be byte-identical between
+For each study (chaos, demand, controlled, longitudinal, weblab) and
+several seeds, the dumped result JSON must be byte-identical between
 
 * object mode (``REPRO_FASTPATH=0`` — the scalar per-link walk),
   in-process,
 * fastpath in-process (no runner), and
 * fastpath at 1 and 8 workers (the pool forks, so workers inherit the
-  parent's mode choice).
+  parent's mode choice) — for the studies that shard; weblab is one
+  batch in-process.
 
 Each study has one entry point, ``run_X(config, runner=None)``, that
 runs the same shard list in-process or on the pool, so every run is
@@ -24,6 +25,8 @@ from repro.exec.runner import ExecConfig, ExecRunner
 from repro.experiments.chaos_exp import ChaosConfig, run_chaos
 from repro.experiments.controlled import ControlledConfig, run_controlled
 from repro.experiments.demand_exp import DemandConfig, run_demand
+from repro.experiments.longitudinal import run_longitudinal
+from repro.experiments.weblab import WeblabConfig, run_weblab
 from repro.io import dump_json
 
 SEEDS = (3, 11)
@@ -66,11 +69,26 @@ def _controlled_config(seed: int) -> ControlledConfig:
     return ControlledConfig(seed=seed, scale="small", n_clients=2)
 
 
+def _run_longitudinal(config: ControlledConfig, runner=None):
+    # Short sweep over the controlled campaign's most-improved paths;
+    # both stages shard, so both run on the runner.
+    campaign = run_controlled(config, runner)
+    return run_longitudinal(campaign, top_n=4, samples=6, runner=runner)
+
+
+def _weblab_config(seed: int) -> WeblabConfig:
+    return WeblabConfig(seed=seed, scale="small", n_clients=4, n_servers=3)
+
+
 STUDIES = {
     "chaos": (_chaos_config, run_chaos),
     "demand": (_demand_config, run_demand),
     "controlled": (_controlled_config, run_controlled),
+    "longitudinal": (_controlled_config, _run_longitudinal),
+    "weblab": (_weblab_config, run_weblab),
 }
+#: Studies without exec shards: compared in-process only.
+UNSHARDED = {"weblab"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -88,7 +106,7 @@ def test_fastpath_output_byte_identical_to_object_mode(
     assert fast_serial == reference, (
         f"{study} seed {seed}: in-process fastpath output differs from object mode"
     )
-    for workers in (1, 8):
+    for workers in () if study in UNSHARDED else (1, 8):
         fast = _dump(
             tmp_path,
             f"{study}-fast-w{workers}",

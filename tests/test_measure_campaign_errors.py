@@ -115,3 +115,68 @@ class TestCampaignSummary:
             ).value
             == 2
         )
+
+
+class TestBatchedShards:
+    """A shard's tasks measured together fall back task by task."""
+
+    #: 18 tasks over at most 16 shards: the first shards hold two tasks.
+    TASKS = [f"t{i:02d}" for i in range(18)]
+
+    def _run(self, small_internet, broken: str | None):
+        per_task_calls = {task_id: 0 for task_id in self.TASKS}
+        batches = []
+
+        def task(task_id):
+            def measure(now: float) -> float:
+                per_task_calls[task_id] += 1
+                if task_id == broken:
+                    raise MeasurementError("vantage point rebooted")
+                return now + int(task_id[1:])
+
+            return measure
+
+        def batch(ids):
+            batches.append(list(ids))
+
+            def measure(now: float) -> list[float]:
+                if broken in ids:
+                    raise MeasurementError("one task of the batch failed")
+                return [now + int(task_id[1:]) for task_id in ids]
+
+            return measure
+
+        campaign = MeasurementCampaign(small_internet, interval_s=10.0, iterations=3)
+        results = campaign.run(
+            {task_id: task(task_id) for task_id in self.TASKS}, batch=batch
+        )
+        return results, batches, per_task_calls
+
+    def test_batches_replace_the_per_task_calls(self, small_internet):
+        results, batches, calls = self._run(small_internet, broken=None)
+        assert sorted(task_id for ids in batches for task_id in ids) == self.TASKS
+        assert set(calls.values()) == {0}
+        for task_id, samples in results.items():
+            assert [s.value for s in samples] == [
+                s.at_time + int(task_id[1:]) for s in samples
+            ]
+            assert all(s.ok for s in samples)
+
+    def test_failing_task_gets_one_error_sample_per_instant(self, small_internet):
+        results, batches, _calls = self._run(small_internet, broken="t01")
+        (shard,) = [ids for ids in batches if "t01" in ids]
+        assert len(shard) > 1  # the failing task has neighbours in its batch
+        for iteration in range(3):
+            errors = [
+                (task_id, samples[iteration])
+                for task_id, samples in results.items()
+                if not samples[iteration].ok
+            ]
+            assert [task_id for task_id, _ in errors] == ["t01"]
+            assert "vantage point rebooted" in errors[0][1].error
+        for task_id in shard:
+            if task_id != "t01":
+                assert all(s.ok for s in results[task_id])
+                assert [s.value for s in results[task_id]] == [
+                    s.at_time + int(task_id[1:]) for s in results[task_id]
+                ]
