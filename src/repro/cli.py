@@ -97,13 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument(
-        "--duration", type=float, default=3_600.0, help="simulated seconds to run"
+        "--duration", type=float, default=None,
+        help="simulated seconds to run (default: 3600; 900 with --fast)",
     )
     chaos.add_argument(
-        "--tick", type=float, default=10.0, help="controller decision tick (seconds)"
+        "--tick", type=float, default=None,
+        help="controller decision tick in seconds (default: 10; 5 with --fast)",
     )
     chaos.add_argument(
-        "--probe-interval", type=float, default=60.0, help="seconds between path probes"
+        "--probe-interval", type=float, default=None,
+        help="seconds between path probes (default: 60; 15 with --fast)",
     )
     chaos.add_argument(
         "--adaptive", action="store_true",
@@ -142,7 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--fast", action="store_true",
-        help="short smoke horizon (same windows as fractions, fewer ticks)",
+        help=(
+            "short smoke horizon (same windows as fractions, fewer ticks); "
+            "an explicit --duration/--tick/--probe-interval still wins"
+        ),
     )
     chaos.add_argument(
         "--list-scenarios", action="store_true", help="list scenario names and exit"
@@ -155,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(demand)
     demand.add_argument(
-        "--epochs", type=int, default=24, help="epochs per arm (default: one day)"
+        "--epochs", type=int, default=None,
+        help="epochs per arm (default: 24, one day; 6 with --fast)",
     )
     demand.add_argument(
         "--level", action="append", type=float, default=None, metavar="X",
@@ -167,7 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     demand.add_argument(
         "--fast", action="store_true",
-        help="smoke sweep: six epochs over three levels",
+        help=(
+            "smoke sweep: six epochs over three levels; an explicit "
+            "--epochs/--level still wins"
+        ),
     )
     demand.add_argument("--out", help="also dump the result as JSON to this path")
     _add_exec(demand)
@@ -193,12 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="offered-load multiplier for the demand column (default: 10)",
     )
     colo.add_argument(
-        "--epochs", type=int, default=6,
-        help="epochs averaged into the demand column (default: 6)",
+        "--epochs", type=int, default=None,
+        help="epochs averaged into the demand column (default: 6; 2 with --fast)",
     )
     colo.add_argument(
         "--fast", action="store_true",
-        help="smoke sizing: 6 clients, 2 servers, 2 demand epochs",
+        help=(
+            "smoke sizing: 6 clients, 2 servers, 2 demand epochs; an "
+            "explicit --epochs still wins"
+        ),
     )
     colo.add_argument("--out", help="also dump the result as JSON to this path")
     _add_exec(colo)
@@ -314,6 +327,17 @@ def _cmd_control(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fast_default(given, fast: bool, smoke, default):
+    """A flag's value: as given if given, else its ``--fast`` or full default.
+
+    ``--fast`` only picks defaults: a flag given explicitly always wins,
+    so a bad explicit value still reaches the config's validation.
+    """
+    if given is not None:
+        return given
+    return smoke if fast else default
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.faults.scenarios import SCENARIOS
@@ -329,13 +353,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Omitted = () = the classic default suite, which keeps the
         # knobs-off output identical to historical runs.
         scenarios = tuple(wanted)
-    if args.fast:
-        # Windows sit at horizon fractions and the degradation ladder
-        # scales with the probe cadence, so shrinking both keeps every
-        # scenario's story intact at a quarter of the ticks.
-        duration, tick, interval = 900.0, 5.0, 15.0
-    else:
-        duration, tick, interval = args.duration, args.tick, args.probe_interval
+    # Windows sit at horizon fractions and the degradation ladder scales
+    # with the probe cadence, so --fast shrinks both and keeps every
+    # scenario's story intact at a quarter of the ticks.
+    duration = _fast_default(args.duration, args.fast, 900.0, 3_600.0)
+    tick = _fast_default(args.tick, args.fast, 5.0, 10.0)
+    interval = _fast_default(args.probe_interval, args.fast, 15.0, 60.0)
     if args.engine == "packet":
         from repro.errors import ExperimentError
         from repro.experiments.chaos_exp import PacketReplayConfig, run_chaos_packet
@@ -388,12 +411,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_demand(args: argparse.Namespace) -> int:
     from repro.experiments.demand_exp import DemandConfig, run_demand
 
-    kwargs: dict = {"seed": args.seed, "scale": args.scale, "rounds": args.rounds}
+    kwargs: dict = {
+        "seed": args.seed,
+        "scale": args.scale,
+        "rounds": args.rounds,
+        "epochs": _fast_default(args.epochs, args.fast, 6, 24),
+    }
     if args.fast:
-        kwargs["epochs"] = 6
         kwargs["levels"] = (1.0, 8.0, 100.0)
-    else:
-        kwargs["epochs"] = args.epochs
     if args.level:
         kwargs["levels"] = tuple(args.level)
     config = DemandConfig(**kwargs)
@@ -417,10 +442,10 @@ def _cmd_colo(args: argparse.Namespace) -> int:
         "colo_cities": tuple(args.colo_city) if args.colo_city else DEFAULT_COLO_CITIES,
         "footprints": tuple(args.footprint) if args.footprint else FOOTPRINTS,
         "demand_level": args.load_level,
-        "demand_epochs": args.epochs,
+        "demand_epochs": _fast_default(args.epochs, args.fast, 2, 6),
     }
     if args.fast:
-        kwargs.update(n_clients=6, n_servers=2, demand_epochs=2)
+        kwargs.update(n_clients=6, n_servers=2)
     config = ColoConfig(**kwargs)
     result = run_colo(config, _make_runner(args))
     print(result.render())

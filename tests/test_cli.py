@@ -275,3 +275,70 @@ class TestNonFiniteNumbers:
         assert out.returncode == 1
         assert out.stderr.startswith("error: ")
         assert out.stdout == ""
+
+
+class TestExplicitFlagsBeatFast:
+    """``--fast`` picks defaults only: a flag given explicitly wins.
+
+    The bad-value cases run in a subprocess with a timeout, so a flag
+    that ``--fast`` swallowed again shows up as a normal run that exits
+    0, not as a hang.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chaos", "--fast", "--duration", "-5"),
+            ("demand", "--fast", "--epochs", "-2"),
+            ("colo", "--fast", "--epochs", "-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_explicit_value_rejected(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "module, runner, argv, expected",
+        [
+            (
+                "repro.experiments.chaos_exp", "run_chaos",
+                ["chaos", "--fast", "--duration", "600"],
+                {"duration_s": 600.0, "tick_s": 5.0, "probe_interval_s": 15.0},
+            ),
+            (
+                "repro.experiments.demand_exp", "run_demand",
+                ["demand", "--fast", "--epochs", "3"],
+                {"epochs": 3, "levels": (1.0, 8.0, 100.0)},
+            ),
+            (
+                "repro.experiments.colo_exp", "run_colo",
+                ["colo", "--fast", "--epochs", "4"],
+                {"demand_epochs": 4, "n_clients": 6, "n_servers": 2},
+            ),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_explicit_value_reaches_the_config(
+        self, module, runner, argv, expected, monkeypatch, capsys
+    ):
+        seen = []
+
+        class Result:
+            def render(self) -> str:
+                return ""
+
+        def fake_run(config, runner=None):
+            seen.append(config)
+            return Result()
+
+        monkeypatch.setattr(module + "." + runner, fake_run)
+        assert main(argv) == 0
+        (config,) = seen
+        assert {name: getattr(config, name) for name in expected} == expected
