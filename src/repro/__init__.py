@@ -12,35 +12,22 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
+from repro._lazy import lazy_exports
 from repro.errors import ReproError
-from repro.rand import RandomStreams
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "RandomStreams",
-    "__version__",
-]
+# Lazily re-export the heavyweight API so ``import repro`` stays fast:
+# nothing here loads numpy or the Internet substrate until it is used.
+_lazy_names, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rand": ("RandomStreams",),
+        "net": ("Internet", "Topology", "TopologyConfig", "generate_topology"),
+        "cloud": ("CloudProvider",),
+        "core": ("CRONet", "PathSet", "MptcpSelector", "ProbingSelector"),
+        "experiments.scenario": ("build_world",),
+    },
+)
 
-
-def __getattr__(name: str):
-    """Lazily re-export the heavyweight API so ``import repro`` stays fast."""
-    lazy = {
-        "Internet": ("repro.net", "Internet"),
-        "Topology": ("repro.net", "Topology"),
-        "TopologyConfig": ("repro.net", "TopologyConfig"),
-        "generate_topology": ("repro.net", "generate_topology"),
-        "CloudProvider": ("repro.cloud", "CloudProvider"),
-        "CRONet": ("repro.core", "CRONet"),
-        "PathSet": ("repro.core", "PathSet"),
-        "MptcpSelector": ("repro.core", "MptcpSelector"),
-        "ProbingSelector": ("repro.core", "ProbingSelector"),
-        "build_world": ("repro.experiments.scenario", "build_world"),
-    }
-    if name in lazy:
-        import importlib
-
-        module_name, attr = lazy[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__all__ = ["ReproError", "__version__", *_lazy_names]

@@ -1,23 +1,16 @@
 """Analysis toolkit: CDFs, improvement statistics, path diversity,
 attribute binning and the C4.5 decision tree of Sec. V."""
 
-from repro.analysis.cdf import EmpiricalCDF
-from repro.analysis.improvement import ImprovementSummary, summarize_ratios
-from repro.analysis.diversity import diversity_score, segment_location_shares
-from repro.analysis.binning import BinStat, bin_stats
-from repro.analysis.c45 import C45Tree, DecisionRule
-from repro.analysis.tables import format_table, format_series
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EmpiricalCDF",
-    "ImprovementSummary",
-    "summarize_ratios",
-    "diversity_score",
-    "segment_location_shares",
-    "BinStat",
-    "bin_stats",
-    "C45Tree",
-    "DecisionRule",
-    "format_table",
-    "format_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cdf": ("EmpiricalCDF",),
+        "improvement": ("ImprovementSummary", "summarize_ratios"),
+        "diversity": ("diversity_score", "segment_location_shares"),
+        "binning": ("BinStat", "bin_stats"),
+        "c45": ("C45Tree", "DecisionRule"),
+        "tables": ("format_table", "format_series"),
+    },
+)

@@ -8,23 +8,19 @@ Models the four trends CRONets leverages (Sec. I):
 4. cheap rentable VMs with 100 Mbps virtual NICs (~$20/month).
 """
 
-from repro.cloud.datacenter import DataCenter, PortSpeed
-from repro.cloud.provider import CloudProvider
-from repro.cloud.vm import VirtualServer
-from repro.cloud.pricing import (
-    PricingModel,
-    TrafficTier,
-    leased_line_monthly_usd,
-    overlay_vs_leased_line,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DataCenter",
-    "PortSpeed",
-    "CloudProvider",
-    "VirtualServer",
-    "PricingModel",
-    "TrafficTier",
-    "leased_line_monthly_usd",
-    "overlay_vs_leased_line",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "datacenter": ("DataCenter", "PortSpeed"),
+        "provider": ("CloudProvider",),
+        "vm": ("VirtualServer",),
+        "pricing": (
+            "PricingModel",
+            "TrafficTier",
+            "leased_line_monthly_usd",
+            "overlay_vs_leased_line",
+        ),
+    },
+)

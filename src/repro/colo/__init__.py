@@ -22,17 +22,14 @@ seam: overlays, policies, and the demand engine consume sites without
 knowing which substrate is underneath.
 """
 
-from repro.colo.facility import ColoFacility, DEFAULT_COLO_CITIES
-from repro.colo.operator import ColoOperator, ColoServer
-from repro.colo.pricing import ColoPricingModel
-from repro.colo.site import COLO_CPU_PPS, RelaySite
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COLO_CPU_PPS",
-    "ColoFacility",
-    "ColoOperator",
-    "ColoPricingModel",
-    "ColoServer",
-    "DEFAULT_COLO_CITIES",
-    "RelaySite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "facility": ("ColoFacility", "DEFAULT_COLO_CITIES"),
+        "operator": ("ColoOperator", "ColoServer"),
+        "pricing": ("ColoPricingModel",),
+        "site": ("COLO_CPU_PPS", "RelaySite"),
+    },
+)

@@ -7,58 +7,24 @@ pluggable policies, and accounts for every byte and every failover in
 an in-process metrics registry.
 """
 
-from repro.control.controller import (
-    ControllerReport,
-    GoodputSample,
-    OverlayController,
-)
-from repro.control.decisions import DecisionLog, DecisionRecord
-from repro.control.degradation import (
-    DegradationConfig,
-    DegradationGuard,
-    Quarantine,
-)
-from repro.control.health import (
-    HealthConfig,
-    HealthTransition,
-    PathHealth,
-    PathState,
-)
-from repro.control.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.control.policy import (
-    BestPathPolicy,
-    C45RulePolicy,
-    MptcpSubflowPolicy,
-    Policy,
-    PolicyDecision,
-    StaticPolicy,
-)
-from repro.control.probes import ProbeConfig, ProbeResult, ProbeScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BestPathPolicy",
-    "C45RulePolicy",
-    "ControllerReport",
-    "Counter",
-    "DecisionLog",
-    "DecisionRecord",
-    "DegradationConfig",
-    "DegradationGuard",
-    "Gauge",
-    "GoodputSample",
-    "HealthConfig",
-    "HealthTransition",
-    "Histogram",
-    "MetricsRegistry",
-    "MptcpSubflowPolicy",
-    "OverlayController",
-    "PathHealth",
-    "PathState",
-    "Policy",
-    "PolicyDecision",
-    "ProbeConfig",
-    "ProbeResult",
-    "ProbeScheduler",
-    "Quarantine",
-    "StaticPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "controller": ("ControllerReport", "GoodputSample", "OverlayController"),
+        "decisions": ("DecisionLog", "DecisionRecord"),
+        "degradation": ("DegradationConfig", "DegradationGuard", "Quarantine"),
+        "health": ("HealthConfig", "HealthTransition", "PathHealth", "PathState"),
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "policy": (
+            "BestPathPolicy",
+            "C45RulePolicy",
+            "MptcpSubflowPolicy",
+            "Policy",
+            "PolicyDecision",
+            "StaticPolicy",
+        ),
+        "probes": ("ProbeConfig", "ProbeResult", "ProbeScheduler"),
+    },
+)

@@ -14,27 +14,16 @@ The user-facing API of the reproduction:
   (Sec. IV, Fig. 7 / Table I).
 """
 
-from repro.core.cronet import CRONet
-from repro.core.pathset import OverlayPathOption, PathSet, PathType
-from repro.core.measure_plan import FourWayMeasurement, measure_four_ways
-from repro.core.selection import MptcpSelector, ProbingSelector, SelectionResult
-from repro.core.placement import (
-    improvement_vs_node_count,
-    min_nodes_for_max_throughput,
-)
-from repro.core.proxy import MptcpProxyPair
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRONet",
-    "OverlayPathOption",
-    "PathSet",
-    "PathType",
-    "FourWayMeasurement",
-    "measure_four_ways",
-    "MptcpSelector",
-    "ProbingSelector",
-    "SelectionResult",
-    "improvement_vs_node_count",
-    "min_nodes_for_max_throughput",
-    "MptcpProxyPair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cronet": ("CRONet",),
+        "pathset": ("OverlayPathOption", "PathSet", "PathType"),
+        "measure_plan": ("FourWayMeasurement", "measure_four_ways"),
+        "selection": ("MptcpSelector", "ProbingSelector", "SelectionResult"),
+        "placement": ("improvement_vs_node_count", "min_nodes_for_max_throughput"),
+        "proxy": ("MptcpProxyPair",),
+    },
+)

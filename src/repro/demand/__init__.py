@@ -19,20 +19,14 @@ instead:
   epochs at a time.
 """
 
-from repro.demand.aggregate import EpochAllocation, FlowClass, Resource, solve_epoch
-from repro.demand.engine import DemandEngine, PairRoutes, RelayLoadTracker
-from repro.demand.model import CityDemand, DemandModel
-from repro.demand.relay import RelayCapacity
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CityDemand",
-    "DemandEngine",
-    "DemandModel",
-    "EpochAllocation",
-    "FlowClass",
-    "PairRoutes",
-    "RelayCapacity",
-    "RelayLoadTracker",
-    "Resource",
-    "solve_epoch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": ("EpochAllocation", "FlowClass", "Resource", "solve_epoch"),
+        "engine": ("DemandEngine", "PairRoutes", "RelayLoadTracker"),
+        "model": ("CityDemand", "DemandModel"),
+        "relay": ("RelayCapacity",),
+    },
+)

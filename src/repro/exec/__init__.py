@@ -27,27 +27,17 @@ about what a shard computes.
 
 from __future__ import annotations
 
-from repro.exec.cache import MISS, ResultCache, code_salt
-from repro.exec.manifest import RunManifest, ShardRecord
-from repro.exec.plan import ExecTask, run_tasks
-from repro.exec.pool import ShardOutcome, execute_shards
-from repro.exec.runner import ExecConfig, ExecRunner
-from repro.exec.shard import default_shard_count, partition_indices
-from repro.exec.spec import TaskSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExecConfig",
-    "ExecRunner",
-    "ExecTask",
-    "MISS",
-    "ResultCache",
-    "RunManifest",
-    "ShardOutcome",
-    "ShardRecord",
-    "TaskSpec",
-    "code_salt",
-    "default_shard_count",
-    "execute_shards",
-    "partition_indices",
-    "run_tasks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("MISS", "ResultCache", "code_salt"),
+        "manifest": ("RunManifest", "ShardRecord"),
+        "plan": ("ExecTask", "run_tasks"),
+        "pool": ("ShardOutcome", "execute_shards"),
+        "runner": ("ExecConfig", "ExecRunner"),
+        "shard": ("default_shard_count", "partition_indices"),
+        "spec": ("TaskSpec",),
+    },
+)

@@ -82,7 +82,8 @@ class ResultCache:
         Purely an existence check — a torn entry still answers True.
         Anything that *serves* payloads must go through
         :meth:`lookup`, which validates and quarantines; ``has`` is
-        for cheap statistics and tests only.
+        for cheap statistics, tests and the warm-resume check of
+        :meth:`~repro.exec.runner.ExecRunner.all_cached`.
         """
         return self.path_for(key).exists()
 

@@ -37,6 +37,7 @@ def run_tasks(
     runner: "ExecRunner | None" = None,
     stage: str = "main",
     inline: bool = False,
+    prepare: Callable[[], Any] | None = None,
 ) -> list[Any]:
     """Execute ``tasks``; returns their payloads in task order.
 
@@ -46,7 +47,17 @@ def run_tasks(
     when ``inline``, for tasks that must stay in the driver) and any
     shard that exhausted its retries raises
     :class:`~repro.errors.ExecError`.
+
+    ``prepare`` builds the inputs the shards share (a world, a pair
+    list), in this process and before any shard, so forked shards
+    inherit them instead of each rebuilding.  It is skipped when the
+    runner resumes and every task's key is already cached, since then
+    no shard computes.  The shard ``fn``s must reach those inputs
+    through the same memo, so a cached entry that later reads as torn
+    still computes.
     """
+    if prepare is not None and not (runner is not None and runner.all_cached(tasks)):
+        prepare()
     if runner is None:
         return [task.fn() for task in tasks]
     execute = runner.run_inline if inline else runner.run

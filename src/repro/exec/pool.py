@@ -18,6 +18,7 @@ same protocol runs in-process, one shard after another.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -114,8 +115,8 @@ def execute_shards(
         raise ExecError(f"worker count must be positive, got {workers}")
     if retries < 0:
         raise ExecError(f"retries must be >= 0, got {retries}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ExecError(f"timeout must be positive when set, got {timeout_s}")
+    if timeout_s is not None and not 0 < timeout_s < math.inf:
+        raise ExecError(f"timeout must be positive and finite when set, got {timeout_s}")
 
     payloads: list[Any | None] = [None] * len(tasks)
     outcomes: list[ShardOutcome | None] = [None] * len(tasks)

@@ -14,6 +14,7 @@ proving that ``--resume`` completes with zero recomputation.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -55,8 +56,10 @@ class ExecConfig:
             raise ExecError(f"workers must be positive, got {self.workers}")
         if self.retries < 0:
             raise ExecError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ExecError(f"timeout must be positive when set, got {self.timeout_s}")
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise ExecError(
+                f"timeout must be positive and finite when set, got {self.timeout_s}"
+            )
 
     @property
     def cache_salt(self) -> str:
@@ -74,6 +77,16 @@ class ExecRunner:
         self._started = time.perf_counter()
         self._executed = 0
         self._abort_after = _abort_after_from_env()
+
+    def all_cached(self, tasks: Sequence[ExecTask]) -> bool:
+        """True when resuming and every task's cache entry exists.
+
+        An existence check only: an entry that turns out torn still
+        reads as a miss in :meth:`run` and recomputes.
+        """
+        return self.config.resume and all(
+            self.cache.has(task.spec.key(self.config.cache_salt)) for task in tasks
+        )
 
     def run(self, tasks: Sequence[ExecTask], stage: str = "main") -> list[Any]:
         """Execute ``tasks`` on the shard pool; returns aligned payloads.

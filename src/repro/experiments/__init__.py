@@ -7,6 +7,11 @@ series the paper's figure/table reports.  The benchmark harness under
 ``benchmarks/`` times these drivers and asserts the qualitative shape.
 """
 
-from repro.experiments.scenario import World, build_world
+from repro._lazy import lazy_exports
 
-__all__ = ["World", "build_world"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "scenario": ("World", "build_world"),
+    },
+)

@@ -25,6 +25,7 @@ produce identical reports.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -455,18 +456,11 @@ def _run_scenario(
         world.internet.set_time(0.0)
 
 
-def _study_inputs(
-    config: ChaosConfig,
-) -> tuple[World, PathSet, dict[str, ChaosScenario], ChaosResult]:
-    """The world, pair and built scenarios, plus an outcome-less result."""
+def _study_inputs(config: ChaosConfig) -> tuple[World, PathSet, dict[str, ChaosScenario]]:
+    """The world, the chaos pair and its built scenarios."""
     world = build_world(seed=config.seed, scale=config.scale)
     pathset, scenarios = _pick_pathset(world, world.cronet(), config)
-    result = ChaosResult(
-        config=config,
-        pair=(pathset.src_name, pathset.dst_name),
-        descriptions={name: s.describe() for name, s in scenarios.items()},
-    )
-    return world, pathset, scenarios, result
+    return world, pathset, scenarios
 
 
 def run_chaos(
@@ -480,12 +474,25 @@ def run_chaos(
     are memoized under a unique per-run name, so shard order and worker
     count cannot change any outcome: output is byte-identical in-process
     (``runner=None``) and at any worker count.
+
+    Each payload carries the pair and its scenario's description next
+    to the outcomes, so a fully cached ``--resume`` builds no world.
     """
-    world, pathset, scenarios, result = _study_inputs(config)
+    inputs = functools.cache(lambda: _study_inputs(config))
 
-    def shard_fn(scenario: ChaosScenario):
-        return lambda: to_jsonable(_run_scenario(world, pathset, scenario, config))
+    def shard_fn(name: str):
+        def compute() -> dict:
+            world, pathset, scenarios = inputs()
+            scenario = scenarios[name]
+            return {
+                "pair": [pathset.src_name, pathset.dst_name],
+                "description": scenario.describe(),
+                "outcomes": to_jsonable(_run_scenario(world, pathset, scenario, config)),
+            }
 
+        return compute
+
+    names = config.scenario_names
     spec_params = {"experiment": "chaos", "config": dataclasses.asdict(config)}
     tasks = [
         ExecTask(
@@ -493,15 +500,23 @@ def run_chaos(
                 kind="chaos.scenario",
                 seed=config.seed,
                 shard_index=i,
-                shard_count=len(scenarios),
+                shard_count=len(names),
                 params={**spec_params, "scenario": name},
             ),
-            fn=shard_fn(scenario),
+            fn=shard_fn(name),
         )
-        for i, (name, scenario) in enumerate(scenarios.items())
+        for i, name in enumerate(names)
     ]
-    for payload in run_tasks(tasks, runner, stage="chaos.runs"):
-        result.outcomes.extend(ChaosOutcome(**outcome) for outcome in payload)
+    payloads = run_tasks(tasks, runner, stage="chaos.runs", prepare=inputs)
+    result = ChaosResult(
+        config=config,
+        pair=tuple(payloads[0]["pair"]),
+        descriptions={
+            name: payload["description"] for name, payload in zip(names, payloads)
+        },
+    )
+    for payload in payloads:
+        result.outcomes.extend(ChaosOutcome(**outcome) for outcome in payload["outcomes"])
     return result
 
 

@@ -24,6 +24,7 @@ per task with byte-identical results at any worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -380,12 +381,21 @@ def run_demand(
     any metric: output is byte-identical in-process (``runner=None``)
     and at any worker count.  One shard per arm lets the arm's epochs
     share one engine, built inside the shard.
+
+    Each payload carries the pair count next to the epochs, so a fully
+    cached ``--resume`` builds no world.
     """
-    pairs, relays, model = _study_inputs(config)
-    result = DemandResult(config=config, n_pairs=len(pairs))
+    inputs = functools.cache(lambda: _study_inputs(config))
 
     def shard_fn(policy_name: str, level: float):
-        return lambda: _run_arm(pairs, relays, model, policy_name, level, config)
+        def compute() -> dict:
+            pairs, relays, model = inputs()
+            return {
+                "n_pairs": len(pairs),
+                "epochs": _run_arm(pairs, relays, model, policy_name, level, config),
+            }
+
+        return compute
 
     spec_params = {"experiment": "demand", "config": dataclasses.asdict(config)}
     tasks = [
@@ -401,7 +411,10 @@ def run_demand(
         )
         for i, (policy_name, level) in enumerate(config.arms)
     ]
-    payloads = run_tasks(tasks, runner, stage="demand.epochs")
-    for (policy_name, level), epochs in zip(config.arms, payloads):
-        result.arms.append(ArmSeries(policy=policy_name, level=level, epochs=epochs))
+    payloads = run_tasks(tasks, runner, stage="demand.epochs", prepare=inputs)
+    result = DemandResult(config=config, n_pairs=payloads[0]["n_pairs"])
+    for (policy_name, level), payload in zip(config.arms, payloads):
+        result.arms.append(
+            ArmSeries(policy=policy_name, level=level, epochs=payload["epochs"])
+        )
     return result

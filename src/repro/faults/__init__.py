@@ -9,42 +9,29 @@ is a pure function of simulated time, so a fixed seed replays the same
 chaos bit-for-bit.
 """
 
-from repro.faults.events import (
-    AsOutage,
-    CongestionStorm,
-    FaultEvent,
-    GrayFailure,
-    LinkEffect,
-    LinkOutage,
-    ProbeFaultEvent,
-    ProbeFaultKind,
-    RouteFlap,
-    Window,
-)
-from repro.faults.injector import FaultInjector, PathFaultHistory, ProbeFaultModel
-from repro.faults.scenarios import (
-    DEFAULT_SCENARIOS,
-    SCENARIOS,
-    ChaosScenario,
-    build_scenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsOutage",
-    "ChaosScenario",
-    "CongestionStorm",
-    "DEFAULT_SCENARIOS",
-    "FaultEvent",
-    "FaultInjector",
-    "GrayFailure",
-    "LinkEffect",
-    "LinkOutage",
-    "PathFaultHistory",
-    "ProbeFaultEvent",
-    "ProbeFaultKind",
-    "ProbeFaultModel",
-    "RouteFlap",
-    "SCENARIOS",
-    "Window",
-    "build_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "AsOutage",
+            "CongestionStorm",
+            "FaultEvent",
+            "GrayFailure",
+            "LinkEffect",
+            "LinkOutage",
+            "ProbeFaultEvent",
+            "ProbeFaultKind",
+            "RouteFlap",
+            "Window",
+        ),
+        "injector": ("FaultInjector", "PathFaultHistory", "ProbeFaultModel"),
+        "scenarios": (
+            "DEFAULT_SCENARIOS",
+            "SCENARIOS",
+            "ChaosScenario",
+            "build_scenario",
+        ),
+    },
+)

@@ -7,20 +7,14 @@
 * :mod:`~repro.measure.runner` — batched measurement campaigns.
 """
 
-from repro.measure.iperf import IperfReport, iperf
-from repro.measure.tstat import TstatReport, tstat
-from repro.measure.traceroute import TracerouteHop, traceroute
-from repro.measure.runner import CampaignSummary, MeasurementCampaign, Sample, TaskCounts
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IperfReport",
-    "iperf",
-    "TstatReport",
-    "tstat",
-    "TracerouteHop",
-    "traceroute",
-    "CampaignSummary",
-    "MeasurementCampaign",
-    "Sample",
-    "TaskCounts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "iperf": ("IperfReport", "iperf"),
+        "tstat": ("TstatReport", "tstat"),
+        "traceroute": ("TracerouteHop", "traceroute"),
+        "runner": ("CampaignSummary", "MeasurementCampaign", "Sample", "TaskCounts"),
+    },
+)

@@ -10,27 +10,22 @@ the Internet core (per Akella et al. and Kang & Gligor, the works the
 paper builds its motivation on).
 """
 
-from repro.net.asn import ASKind, AutonomousSystem
-from repro.net.links import Link, LinkClass
-from repro.net.topology import Relationship, ASRelation, Topology, TopologyConfig, generate_topology
-from repro.net.bgp import BgpRouting, RouteKind
-from repro.net.path import RouterPath, PathMetrics
-from repro.net.world import Host, Internet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASKind",
-    "AutonomousSystem",
-    "Link",
-    "LinkClass",
-    "Relationship",
-    "ASRelation",
-    "Topology",
-    "TopologyConfig",
-    "generate_topology",
-    "BgpRouting",
-    "RouteKind",
-    "RouterPath",
-    "PathMetrics",
-    "Host",
-    "Internet",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "asn": ("ASKind", "AutonomousSystem"),
+        "links": ("Link", "LinkClass"),
+        "topology": (
+            "Relationship",
+            "ASRelation",
+            "Topology",
+            "TopologyConfig",
+            "generate_topology",
+        ),
+        "bgp": ("BgpRouting", "RouteKind"),
+        "path": ("RouterPath", "PathMetrics"),
+        "world": ("Host", "Internet"),
+    },
+)

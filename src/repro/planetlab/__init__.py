@@ -13,13 +13,12 @@ The substrate reproduces the two properties the paper leans on:
   TCP senders on cloud VMs instead.
 """
 
-from repro.planetlab.nodes import PlanetLabDeployment, PlanetLabNode, deploy_planetlab
-from repro.planetlab.sites import CONTROLLED_DISTRIBUTION, WEBLAB_DISTRIBUTION
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PlanetLabDeployment",
-    "PlanetLabNode",
-    "deploy_planetlab",
-    "WEBLAB_DISTRIBUTION",
-    "CONTROLLED_DISTRIBUTION",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nodes": ("PlanetLabDeployment", "PlanetLabNode", "deploy_planetlab"),
+        "sites": ("CONTROLLED_DISTRIBUTION", "WEBLAB_DISTRIBUTION"),
+    },
+)

@@ -91,20 +91,12 @@ def generate_sections(
     """
     from repro.exec.plan import ExecTask, run_tasks
     from repro.exec.spec import TaskSpec
-    from repro.experiments.classify import run_classify
-    from repro.experiments.controlled import ControlledConfig, run_controlled
-    from repro.experiments.cost import run_cost
-    from repro.experiments.diversity_exp import run_diversity
-    from repro.experiments.factors import run_factors
-    from repro.experiments.longitudinal import run_longitudinal
-    from repro.experiments.multihop_exp import run_multihop
-    from repro.experiments.placement_exp import run_placement
-    from repro.experiments.scenario import build_world
-    from repro.experiments.weblab import WeblabConfig, run_weblab
 
     # Shared experiment inputs, built lazily and at most once: a
     # section served from the cache never forces the campaign behind
     # it to rebuild — that laziness is what makes --resume incremental.
+    # Each study module is imported inside the thunk that runs it, so
+    # a fully cached report imports none of them.
     memo: dict = {}
 
     def once(name: str, build):
@@ -116,15 +108,21 @@ def generate_sections(
     # one Internet served the paper's whole measurement campaign;
     # placement builds its own because it picks other data centers.
     def world_of():
+        from repro.experiments.scenario import build_world
+
         return once("world", lambda: build_world(seed=seed, scale=scale))
 
     def weblab_of():
+        from repro.experiments.weblab import WeblabConfig, run_weblab
+
         return once(
             "weblab",
             lambda: run_weblab(WeblabConfig(seed=seed, scale=scale), world=world_of()),
         )
 
     def campaign_of():
+        from repro.experiments.controlled import ControlledConfig, run_controlled
+
         return once(
             "campaign",
             lambda: run_controlled(
@@ -133,6 +131,8 @@ def generate_sections(
         )
 
     def longitudinal_of():
+        from repro.experiments.longitudinal import run_longitudinal
+
         top_n = 30 if scale == "paper" else 8
         samples = 50 if scale == "paper" else 10
         return once(
@@ -142,6 +142,36 @@ def generate_sections(
             ),
         )
 
+    def diversity():
+        from repro.experiments.diversity_exp import run_diversity
+
+        return run_diversity(campaign_of()).render(series_points=8)
+
+    def factors():
+        from repro.experiments.factors import run_factors
+
+        return run_factors(campaign_of()).render()
+
+    def classify():
+        from repro.experiments.classify import run_classify
+
+        return run_classify(campaign_of()).render()
+
+    def cost():
+        from repro.experiments.cost import run_cost
+
+        return run_cost(weblab_of()).render()
+
+    def placement():
+        from repro.experiments.placement_exp import run_placement
+
+        return run_placement(seed=seed, scale=scale).render()
+
+    def multihop():
+        from repro.experiments.multihop_exp import run_multihop
+
+        return run_multihop(seed=seed, scale=scale, world=world_of()).render()
+
     builders = [
         ("Web-server campaign", "Sec. III-A, Fig. 2",
          lambda: weblab_of().render(series_points=10)),
@@ -149,18 +179,12 @@ def generate_sections(
          lambda: campaign_of().result.render(series_points=10)),
         ("Persistency of gains", "Sec. IV, Figs. 6-7, Table I",
          lambda: longitudinal_of().render()),
-        ("Path diversity", "Sec. V-A, Fig. 8",
-         lambda: run_diversity(campaign_of()).render(series_points=8)),
-        ("Who gains", "Sec. V-B, Figs. 9-11",
-         lambda: run_factors(campaign_of()).render()),
-        ("C4.5 thresholds", "Sec. V-B",
-         lambda: run_classify(campaign_of()).render()),
-        ("Economics", "Abstract, Sec. VII-D",
-         lambda: run_cost(weblab_of()).render()),
-        ("Placement planning (extension)", "Sec. VII-A",
-         lambda: run_placement(seed=seed, scale=scale).render()),
-        ("Multi-hop overlays (extension)", "Sec. VII-B",
-         lambda: run_multihop(seed=seed, scale=scale, world=world_of()).render()),
+        ("Path diversity", "Sec. V-A, Fig. 8", diversity),
+        ("Who gains", "Sec. V-B, Figs. 9-11", factors),
+        ("C4.5 thresholds", "Sec. V-B", classify),
+        ("Economics", "Abstract, Sec. VII-D", cost),
+        ("Placement planning (extension)", "Sec. VII-A", placement),
+        ("Multi-hop overlays (extension)", "Sec. VII-B", multihop),
     ]
     entries = [(title, reference) for title, reference, _build in builders]
     tasks = [

@@ -11,23 +11,16 @@ Two complementary engines:
   control dynamics are the object of study.
 """
 
-from repro.transport.mathis import MATHIS_CONSTANT, mathis_throughput_mbps
-from repro.transport.throughput import FlowStats, TcpParams, steady_state_throughput_mbps
-from repro.transport.tcp import TcpConnection
-from repro.transport.split import SplitTcpChain
-from repro.transport.fluid import FluidSimulator, FluidFlow
-from repro.transport.mptcp import MptcpConnection, MptcpScheme
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MATHIS_CONSTANT",
-    "mathis_throughput_mbps",
-    "FlowStats",
-    "TcpParams",
-    "steady_state_throughput_mbps",
-    "TcpConnection",
-    "SplitTcpChain",
-    "FluidSimulator",
-    "FluidFlow",
-    "MptcpConnection",
-    "MptcpScheme",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "mathis": ("MATHIS_CONSTANT", "mathis_throughput_mbps"),
+        "throughput": ("FlowStats", "TcpParams", "steady_state_throughput_mbps"),
+        "tcp": ("TcpConnection",),
+        "split": ("SplitTcpChain",),
+        "fluid": ("FluidSimulator", "FluidFlow"),
+        "mptcp": ("MptcpConnection", "MptcpScheme"),
+    },
+)

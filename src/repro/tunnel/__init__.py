@@ -9,15 +9,13 @@ A CRONets overlay node is a rented cloud VM that (Sec. II):
   split-TCP proxy.
 """
 
-from repro.tunnel.encap import TunnelSpec, TunnelType
-from repro.tunnel.nat import MasqueradeNat, NatBinding
-from repro.tunnel.node import NodeMode, OverlayNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TunnelSpec",
-    "TunnelType",
-    "MasqueradeNat",
-    "NatBinding",
-    "NodeMode",
-    "OverlayNode",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "encap": ("TunnelSpec", "TunnelType"),
+        "nat": ("MasqueradeNat", "NatBinding"),
+        "node": ("NodeMode", "OverlayNode"),
+    },
+)

@@ -7,7 +7,9 @@
 * the chaos and longitudinal studies print the same result
   in-process (no runner) as on the pool,
 * ``run_tasks`` runs a task list in-process without a runner and
-  raises on failed shards with one.
+  raises on failed shards with one,
+* a fully cached chaos or demand ``--resume`` builds no world, and a
+  partly cached one builds it once.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import json
 import pytest
 
 from repro.errors import ExecError
+from repro.exec.cache import MISS, ResultCache
 from repro.exec.manifest import RunManifest
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
+from repro.experiments import chaos_exp, demand_exp
 from repro.experiments.chaos_exp import (
     STRATEGIES,
     ChaosConfig,
     run_chaos,
 )
 from repro.experiments.controlled import ControlledConfig, run_controlled
+from repro.experiments.demand_exp import DemandConfig, run_demand
 from repro.experiments.longitudinal import run_longitudinal
 from repro.faults.scenarios import SCENARIOS
 from repro.io import dump_json
@@ -185,3 +190,107 @@ class TestRunTasks:
         with pytest.raises(ExecError, match="1 shard"):
             run_tasks(tasks, runner, stage="mixed")
         assert runner.manifest.stage_counts() == {"mixed": (1, 0, 1)}
+
+    def test_prepare_runs_before_the_shards(self):
+        order: list[str] = []
+        tasks = [
+            ExecTask(spec=TaskSpec("t", 7, i, 2), fn=lambda i=i: order.append(f"fn{i}"))
+            for i in range(2)
+        ]
+        run_tasks(tasks, prepare=lambda: order.append("prepare"))
+        assert order == ["prepare", "fn0", "fn1"]
+
+    @pytest.mark.parametrize("resume, cached, prepared", [
+        (True, 2, False),  # fully warm resume: no shard computes
+        (True, 1, True),  # one shard missing: the driver prepares once
+        (False, 2, True),  # without --resume the cache is write-only
+    ])
+    def test_prepare_skipped_only_on_fully_warm_resume(
+        self, tmp_path, resume, cached, prepared
+    ):
+        tasks = [ExecTask(spec=TaskSpec("t", 7, i, 2), fn=lambda i=i: i) for i in range(2)]
+        run_tasks(tasks[:cached], ExecRunner(ExecConfig(cache_dir=tmp_path, use_processes=False)))
+        calls: list[int] = []
+        runner = ExecRunner(
+            ExecConfig(cache_dir=tmp_path, resume=resume, use_processes=False)
+        )
+        assert run_tasks(tasks, runner, prepare=lambda: calls.append(1)) == [0, 1]
+        assert len(calls) == int(prepared)
+
+
+def _chaos_study(runner):
+    config = ChaosConfig(
+        seed=SEED, scale="small", scenarios=("as-outage", "route-flap"), duration_s=300.0
+    )
+    return run_chaos(config, runner)
+
+
+def _demand_study(runner):
+    return run_demand(DemandConfig(seed=SEED, epochs=1, levels=(1.0, 8.0)), runner)
+
+
+@pytest.mark.parametrize("module, study", [
+    (chaos_exp, _chaos_study),
+    (demand_exp, _demand_study),
+], ids=["chaos", "demand"])
+class TestStudyResume:
+    """A fully cached ``--resume`` of chaos or demand builds no world.
+
+    The result fields that derive from the world (the chaos pair and
+    scenario descriptions, the demand pair count) travel in the shard
+    payloads, so the warm run only reads the cache.
+    """
+
+    @staticmethod
+    def _run(module, study, monkeypatch, cache, resume):
+        builds: list[int] = []
+        build_world = module.build_world
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build_world(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_world", counted)
+        runner = ExecRunner(ExecConfig(cache_dir=cache, resume=resume, use_processes=False))
+        result = study(runner)
+        monkeypatch.setattr(module, "build_world", build_world)
+        return result, runner, len(builds)
+
+    def _cold_then_warm(self, module, study, monkeypatch, tmp_path, damage):
+        from repro.io import to_jsonable
+
+        cache = tmp_path / "cache"
+        cold, runner, builds = self._run(module, study, monkeypatch, cache, False)
+        assert builds == 1
+        entry = ResultCache(cache).path_for(runner.manifest.records[-1].key)
+        damage(entry)
+        warm, _runner, builds = self._run(module, study, monkeypatch, cache, True)
+        assert warm.render() == cold.render()
+        assert to_jsonable(warm) == to_jsonable(cold)
+        return entry, builds
+
+    def test_warm_resume_builds_no_world(self, module, study, monkeypatch, tmp_path):
+        _entry, builds = self._cold_then_warm(
+            module, study, monkeypatch, tmp_path, lambda entry: None
+        )
+        assert builds == 0
+
+    def test_missing_entry_builds_the_world_once(
+        self, module, study, monkeypatch, tmp_path
+    ):
+        _entry, builds = self._cold_then_warm(
+            module, study, monkeypatch, tmp_path, lambda entry: entry.unlink()
+        )
+        assert builds == 1
+
+    def test_torn_entry_is_quarantined_and_recomputed(
+        self, module, study, monkeypatch, tmp_path
+    ):
+        def truncate(entry):
+            entry.write_bytes(entry.read_bytes()[:40])
+
+        entry, builds = self._cold_then_warm(module, study, monkeypatch, tmp_path, truncate)
+        # Counted as present by the warm check, it still computes.
+        assert builds == 1
+        assert entry.with_suffix(".corrupt").exists()
+        assert ResultCache(entry.parents[1]).lookup(entry.stem) is not MISS

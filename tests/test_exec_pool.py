@@ -130,6 +130,15 @@ class TestPool:
         assert outcomes[0].status == "error"
         assert "timed out" in outcomes[0].error
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_timeout_rejected_before_any_fork(self, tmp_path, timeout_s):
+        # NaN slips past a plain ``<= 0`` check and inf overflows the
+        # pool's wait; both must fail as bad input, not deep in the pool.
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ExecError, match="positive and finite"):
+            execute_shards(_triples(1, lambda i: (lambda: i)), cache=cache, timeout_s=timeout_s)
+        assert cache.stats() == (0, 0)
+
     def test_resume_serves_cache_without_recompute(self, tmp_path):
         cache = ResultCache(tmp_path)
         tasks = _triples(4, lambda i: (lambda: i * 10))
@@ -195,6 +204,11 @@ class TestRunnerConfig:
             ExecConfig(retries=-1)
         with pytest.raises(ExecError):
             ExecConfig(timeout_s=0.0)
+
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout_s):
+        with pytest.raises(ExecError, match="positive and finite"):
+            ExecConfig(timeout_s=timeout_s)
 
     def test_cache_salt_carries_code_hash(self):
         assert ExecConfig().cache_salt == f"code={code_salt()};"
