@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cloud.datacenter import PortSpeed
-from repro.core.pathset import PathSet, PathType
+from repro.core.pathset import PathType
 from repro.core.selection import MptcpSelector, ProbingSelector
 from repro.experiments.multihop_exp import run_multihop
 from repro.experiments.placement_exp import run_placement

@@ -10,6 +10,7 @@ same numbers as a trajectory snapshot; this test is the hard gate.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -20,6 +21,9 @@ from repro.transport.packetsim import PacketLevelTcp, SimLink
 #: the burst traversal is built for (and the shape of a CRONets
 #: intercontinental overlay path).
 LINKS = [SimLink(400.0, 8.0, loss_prob=1e-4)] + [SimLink(1_000.0, 3.0)] * 11
+#: Timed runs per engine, alternating; the gate compares the medians.
+#: One run each put the ratio within host noise of the gate.
+REPEATS = 5
 
 
 def _segments_per_sec(fastpath: bool) -> float:
@@ -34,10 +38,16 @@ def _segments_per_sec(fastpath: bool) -> float:
 
 def test_packet_fastpath_speedup(benchmark):
     _segments_per_sec(True)  # untimed warmup
-    fast = benchmark.pedantic(
-        lambda: _segments_per_sec(True), rounds=1, iterations=1
-    )
-    scalar = _segments_per_sec(False)
+    fast_rates, scalar_rates = [], []
+
+    def alternate():
+        for _ in range(REPEATS):
+            fast_rates.append(_segments_per_sec(True))
+            scalar_rates.append(_segments_per_sec(False))
+
+    benchmark.pedantic(alternate, rounds=1, iterations=1)
+    fast = statistics.median(fast_rates)
+    scalar = statistics.median(scalar_rates)
     print()
     print(
         f"packet engine: fastpath {fast:,.0f} segs/s, "

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.control.health import PathHealth, PathState, STATE_RANK
+from repro.control.health import PathHealth, STATE_RANK
 from repro.control.probes import ProbeResult
 from repro.errors import ControlError
 

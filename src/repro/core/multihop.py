@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.core.pathset import PathSet
 from repro.errors import ConfigError
 from repro.net.path import RouterPath
 from repro.net.world import Internet
@@ -132,14 +131,3 @@ class MultiHopPathSet:
             for segment in middle_segments
             for link in segment.links
         )
-
-
-def upgrade_pathset(pathset: PathSet, max_hops: int = 2) -> MultiHopPathSet:
-    """Lift a one-hop :class:`PathSet` to a multi-hop one."""
-    return MultiHopPathSet.build(
-        pathset.internet,
-        pathset.src_name,
-        pathset.dst_name,
-        [option.node for option in pathset.options],
-        max_hops=max_hops,
-    )

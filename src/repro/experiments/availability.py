@@ -19,6 +19,7 @@ RON-style headline CRONets inherits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
@@ -45,6 +46,12 @@ class AvailabilityConfig:
     def __post_init__(self) -> None:
         if self.n_pairs <= 0 or self.outages < 0:
             raise ExperimentError("invalid availability config")
+        # A zero or nan interval never ends (or never runs) the check
+        # loop, and a nan horizon leaves no checks to divide by.
+        for name in ("duration_hours", "check_interval_s", "outage_duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ExperimentError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -43,7 +43,7 @@ from repro.colo.facility import DEFAULT_COLO_CITIES, validate_colo_cities
 from repro.colo.site import RelaySite
 from repro.control.policy import QpsWeightedPolicy
 from repro.core.cronet import CRONet
-from repro.core.pathset import PathSet, PathType
+from repro.core.pathset import PathSet
 from repro.demand.engine import DemandEngine, RelayLoadTracker
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity

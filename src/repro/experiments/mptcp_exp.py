@@ -19,8 +19,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.tables import format_table
 from repro.cloud.provider import CloudProvider
 from repro.errors import ExperimentError

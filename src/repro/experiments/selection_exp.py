@@ -17,7 +17,6 @@ overhead, per strategy.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import abc
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,10 +402,3 @@ class ProbeFaultEvent:
             f"probe-{self.fault.value} [{self.window.start_s:g}, "
             f"{self.window.end_s:g})s{prob} on {scope}"
         )
-
-
-def window_for(start_s: float, duration_s: float) -> Window:
-    """A :class:`Window` from ``(start_s, duration_s)``; both must be finite."""
-    if not math.isfinite(start_s) or not math.isfinite(duration_s):
-        raise ConfigError("fault windows must be finite")
-    return Window(start_s=start_s, duration_s=duration_s)

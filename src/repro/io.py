@@ -1,4 +1,4 @@
-"""Result export: experiment outputs as JSON/CSV for downstream use.
+"""Result export: experiment outputs as JSON for downstream use.
 
 Experiment result objects render human-readable text; users who want
 to re-plot or post-process get structured dumps through this module.
@@ -6,14 +6,11 @@ to re-plot or post-process get structured dumps through this module.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import json
 from pathlib import Path
 from typing import Any
-
-from repro.errors import ConfigError
 
 
 def to_jsonable(value: Any) -> Any:
@@ -46,39 +43,3 @@ def dump_json(value: Any, path: str | Path) -> Path:
     target.write_text(json.dumps(to_jsonable(value), indent=2, sort_keys=True))
     return target
 
-
-def dump_series_csv(
-    series: dict[str, list[tuple[float, float]]], path: str | Path
-) -> Path:
-    """Write named (x, y) series — CDF curves — as long-format CSV."""
-    if not series:
-        raise ConfigError("no series to dump")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["series", "x", "y"])
-        for name, points in series.items():
-            for x, y in points:
-                writer.writerow([name, x, y])
-    return target
-
-
-def dump_table_csv(
-    headers: list[str], rows: list[tuple], path: str | Path
-) -> Path:
-    """Write a figure's table rows as CSV."""
-    if not headers:
-        raise ConfigError("table needs headers")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            if len(row) != len(headers):
-                raise ConfigError(
-                    f"row width {len(row)} does not match header width {len(headers)}"
-                )
-            writer.writerow(row)
-    return target

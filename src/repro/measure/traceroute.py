@@ -55,19 +55,3 @@ def traceroute(internet: Internet, path: RouterPath, at_time: float) -> list[Tra
             )
         )
     return hops
-
-
-def as_level_path(internet: Internet, path: RouterPath) -> list[int]:
-    """Collapse a router-level path to its AS sequence (deduplicated)."""
-    sequence: list[int] = []
-    for node_id in path.router_ids:
-        if node_id >= HOST_ID_BASE:
-            host = next(
-                (h for h in internet.hosts.values() if h.host_id == node_id), None
-            )
-            asn = host.asn if host else -1
-        else:
-            asn = internet.routers.get(node_id).asn
-        if not sequence or sequence[-1] != asn:
-            sequence.append(asn)
-    return sequence

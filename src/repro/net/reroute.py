@@ -125,17 +125,6 @@ def live_internal_route(
     return route
 
 
-def has_live_internal_route(
-    internet: "Internet", asn: int, src_id: int, dst_id: int
-) -> bool:
-    """True when the AS's live internal mesh still connects the two routers."""
-    try:
-        live_internal_route(internet, asn, src_id, dst_id)
-    except RoutingError:
-        return False
-    return True
-
-
 def reconvergence_delta_ms(
     internet: "Internet", src_name: str, dst_name: str, at_s: float = 0.0
 ) -> float | None:

@@ -14,7 +14,7 @@ functions of that clock.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -518,7 +518,7 @@ class Internet:
         return cached
 
     def _has_live_internal(self, asn: int, src_id: int, dst_id: int) -> bool:
-        """Epoch-cached :func:`repro.net.reroute.has_live_internal_route`."""
+        """True when the AS's live internal mesh still connects the two routers."""
         try:
             self._live_internal(asn, src_id, dst_id)
         except RoutingError:

@@ -20,7 +20,6 @@ from repro.net.path import PathMetrics
 from repro.transport.cc import RenoCC
 from repro.transport.packetsim import PacketLevelTcp, SimLink
 from repro.transport.throughput import TcpParams, steady_state_throughput_mbps
-from repro.units import DEFAULT_MSS
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,10 +57,3 @@ class TunnelSpec:
         """Fraction of raw link rate left for tunneled TCP payload."""
         return self.inner_mss_bytes / (self.mtu_bytes - IPV4_HEADER - TCP_HEADER)
 
-
-def plain_mss(mtu_bytes: int = DEFAULT_MTU) -> int:
-    """MSS of an untunneled TCP connection at ``mtu_bytes``."""
-    mss = mtu_bytes - IPV4_HEADER - TCP_HEADER
-    if mss <= 0:
-        raise TunnelError(f"MTU {mtu_bytes} too small for TCP/IP headers")
-    return mss

@@ -7,8 +7,7 @@ that side.  This is what makes CRONets deployable against arbitrary
 Internet servers (Sec. II).
 
 The model keeps the real invariants: translations are bijective while
-a binding lives, ports are drawn from a finite pool, and unknown
-reverse flows are rejected.
+a binding lives, and ports are drawn from a finite pool.
 """
 
 from __future__ import annotations
@@ -76,15 +75,6 @@ class MasqueradeNat:
         )
         self._forward[key] = binding
         self._reverse[(binding.nat_ip, binding.nat_port)] = binding
-        return binding
-
-    def untranslate(self, protocol: str, nat_port: int) -> NatBinding:
-        """Inbound (return-traffic) lookup; raises for unknown flows."""
-        binding = self._reverse.get((self.nat_ip, nat_port))
-        if binding is None or binding.protocol != protocol:
-            raise NatError(
-                f"no {protocol} binding for {self.nat_ip}:{nat_port} — unsolicited inbound"
-            )
         return binding
 
     def expire(self, protocol: str, src_ip: str, src_port: int) -> None:

@@ -13,12 +13,8 @@ from __future__ import annotations
 from repro.errors import ConfigError
 
 BITS_PER_BYTE = 8
-BYTES_PER_KB = 1_000
 BYTES_PER_MB = 1_000_000
-BYTES_PER_GB = 1_000_000_000
-MS_PER_SECOND = 1_000.0
 SECONDS_PER_HOUR = 3_600.0
-HOURS_PER_DAY = 24.0
 
 #: Default Ethernet MTU in bytes.
 DEFAULT_MTU = 1_500
@@ -33,34 +29,6 @@ DEFAULT_MSS = DEFAULT_MTU - IPV4_HEADER - TCP_HEADER
 def mbps_to_bytes_per_sec(mbps: float) -> float:
     """Convert a rate in Mbps to bytes/second."""
     return mbps * BYTES_PER_MB / BITS_PER_BYTE
-
-
-def bytes_per_sec_to_mbps(bps: float) -> float:
-    """Convert a rate in bytes/second to Mbps."""
-    return bps * BITS_PER_BYTE / BYTES_PER_MB
-
-
-def transfer_time_seconds(size_bytes: int, rate_mbps: float) -> float:
-    """Seconds needed to move ``size_bytes`` at ``rate_mbps``.
-
-    Raises :class:`ConfigError` for non-positive rates, since a transfer
-    over a dead path has no meaningful duration.
-    """
-    if rate_mbps <= 0:
-        raise ConfigError(f"transfer rate must be positive, got {rate_mbps}")
-    if size_bytes < 0:
-        raise ConfigError(f"size must be non-negative, got {size_bytes}")
-    return size_bytes / mbps_to_bytes_per_sec(rate_mbps)
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms / MS_PER_SECOND
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * MS_PER_SECOND
 
 
 def check_fraction(value: float, name: str) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.core.cronet import CRONet
-from repro.core.multihop import MultiHopPathSet, upgrade_pathset
+from repro.core.multihop import MultiHopPathSet
 from repro.errors import ConfigError
 from repro.net import Internet, TopologyConfig, generate_topology
 from repro.net.asn import ASKind
@@ -83,11 +83,3 @@ class TestThroughput:
         conn = multihop.plain_connection(two_hop)
         assert conn.params.efficiency < 1.0
 
-
-class TestUpgrade:
-    def test_upgrade_pathset(self, multihop_world):
-        internet, cronet = multihop_world
-        pathset = cronet.path_set("srv", "cli")
-        multihop = upgrade_pathset(pathset, max_hops=2)
-        one_hop_names = {o.name for o in multihop.options if o.hop_count == 1}
-        assert one_hop_names == set(cronet.node_names)

@@ -47,6 +47,16 @@ class TestAvailability:
         with pytest.raises(ExperimentError):
             AvailabilityConfig(n_pairs=0)
 
+    # Built only, never run: each of these would hang the check loop or
+    # end in a ZeroDivisionError.
+    @pytest.mark.parametrize(
+        "field", ["duration_hours", "check_interval_s", "outage_duration_s"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_times_rejected(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            AvailabilityConfig(**{field: value})
+
 
 class TestNoFailures:
     def test_everything_up_without_outages(self):

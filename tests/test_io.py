@@ -1,14 +1,10 @@
-"""Result export (JSON/CSV)."""
+"""Result export (JSON)."""
 
 from __future__ import annotations
 
-import csv
 import json
 
-import pytest
-
-from repro.errors import ConfigError
-from repro.io import dump_json, dump_series_csv, dump_table_csv, to_jsonable
+from repro.io import dump_json, to_jsonable
 
 
 class TestToJsonable:
@@ -40,22 +36,3 @@ class TestDumps:
     def test_dump_json(self, tmp_path):
         target = dump_json({"a": [1, 2]}, tmp_path / "out" / "x.json")
         assert json.loads(target.read_text()) == {"a": [1, 2]}
-
-    def test_dump_series_csv(self, tmp_path):
-        target = dump_series_csv(
-            {"cdf": [(1.0, 0.5), (2.0, 1.0)]}, tmp_path / "series.csv"
-        )
-        rows = list(csv.reader(target.open()))
-        assert rows[0] == ["series", "x", "y"]
-        assert len(rows) == 3
-        with pytest.raises(ConfigError):
-            dump_series_csv({}, tmp_path / "empty.csv")
-
-    def test_dump_table_csv(self, tmp_path):
-        target = dump_table_csv(["a", "b"], [(1, 2), (3, 4)], tmp_path / "t.csv")
-        rows = list(csv.reader(target.open()))
-        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
-        with pytest.raises(ConfigError):
-            dump_table_csv(["a"], [(1, 2)], tmp_path / "bad.csv")
-        with pytest.raises(ConfigError):
-            dump_table_csv([], [], tmp_path / "bad2.csv")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.measure import MeasurementCampaign, iperf, traceroute, tstat
-from repro.measure.traceroute import as_level_path
 from repro.transport import TcpConnection
 from repro.transport.throughput import FlowStats
 
@@ -54,14 +53,6 @@ class TestTraceroute:
         rtts = [hop.rtt_ms for hop in hops]
         assert rtts == sorted(rtts)
         assert rtts[0] == 0.0
-
-    def test_as_level_path_dedupes(self, small_internet):
-        path = small_internet.resolve_path("client", "server")
-        sequence = as_level_path(small_internet, path)
-        assert sequence[0] == small_internet.host("client").asn
-        assert sequence[-1] == small_internet.host("server").asn
-        # no immediate repeats
-        assert all(a != b for a, b in zip(sequence, sequence[1:]))
 
 
 class TestCampaign:

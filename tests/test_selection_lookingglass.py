@@ -1,12 +1,11 @@
-"""Selection-regret experiment and the looking glass."""
+"""Selection-regret experiment."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError, TopologyError
+from repro.errors import ExperimentError
 from repro.experiments.selection_exp import run_selection
-from repro.net.looking_glass import show_bgp, show_neighbors, show_path
 
 
 @pytest.fixture(scope="module")
@@ -50,32 +49,3 @@ class TestSelectionRegret:
         with pytest.raises(ExperimentError):
             selection.by_name("carrier-pigeon")
 
-
-class TestLookingGlass:
-    def test_show_bgp_lists_and_stars_candidates(self, small_internet):
-        client = small_internet.host("client")
-        server = small_internet.host("server")
-        text = show_bgp(small_internet, client.asn, server.asn)
-        assert "as-path" in text
-        assert "*" in text
-        assert f"AS{server.asn}" in text
-
-    def test_show_bgp_no_route(self, small_internet):
-        client = small_internet.host("client")
-        assert "no route" in show_bgp(small_internet, client.asn, client.asn).lower() or (
-            "best" in show_bgp(small_internet, client.asn, client.asn)
-        )
-
-    def test_show_neighbors(self, small_internet):
-        client = small_internet.host("client")
-        text = show_neighbors(small_internet, client.asn)
-        assert "provider" in text
-        with pytest.raises(TopologyError):
-            show_neighbors(small_internet, 999_999)
-
-    def test_show_path(self, small_internet):
-        text = show_path(small_internet, "client", "server", at_time=3_600.0)
-        assert "client" in text
-        assert "server" in text
-        assert "rtt=" in text
-        assert "host_access" in text

@@ -1,4 +1,4 @@
-"""MasqueradeNat edge cases: pool exhaustion and unsolicited inbound."""
+"""MasqueradeNat edge cases: pool exhaustion and unknown flows."""
 
 from __future__ import annotations
 
@@ -34,24 +34,6 @@ class TestPortExhaustion:
 
 
 class TestUnknownMappings:
-    def test_unsolicited_inbound_rejected(self):
-        nat = MasqueradeNat("9.9.9.9")
-        with pytest.raises(NatError, match="unsolicited"):
-            nat.untranslate("tcp", 40_000)
-
-    def test_protocol_mismatch_rejected(self):
-        nat = MasqueradeNat("9.9.9.9")
-        binding = nat.translate("tcp", "10.0.0.1", 1000)
-        with pytest.raises(NatError, match="no udp binding"):
-            nat.untranslate("udp", binding.nat_port)
-
-    def test_expired_binding_no_longer_reversible(self):
-        nat = MasqueradeNat("9.9.9.9")
-        binding = nat.translate("tcp", "10.0.0.1", 1000)
-        nat.expire("tcp", "10.0.0.1", 1000)
-        with pytest.raises(NatError):
-            nat.untranslate("tcp", binding.nat_port)
-
     def test_expiring_unknown_flow_rejected(self):
         nat = MasqueradeNat("9.9.9.9")
         with pytest.raises(NatError, match="no binding"):

@@ -3,36 +3,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro import units
 
 
 class TestConversions:
-    def test_mbps_to_bytes_roundtrip(self):
-        assert units.bytes_per_sec_to_mbps(units.mbps_to_bytes_per_sec(100.0)) == pytest.approx(
-            100.0
-        )
-
     def test_mbps_to_bytes_per_sec_value(self):
         # 8 Mbps = 1 MB/s
         assert units.mbps_to_bytes_per_sec(8.0) == pytest.approx(1_000_000.0)
-
-    def test_ms_seconds_roundtrip(self):
-        assert units.seconds_to_ms(units.ms_to_seconds(123.4)) == pytest.approx(123.4)
-
-    def test_transfer_time(self):
-        # 100 MB at 100 Mbps = 8 seconds
-        assert units.transfer_time_seconds(100_000_000, 100.0) == pytest.approx(8.0)
-
-    def test_transfer_time_rejects_zero_rate(self):
-        with pytest.raises(ConfigError):
-            units.transfer_time_seconds(1_000, 0.0)
-
-    def test_transfer_time_rejects_negative_size(self):
-        with pytest.raises(ConfigError):
-            units.transfer_time_seconds(-1, 10.0)
 
     def test_default_mss(self):
         assert units.DEFAULT_MSS == 1460
@@ -58,17 +37,3 @@ class TestValidators:
         with pytest.raises(ConfigError):
             units.check_non_negative(-0.1, "x")
 
-
-@given(st.floats(min_value=0.001, max_value=1e6))
-def test_rate_roundtrip_property(mbps):
-    assert units.bytes_per_sec_to_mbps(units.mbps_to_bytes_per_sec(mbps)) == pytest.approx(mbps)
-
-
-@given(
-    st.integers(min_value=0, max_value=10**12),
-    st.floats(min_value=0.01, max_value=1e5),
-)
-def test_transfer_time_scales_inversely_with_rate(size, rate):
-    t1 = units.transfer_time_seconds(size, rate)
-    t2 = units.transfer_time_seconds(size, rate * 2)
-    assert t2 == pytest.approx(t1 / 2)
