@@ -31,25 +31,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
-from repro.control.controller import ControllerReport, OverlayController
-from repro.control.degradation import DegradationConfig
-from repro.control.health import HealthConfig
-from repro.control.metrics import MetricsRegistry
-from repro.control.policy import (
-    BestPathPolicy,
-    C45RulePolicy,
-    MptcpSubflowPolicy,
-    Policy,
-    StaticPolicy,
-)
-from repro.control.probes import ProbeConfig, ProbeScheduler
-from repro.core.pathset import PathSet
 from repro.errors import ExperimentError
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.spec import TaskSpec
-from repro.experiments.scenario import World, build_world
 from repro.faults.events import GrayFailure
-from repro.faults.injector import FaultInjector, PathFaultHistory, ProbeFaultModel
 from repro.faults.scenarios import (
     DEFAULT_SCENARIOS,
     SCENARIOS,
@@ -58,8 +43,18 @@ from repro.faults.scenarios import (
 )
 from repro.io import to_jsonable
 
+# The engines load on the compute path only: a fully cached
+# ``--resume`` needs the config, the scenario names and ``render``.
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    from repro.control.controller import ControllerReport
+    from repro.control.degradation import DegradationConfig
+    from repro.control.policy import Policy
+    from repro.control.probes import ProbeConfig
+    from repro.core.pathset import PathSet
     from repro.exec.runner import ExecRunner
+    from repro.experiments.scenario import World
+    from repro.faults.injector import FaultInjector
+    from repro.net.path import RouterPath
 
 #: The two controller configurations every scenario is replayed under.
 #: ``ChaosConfig.adaptive`` appends a third arm (hardened + adaptive
@@ -145,6 +140,8 @@ class ChaosConfig:
 
     def hardened_probes(self) -> ProbeConfig:
         """The hardened arm's probe configuration."""
+        from repro.control.probes import ProbeConfig
+
         return ProbeConfig(
             interval_s=self.probe_interval_s,
             timeout_ms=2_000.0,
@@ -155,6 +152,8 @@ class ChaosConfig:
 
     def adaptive_probes(self) -> ProbeConfig:
         """The adaptive arm: hardened probing plus cadence adaptation."""
+        from repro.control.probes import ProbeConfig
+
         return ProbeConfig(
             interval_s=self.probe_interval_s,
             timeout_ms=2_000.0,
@@ -168,6 +167,8 @@ class ChaosConfig:
 
     def degradation(self) -> DegradationConfig:
         """The hardened arm's degradation ladder, scaled to the cadence."""
+        from repro.control.degradation import DegradationConfig
+
         return DegradationConfig(
             stale_after_s=2.5 * self.probe_interval_s,
             blackout_after_s=5.0 * self.probe_interval_s,
@@ -267,28 +268,38 @@ class ChaosResult:
         return "\n\n".join(sections)
 
 
-#: Strategy name -> (policy factory, needs a probe scheduler).
-STRATEGIES: tuple[tuple[str, type[Policy] | None], ...] = (
-    ("static-direct", None),
-    ("controller-best", BestPathPolicy),
-    ("controller-c45", C45RulePolicy),
-    ("mptcp-subflows", MptcpSubflowPolicy),
+#: The strategies every arm replays, in output order.  Only
+#: ``static-direct`` runs without a probe scheduler.
+STRATEGIES: tuple[str, ...] = (
+    "static-direct",
+    "controller-best",
+    "controller-c45",
+    "mptcp-subflows",
 )
 
 
 def _policy_for(strategy: str, config: ChaosConfig, arm: str) -> tuple[Policy, bool]:
-    for name, factory in STRATEGIES:
-        if name == strategy:
-            if factory is None:
-                return StaticPolicy("direct"), False
-            if arm == "adaptive" and config.use_flap_margin and factory is BestPathPolicy:
-                return (
-                    BestPathPolicy(
-                        flap_margin_per_failure=config.flap_margin_per_failure
-                    ),
-                    True,
-                )
-            return factory(), True
+    """The strategy's policy, and whether it needs a probe scheduler."""
+    from repro.control.policy import (
+        BestPathPolicy,
+        C45RulePolicy,
+        MptcpSubflowPolicy,
+        StaticPolicy,
+    )
+
+    if strategy == "static-direct":
+        return StaticPolicy("direct"), False
+    if strategy == "controller-best":
+        if arm == "adaptive" and config.use_flap_margin:
+            return (
+                BestPathPolicy(flap_margin_per_failure=config.flap_margin_per_failure),
+                True,
+            )
+        return BestPathPolicy(), True
+    if strategy == "controller-c45":
+        return C45RulePolicy(), True
+    if strategy == "mptcp-subflows":
+        return MptcpSubflowPolicy(), True
     raise ExperimentError(f"unknown strategy {strategy!r}")
 
 
@@ -363,6 +374,12 @@ def _run_one(
     injector: FaultInjector,
 ) -> ChaosOutcome:
     """One controller run from t=0 against an installed scenario."""
+    from repro.control.controller import OverlayController
+    from repro.control.health import HealthConfig
+    from repro.control.metrics import MetricsRegistry
+    from repro.control.probes import ProbeConfig, ProbeScheduler
+    from repro.faults.injector import PathFaultHistory, ProbeFaultModel
+
     world.internet.set_time(0.0)
     policy, probed = _policy_for(strategy, config, arm)
     hardened = arm in ("hardened", "adaptive")
@@ -441,6 +458,8 @@ def _run_scenario(
     The runs replay one fault timeline, so the first fills the
     ``(t, state id)`` metric caches and the rest hit them (DESIGN §15).
     """
+    from repro.faults.injector import FaultInjector
+
     injector = FaultInjector(world.internet)
     for event in scenario.events:
         injector.add(event)
@@ -449,7 +468,7 @@ def _run_scenario(
         return [
             _run_one(world, pathset, scenario, strategy, arm, config, injector)
             for arm in config.arms
-            for strategy, _ in STRATEGIES
+            for strategy in STRATEGIES
         ]
     finally:
         injector.uninstall()
@@ -457,7 +476,16 @@ def _run_scenario(
 
 
 def _study_inputs(config: ChaosConfig) -> tuple[World, PathSet, dict[str, ChaosScenario]]:
-    """The world, the chaos pair and its built scenarios."""
+    """The world, the chaos pair and its built scenarios.
+
+    This is the study's ``prepare``: it runs in the driver before any
+    fork, so it also loads the engines the shards run, and forked
+    shards inherit them instead of each importing its own.
+    """
+    import repro.control.controller  # noqa: F401
+    import repro.faults.injector  # noqa: F401
+    from repro.experiments.scenario import build_world
+
     world = build_world(seed=config.seed, scale=config.scale)
     pathset, scenarios = _pick_pathset(world, world.cronet(), config)
     return world, pathset, scenarios
@@ -639,6 +667,8 @@ def run_chaos_packet(
     """
     import numpy as np
 
+    from repro.experiments.scenario import build_world
+    from repro.faults.injector import FaultInjector
     from repro.faults.scenarios import replay_instants
     from repro.transport.packetsim import PacketLevelTcp, sim_links_at, sim_path_metrics
     from repro.transport.throughput import TcpParams, steady_state_throughput_mbps

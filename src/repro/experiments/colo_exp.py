@@ -29,6 +29,7 @@ columns reuse the demand engine's per-(seed, city, epoch) seeding.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.shard import default_shard_count, partition_indices
 from repro.exec.spec import TaskSpec
 from repro.experiments.classify import FEATURES
-from repro.experiments.demand_exp import _city_clients, build_pair_routes
+from repro.experiments.demand_exp import _city_clients, build_pair_routes, check_demand_knobs
 from repro.experiments.scenario import World, build_world
 from repro.geo import city as lookup_city
 
@@ -111,10 +112,13 @@ class ColoConfig:
             raise ExperimentError(
                 "colo/mixed footprints need at least one colo facility city"
             )
-        if self.demand_level <= 0:
-            raise ExperimentError(f"demand level must be positive, got {self.demand_level}")
+        if not 0 < self.demand_level < math.inf:
+            raise ExperimentError(
+                f"demand_level must be positive and finite, got {self.demand_level}"
+            )
         if self.demand_epochs < 1:
             raise ExperimentError(f"demand epochs must be >= 1, got {self.demand_epochs}")
+        check_demand_knobs(self)
 
     @property
     def at_time(self) -> float:

@@ -31,24 +31,21 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
 from repro.cloud.datacenter import PortSpeed
-from repro.control.policy import (
-    AnycastIngressPolicy,
-    BestPathPolicy,
-    Policy,
-    QpsWeightedPolicy,
-)
-from repro.core.cronet import CRONet
-from repro.core.pathset import PathType
-from repro.demand.engine import DemandEngine, PairRoutes, RelayLoadTracker
-from repro.demand.model import DemandModel
-from repro.demand.relay import RelayCapacity
 from repro.errors import ExperimentError
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.spec import TaskSpec
-from repro.experiments.scenario import World, build_world
 
+# The engines load on the compute path only: a fully cached
+# ``--resume`` needs the config and ``render``.
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    from repro.control.policy import Policy
+    from repro.core.cronet import CRONet
+    from repro.demand.engine import DemandEngine, PairRoutes, RelayLoadTracker
+    from repro.demand.model import DemandModel
+    from repro.demand.relay import RelayCapacity
     from repro.exec.runner import ExecRunner
+    from repro.experiments.colo_exp import ColoConfig
+    from repro.experiments.scenario import World
 
 #: Policies the study compares (load-blind baseline first).
 POLICIES: tuple[str, ...] = ("best-path", "qps-weighted", "anycast")
@@ -58,6 +55,23 @@ POLICIES: tuple[str, ...] = ("best-path", "qps-weighted", "anycast")
 #: needs headroom: at 10 G the single-core CPU budget (~1.4 Gbps of
 #: MSS-sized packets) is the interesting ceiling, as in Sec. II.
 RELAY_PORT_SPEED = PortSpeed.GBPS_10
+
+
+def check_demand_knobs(config: "DemandConfig | ColoConfig") -> None:
+    """Reject engine knobs the demand engine cannot run.
+
+    Shared by :class:`DemandConfig` and the colo study's config, so a
+    bad value fails before any world build or fork.  ``nan`` fails
+    every comparison, so each bound is written to reject it.
+    """
+    for name in ("epoch_s", "qps_per_client", "flow_rate_mbps", "mean_flow_s"):
+        value = getattr(config, name)
+        if not 0 < value < math.inf:
+            raise ExperimentError(f"{name} must be positive and finite, got {value}")
+    if config.rounds < 1:
+        raise ExperimentError(f"rounds must be >= 1, got {config.rounds}")
+    if not 0 <= config.at_hours < math.inf:
+        raise ExperimentError(f"at_hours must be >= 0 and finite, got {config.at_hours}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +109,7 @@ class DemandConfig:
             raise ExperimentError(f"duplicate levels: {self.levels}")
         if self.epochs < 1:
             raise ExperimentError(f"epochs must be >= 1, got {self.epochs}")
-        if self.epoch_s <= 0:
-            raise ExperimentError(f"epoch_s must be positive, got {self.epoch_s}")
+        check_demand_knobs(self)
         if not self.policies:
             raise ExperimentError("demand study needs at least one policy")
         unknown = [name for name in self.policies if name not in POLICIES]
@@ -121,6 +134,9 @@ def build_pair_routes(world: World, cronet: CRONet, at_time: float) -> list[Pair
     toward the user — which is also the user's *ingress* hop, the RTT
     anycast assignment ranks on.
     """
+    from repro.core.pathset import PathType
+    from repro.demand.engine import PairRoutes
+
     pairs: list[PairRoutes] = []
     pair_id = 0
     for client in sorted(world.client_names()):
@@ -165,6 +181,8 @@ def _build_relays(cronet: CRONet) -> list[RelayCapacity]:
     with each site's own pps budget.  Legacy site-less overlays fall
     back to the provider's rented-VM list.
     """
+    from repro.demand.relay import RelayCapacity
+
     if cronet.sites:
         by_name = {site.name: site for site in cronet.sites}
         relays = []
@@ -197,6 +215,12 @@ def _city_clients(world: World) -> dict[str, int]:
 
 def _policy_for(name: str, tracker: RelayLoadTracker) -> Policy:
     """Instantiate one study policy (load-aware ones get the tracker)."""
+    from repro.control.policy import (
+        AnycastIngressPolicy,
+        BestPathPolicy,
+        QpsWeightedPolicy,
+    )
+
     if name == "best-path":
         return BestPathPolicy()
     if name == "qps-weighted":
@@ -215,6 +239,8 @@ def _build_engine(
     config: DemandConfig,
 ) -> DemandEngine:
     """One arm's engine: its own tracker, policy, and load level."""
+    from repro.demand.engine import DemandEngine, RelayLoadTracker
+
     tracker = RelayLoadTracker()
     return DemandEngine(
         pairs=pairs,
@@ -341,7 +367,16 @@ class DemandResult:
 def _study_inputs(
     config: DemandConfig,
 ) -> tuple[list[PairRoutes], list[RelayCapacity], DemandModel]:
-    """Build the (routes, relays, population) every arm shares."""
+    """Build the (routes, relays, population) every arm shares.
+
+    This is the study's ``prepare``: it runs in the driver before any
+    fork, and ``build_pair_routes`` loads the demand engine, so forked
+    shards inherit it instead of each importing their own.
+    """
+    from repro.core.cronet import CRONet
+    from repro.demand.model import DemandModel
+    from repro.experiments.scenario import build_world
+
     world = build_world(seed=config.seed, scale=config.scale)
     cronet = CRONet.build(
         world.internet,

@@ -33,10 +33,12 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,8 +30,8 @@ has something to win:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.pathset import PathSet, PathType
 from repro.errors import ExperimentError, RoutingError
 from repro.faults.events import (
     AsOutage,
@@ -45,10 +45,11 @@ from repro.faults.events import (
     RouteFlap,
     Window,
 )
-from repro.net.links import LinkClass
-from repro.net.path import RouterPath
-from repro.net.reroute import reconvergence_delta_ms
-from repro.net.world import HOST_ID_BASE, Internet
+
+if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    from repro.core.pathset import PathSet
+    from repro.net.path import RouterPath
+    from repro.net.world import Internet
 
 
 @dataclass
@@ -101,6 +102,8 @@ def overlay_only_link(pathset: PathSet, name: str) -> int:
 
 def best_overlay_name(pathset: PathSet) -> str:
     """The overlay option with the best split-mode throughput at t=0."""
+    from repro.core.pathset import PathType
+
     name, _ = pathset.best_overlay(PathType.SPLIT_OVERLAY, 0.0)
     return name
 
@@ -123,6 +126,8 @@ def pop_outage_target(internet: Internet, pathset: PathSet) -> tuple[int, str]:
     link set leaves the direct path untouched (the safe harbour must
     survive a *partial* event).
     """
+    from repro.net.world import HOST_ID_BASE
+
     best = best_overlay_name(pathset)
     target = next(o.concatenated for o in pathset.options if o.name == best)
     direct_links = {link.link_id for link in pathset.direct.links}
@@ -156,6 +161,8 @@ def _reconvergence_note(
     purely a read of the converged state, deterministic for a fixed
     world.
     """
+    from repro.net.reroute import reconvergence_delta_ms
+
     affected = None
     for option in pathset.options:
         for leg in (option.leg_to_node, option.leg_from_node):
@@ -195,6 +202,8 @@ def _reconvergence_note(
 
 def core_links(path: RouterPath) -> tuple[int, ...]:
     """The path's non-last-mile links (storm targets)."""
+    from repro.net.links import LinkClass
+
     return tuple(
         link.link_id
         for link in path.links

@@ -277,6 +277,36 @@ class TestNonFiniteNumbers:
         assert out.stdout == ""
 
 
+class TestConfigFailsFirst:
+    """A bad study config exits 1 before any world build or fork.
+
+    The studies' run functions, where both happen, are replaced by one
+    that fails the test if it is ever reached.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demand", "--rounds", "0"),
+            ("colo", "--load-level", "nan"),
+            ("colo", "--load-level", "inf"),
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_before_the_study_runs(self, argv, monkeypatch, capsys, tmp_path):
+        def unreachable(config, runner=None):
+            raise AssertionError("the study ran with a config it should have rejected")
+
+        monkeypatch.setattr("repro.experiments.demand_exp.run_demand", unreachable)
+        monkeypatch.setattr("repro.experiments.colo_exp.run_colo", unreachable)
+        exec_flags = ["--workers", "2", "--cache-dir", str(tmp_path / "cache")]
+        assert main([*argv, *exec_flags]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert out.out == ""
+        assert not (tmp_path / "cache").exists()
+
+
 class TestExplicitFlagsBeatFast:
     """``--fast`` picks defaults only: a flag given explicitly wins.
 

@@ -15,6 +15,19 @@ SEED = 7
 #: Tiny-but-complete sizing shared by the parity tests below.
 FAST = dict(seed=SEED, scale="small", n_clients=6, n_servers=2, demand_epochs=2)
 
+#: Demand knobs the config must reject before any world build.
+#: ``nan <= 0`` is False, so a nan load level used to pass.
+BAD_DEMAND_KNOBS = [
+    ("demand_level", float("nan")),
+    ("demand_level", float("inf")),
+    ("epoch_s", float("nan")),
+    ("rounds", 0),
+    ("qps_per_client", -1.0),
+    ("flow_rate_mbps", 0.0),
+    ("mean_flow_s", float("inf")),
+    ("at_hours", float("nan")),
+]
+
 
 def _world_fingerprint(world) -> list[tuple]:
     """Every link's static parameters, in id order."""
@@ -49,6 +62,11 @@ class TestConfig:
             ColoConfig(demand_level=0.0)
         with pytest.raises(ExperimentError):
             ColoConfig(demand_epochs=0)
+
+    @pytest.mark.parametrize("name, value", BAD_DEMAND_KNOBS, ids=str)
+    def test_rejects_bad_demand_knobs(self, name, value):
+        with pytest.raises(ExperimentError, match=name):
+            ColoConfig(**{name: value})
 
 
 class TestZeroColoIdentity:

@@ -20,6 +20,18 @@ SEED = 7
 FAST = dict(seed=SEED, epochs=4, levels=(1.0, 8.0))
 GOLDEN = Path(__file__).parent / "golden"
 
+#: Engine knobs the demand and colo configs must reject up front.
+BAD_ENGINE_KNOBS = [
+    ("epoch_s", float("nan")),
+    ("epoch_s", float("inf")),
+    ("rounds", 0),
+    ("qps_per_client", float("nan")),
+    ("qps_per_client", -1.0),
+    ("flow_rate_mbps", 0.0),
+    ("mean_flow_s", float("inf")),
+    ("at_hours", float("nan")),
+]
+
 
 @pytest.fixture(scope="module")
 def fast_result():
@@ -48,6 +60,13 @@ class TestConfig:
     def test_rejects_bad_epochs(self):
         with pytest.raises(ExperimentError):
             DemandConfig(epochs=0)
+
+    @pytest.mark.parametrize("name, value", BAD_ENGINE_KNOBS, ids=str)
+    def test_rejects_bad_engine_knobs(self, name, value):
+        # Each used to pass validation and fail in every shard, after
+        # the world build and the fork.
+        with pytest.raises(ExperimentError, match=name):
+            DemandConfig(**{name: value})
 
     def test_arms_cross_policies_and_levels(self):
         config = DemandConfig(levels=(1.0, 2.0), policies=("best-path", "anycast"))

@@ -24,7 +24,7 @@ from repro.exec.manifest import RunManifest
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
-from repro.experiments import chaos_exp, demand_exp
+from repro.experiments import scenario
 from repro.experiments.chaos_exp import (
     STRATEGIES,
     ChaosConfig,
@@ -229,67 +229,62 @@ def _demand_study(runner):
     return run_demand(DemandConfig(seed=SEED, epochs=1, levels=(1.0, 8.0)), runner)
 
 
-@pytest.mark.parametrize("module, study", [
-    (chaos_exp, _chaos_study),
-    (demand_exp, _demand_study),
-], ids=["chaos", "demand"])
+@pytest.mark.parametrize("study", [_chaos_study, _demand_study], ids=["chaos", "demand"])
 class TestStudyResume:
     """A fully cached ``--resume`` of chaos or demand builds no world.
 
     The result fields that derive from the world (the chaos pair and
     scenario descriptions, the demand pair count) travel in the shard
-    payloads, so the warm run only reads the cache.
+    payloads, so the warm run only reads the cache.  Both studies
+    import ``build_world`` where they call it, so counting calls on
+    its module sees every build.
     """
 
     @staticmethod
-    def _run(module, study, monkeypatch, cache, resume):
+    def _run(study, monkeypatch, cache, resume):
         builds: list[int] = []
-        build_world = module.build_world
+        build_world = scenario.build_world
 
         def counted(*args, **kwargs):
             builds.append(1)
             return build_world(*args, **kwargs)
 
-        monkeypatch.setattr(module, "build_world", counted)
+        monkeypatch.setattr(scenario, "build_world", counted)
         runner = ExecRunner(ExecConfig(cache_dir=cache, resume=resume, use_processes=False))
         result = study(runner)
-        monkeypatch.setattr(module, "build_world", build_world)
+        monkeypatch.setattr(scenario, "build_world", build_world)
         return result, runner, len(builds)
 
-    def _cold_then_warm(self, module, study, monkeypatch, tmp_path, damage):
+    def _cold_then_warm(self, study, monkeypatch, tmp_path, damage):
         from repro.io import to_jsonable
 
         cache = tmp_path / "cache"
-        cold, runner, builds = self._run(module, study, monkeypatch, cache, False)
+        cold, runner, builds = self._run(study, monkeypatch, cache, False)
         assert builds == 1
         entry = ResultCache(cache).path_for(runner.manifest.records[-1].key)
         damage(entry)
-        warm, _runner, builds = self._run(module, study, monkeypatch, cache, True)
+        warm, _runner, builds = self._run(study, monkeypatch, cache, True)
         assert warm.render() == cold.render()
         assert to_jsonable(warm) == to_jsonable(cold)
         return entry, builds
 
-    def test_warm_resume_builds_no_world(self, module, study, monkeypatch, tmp_path):
+    def test_warm_resume_builds_no_world(self, study, monkeypatch, tmp_path):
         _entry, builds = self._cold_then_warm(
-            module, study, monkeypatch, tmp_path, lambda entry: None
+            study, monkeypatch, tmp_path, lambda entry: None
         )
         assert builds == 0
 
-    def test_missing_entry_builds_the_world_once(
-        self, module, study, monkeypatch, tmp_path
-    ):
+    def test_missing_entry_builds_the_world_once(self, study, monkeypatch, tmp_path):
         _entry, builds = self._cold_then_warm(
-            module, study, monkeypatch, tmp_path, lambda entry: entry.unlink()
+            study, monkeypatch, tmp_path, lambda entry: entry.unlink()
         )
         assert builds == 1
 
-    def test_torn_entry_is_quarantined_and_recomputed(
-        self, module, study, monkeypatch, tmp_path
-    ):
+    def test_torn_entry_is_quarantined_and_recomputed(self, study, monkeypatch, tmp_path):
         def truncate(entry):
             entry.write_bytes(entry.read_bytes()[:40])
 
-        entry, builds = self._cold_then_warm(module, study, monkeypatch, tmp_path, truncate)
+        entry, builds = self._cold_then_warm(study, monkeypatch, tmp_path, truncate)
         # Counted as present by the warm check, it still computes.
         assert builds == 1
         assert entry.with_suffix(".corrupt").exists()

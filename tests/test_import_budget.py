@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.exec.runner import ExecConfig, ExecRunner
 from repro.report import write_report
@@ -29,17 +31,40 @@ def _python(code: str) -> str:
     return out.stdout
 
 
-def _loaded(code: str, heavy: list[str]) -> list[str]:
-    """The ``heavy`` modules a fresh interpreter has loaded after ``code``.
+def _run_loaded(code: str, heavy: list[str]) -> tuple[str, list[str]]:
+    """What ``code`` prints, and the ``heavy`` modules loaded after it.
 
-    They are printed on the last line, after whatever ``code`` prints.
+    Both come from one fresh interpreter; the modules are printed on
+    the last line, after whatever ``code`` prints.
     """
     probe = (
         "import sys\n"
         f"{code}\n"
         f"print(' '.join(sorted({heavy!r} & sys.modules.keys())))\n"
     )
-    return _python(probe).splitlines()[-1].split()
+    *printed, loaded = _python(probe).splitlines()
+    return "".join(f"{line}\n" for line in printed), loaded.split()
+
+
+def _loaded(code: str, heavy: list[str]) -> list[str]:
+    """The ``heavy`` modules a fresh interpreter has loaded after ``code``."""
+    return _run_loaded(code, heavy)[1]
+
+
+def _cli(argv: list[str]) -> str:
+    """``main(argv)`` as a line of code that must exit 0."""
+    return f"from repro.cli import main\nassert main({argv!r}) == 0"
+
+
+#: What a fully cached chaos or demand run must not load: the numeric
+#: stack, the engines and the world.
+ENGINES = [
+    "numpy",
+    "repro.control.controller",
+    "repro.demand.engine",
+    "repro.experiments.scenario",
+    "repro.net.world",
+]
 
 
 class TestImportBudget:
@@ -59,15 +84,36 @@ class TestImportBudget:
             "report", "--scale", "small", "--seed", "7", "--resume",
             "--cache-dir", str(cache), "--out", str(warm),
         ]
-        code = f"from repro.cli import main\nassert main({argv!r}) == 0"
         heavy = ["numpy", "repro.experiments.scenario", "repro.net.world"]
-        assert _loaded(code, heavy) == []
+        assert _loaded(_cli(argv), heavy) == []
         # Served, not recomputed: every section body is the cold run's.
         cold_sections = (tmp_path / "cold.md").read_text().split("## ")
         warm_sections = warm.read_text().split("## ")
         assert [s for s in warm_sections if not s.startswith("Measurement health")] == [
             s for s in cold_sections if not s.startswith("Measurement health")
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chaos", "--scenario", "all", "--fast"], ["demand", "--fast"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_warm_study_resume_imports_no_engine(self, argv, tmp_path):
+        cache = str(tmp_path / "cache")
+        study = [*argv, "--seed", "7", "--cache-dir", cache]
+        cold = _python(_cli([*study, "--workers", "1", "--out", str(tmp_path / "cold.json")]))
+        warm, loaded = _run_loaded(
+            _cli([*study, "--resume", "--out", str(tmp_path / "warm.json")]), ENGINES
+        )
+        assert loaded == []
+        # Served, not recomputed: the warm run prints and writes the cold run's result.
+        assert warm.replace("warm.json", "cold.json") == cold
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+    def test_list_scenarios_loads_no_numpy(self):
+        printed, loaded = _run_loaded(_cli(["chaos", "--list-scenarios"]), ENGINES)
+        assert loaded == []
+        assert "  gray-detect\n" in printed
 
     def test_reexport_that_shadows_its_submodule_stays_the_function(self):
         # Importing ``repro.measure.traceroute`` binds the module under
