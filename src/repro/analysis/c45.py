@@ -19,7 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, check
 
 #: z for the CF=25% one-sided confidence bound C4.5 uses when pruning.
 PRUNING_Z = 0.6745
@@ -127,13 +127,11 @@ class C45Tree:
     ) -> None:
         if not feature_names:
             raise AnalysisError("need at least one feature")
-        if min_samples_leaf < 1:
-            raise AnalysisError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-        if max_depth < 1:
-            raise AnalysisError(f"max_depth must be >= 1, got {max_depth}")
         self.feature_names = list(feature_names)
-        self.min_samples_leaf = min_samples_leaf
-        self.max_depth = max_depth
+        self.min_samples_leaf = check(
+            min_samples_leaf, "min_samples_leaf", ge=1, error=AnalysisError
+        )
+        self.max_depth = check(max_depth, "max_depth", ge=1, error=AnalysisError)
         self.prune = prune
         self._root: _Node | None = None
 

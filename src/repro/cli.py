@@ -338,6 +338,14 @@ def _fast_default(given, fast: bool, smoke, default):
     return smoke if fast else default
 
 
+#: ``chaos`` flags that configure the controller, which the packet
+#: replay does not run.
+_CONTROLLER_FLAGS = (
+    "tick", "probe_interval", "adaptive", "adaptive_cadence", "gray_detect",
+    "flap_margin", "probe_floor", "probe_ceiling",
+)
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.faults.scenarios import SCENARIOS
@@ -357,8 +365,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # with the probe cadence, so --fast shrinks both and keeps every
     # scenario's story intact at a quarter of the ticks.
     duration = _fast_default(args.duration, args.fast, 900.0, 3_600.0)
-    tick = _fast_default(args.tick, args.fast, 5.0, 10.0)
-    interval = _fast_default(args.probe_interval, args.fast, 15.0, 60.0)
     if args.engine == "packet":
         from repro.errors import ExperimentError
         from repro.experiments.chaos_exp import PacketReplayConfig, run_chaos_packet
@@ -366,6 +372,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.workers is not None or args.resume:
             raise ExperimentError(
                 "--engine packet replays serially; drop the exec flags"
+            )
+        # The replay runs no controller: a controller flag would be
+        # silently ignored, so it is refused instead.  Identity tests,
+        # because ``--tick 0`` is given yet ``0.0 == False``.
+        given = [
+            f"--{dest.replace('_', '-')}"
+            for dest in _CONTROLLER_FLAGS
+            if getattr(args, dest) is not None and getattr(args, dest) is not False
+        ]
+        if given:
+            raise ExperimentError(
+                f"--engine packet runs no controller; drop {', '.join(given)}"
             )
         packet_config = PacketReplayConfig(
             seed=args.seed,
@@ -389,8 +407,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         scale=args.scale,
         scenarios=scenarios,
         duration_s=duration,
-        tick_s=tick,
-        probe_interval_s=interval,
+        tick_s=_fast_default(args.tick, args.fast, 5.0, 10.0),
+        probe_interval_s=_fast_default(args.probe_interval, args.fast, 15.0, 60.0),
         adaptive=args.adaptive,
         adaptive_cadence=args.adaptive_cadence,
         gray_detect=args.gray_detect,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.datacenter import DataCenter, PortSpeed
-from repro.errors import CloudError
+from repro.errors import CloudError, check
 from repro.net.world import Host
 
 #: Packets/sec a single-core relay VM can forward through the tunnel
@@ -37,8 +37,7 @@ class VirtualServer:
                 f"host NIC ({self.host.nic_mbps} Mbps) does not match "
                 f"port speed {self.port_speed.mbps} Mbps"
             )
-        if self.monthly_cost_usd < 0:
-            raise CloudError(f"negative monthly cost {self.monthly_cost_usd}")
+        check(self.monthly_cost_usd, "monthly_cost_usd", ge=0, error=CloudError)
 
     @property
     def name(self) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.cloud.datacenter import PortSpeed
 from repro.colo.facility import ColoFacility, validate_colo_cities
 from repro.colo.pricing import ColoPricingModel
-from repro.errors import ColoError
+from repro.errors import ColoError, check
 from repro.net.asn import ASKind
 from repro.net.topology import Topology
 from repro.net.world import Host, Internet
@@ -60,10 +60,8 @@ class ColoServer:
                 f"host NIC ({self.host.nic_mbps} Mbps) does not match "
                 f"port speed {self.port_speed.mbps} Mbps"
             )
-        if self.cross_connects < 1:
-            raise ColoError(f"server needs >= 1 cross-connect, got {self.cross_connects}")
-        if self.monthly_cost_usd < 0:
-            raise ColoError(f"negative monthly cost {self.monthly_cost_usd}")
+        check(self.cross_connects, "cross_connects", ge=1, error=ColoError)
+        check(self.monthly_cost_usd, "monthly_cost_usd", ge=0, error=ColoError)
 
     @property
     def name(self) -> str:

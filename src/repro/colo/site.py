@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cloud.vm import DEFAULT_CPU_PPS
-from repro.errors import ColoError
+from repro.errors import ColoError, check
 from repro.net.world import Host
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only imports
@@ -45,12 +45,9 @@ class RelaySite:
             raise ColoError(
                 f"unknown substrate {self.substrate!r}; choose from {SUBSTRATES}"
             )
-        if self.rate_limit_mbps <= 0:
-            raise ColoError(f"rate limit must be positive, got {self.rate_limit_mbps}")
-        if self.cpu_pps <= 0:
-            raise ColoError(f"cpu_pps must be positive, got {self.cpu_pps}")
-        if self.monthly_cost_usd < 0:
-            raise ColoError(f"negative monthly cost {self.monthly_cost_usd}")
+        check(self.rate_limit_mbps, "rate_limit_mbps", gt=0, error=ColoError)
+        check(self.cpu_pps, "cpu_pps", gt=0, error=ColoError)
+        check(self.monthly_cost_usd, "monthly_cost_usd", ge=0, error=ColoError)
 
     @property
     def name(self) -> str:

@@ -32,7 +32,7 @@ from repro.control.metrics import MetricsRegistry
 from repro.control.policy import Policy, PolicyDecision
 from repro.control.probes import ProbeResult, ProbeScheduler
 from repro.core.pathset import PathSet, PathType
-from repro.errors import ControlError
+from repro.errors import ControlError, check
 from repro.net.links import mutation_epoch
 from repro.net.world import Internet
 
@@ -130,8 +130,6 @@ class OverlayController:
         track_oracle: bool = False,
         flap_history=None,
     ) -> None:
-        if not 0 < tick_s < math.inf:
-            raise ControlError(f"tick must be positive and finite, got {tick_s}")
         if scheduler is not None and scheduler.pathset is not pathset:
             raise ControlError("scheduler was built for a different path set")
         if mode is PathType.DIRECT:
@@ -141,7 +139,7 @@ class OverlayController:
         self.policy = policy
         self.scheduler = scheduler
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tick_s = tick_s
+        self.tick_s = check(tick_s, "tick_s", gt=0, error=ControlError)
         self.mode = mode
         self.degradation = degradation
         self.guard = DegradationGuard(degradation) if degradation is not None else None

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.control.health import HealthTransition, PathState
-from repro.errors import ControlError
+from repro.errors import ControlError, check
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,18 +49,13 @@ class DegradationConfig:
     quarantine_s: float = 900.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.stale_after_s <= self.blackout_after_s:
-            raise ControlError(
-                f"need 0 < stale_after_s <= blackout_after_s, got "
-                f"{self.stale_after_s} / {self.blackout_after_s}"
-            )
-        if self.flap_threshold < 2:
-            raise ControlError(
-                f"flap_threshold must be >= 2 (one failure is an outage, "
-                f"not a flap), got {self.flap_threshold}"
-            )
-        if self.flap_window_s <= 0 or self.quarantine_s <= 0:
-            raise ControlError("flap window and quarantine duration must be positive")
+        error = ControlError
+        check(self.stale_after_s, "stale_after_s", gt=0, error=error)
+        check(self.blackout_after_s, "blackout_after_s", ge=self.stale_after_s, error=error)
+        # One failure is an outage, not a flap.
+        check(self.flap_threshold, "flap_threshold", ge=2, error=error)
+        check(self.flap_window_s, "flap_window_s", gt=0, error=error)
+        check(self.quarantine_s, "quarantine_s", gt=0, error=error)
         if not self.fallback_label:
             raise ControlError("fallback_label must be non-empty")
 

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.control.probes import ProbeResult
-from repro.errors import ControlError
+from repro.errors import ControlError, check
 
 
 class PathState(enum.Enum):
@@ -98,26 +98,17 @@ class HealthConfig:
     gray_after: int = 2
 
     def __post_init__(self) -> None:
-        if self.degrade_rtt_factor <= 1.0:
-            raise ControlError("degrade_rtt_factor must exceed 1.0")
-        if not 0.0 < self.degrade_loss <= self.fail_loss <= 1.0:
-            raise ControlError(
-                f"need 0 < degrade_loss <= fail_loss <= 1, got "
-                f"{self.degrade_loss} / {self.fail_loss}"
-            )
-        if min(self.degrade_after, self.fail_after, self.recover_after) < 1:
-            raise ControlError("hysteresis counts must be >= 1")
-        if self.recovery_hold_s < 0:
-            raise ControlError("recovery_hold_s must be >= 0")
-        if not 0.0 < self.baseline_alpha <= 1.0:
-            raise ControlError("baseline_alpha must be in (0, 1]")
-        if not 0.0 < self.gray_throughput_factor < 1.0:
-            raise ControlError(
-                f"gray_throughput_factor must be in (0, 1), got "
-                f"{self.gray_throughput_factor}"
-            )
-        if self.gray_after < 1:
-            raise ControlError("gray_after must be >= 1")
+        error = ControlError
+        check(self.degrade_rtt_factor, "degrade_rtt_factor", gt=1, error=error)
+        check(self.degrade_loss, "degrade_loss", gt=0, le=1, error=error)
+        check(self.fail_loss, "fail_loss", ge=self.degrade_loss, le=1, error=error)
+        check(self.degrade_after, "degrade_after", ge=1, error=error)
+        check(self.fail_after, "fail_after", ge=1, error=error)
+        check(self.recover_after, "recover_after", ge=1, error=error)
+        check(self.recovery_hold_s, "recovery_hold_s", ge=0, error=error)
+        check(self.baseline_alpha, "baseline_alpha", gt=0, le=1, error=error)
+        check(self.gray_throughput_factor, "gray_throughput_factor", gt=0, lt=1, error=error)
+        check(self.gray_after, "gray_after", ge=1, error=error)
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.control.health import PathHealth, STATE_RANK
 from repro.control.probes import ProbeResult
-from repro.errors import ControlError
+from repro.errors import ControlError, check
 
 #: The paper's C4.5 thresholds (Sec. V-B): RTT cut 10.5 %, loss cut 12.1 %.
 C45_RTT_CUT = 0.105
@@ -280,14 +280,10 @@ class BestPathPolicy(Policy):
     def __init__(
         self, switch_margin: float = 0.10, flap_margin_per_failure: float = 0.0
     ) -> None:
-        if switch_margin < 0:
-            raise ControlError(f"switch margin must be >= 0, got {switch_margin}")
-        if flap_margin_per_failure < 0:
-            raise ControlError(
-                f"flap margin must be >= 0, got {flap_margin_per_failure}"
-            )
-        self.switch_margin = switch_margin
-        self.flap_margin_per_failure = flap_margin_per_failure
+        self.switch_margin = check(switch_margin, "switch_margin", ge=0, error=ControlError)
+        self.flap_margin_per_failure = check(
+            flap_margin_per_failure, "flap_margin_per_failure", ge=0, error=ControlError
+        )
 
     def _margin_for(
         self, label: str, now: float, history: FaultHistory | None
@@ -374,10 +370,8 @@ class C45RulePolicy(Policy):
     name = "c45-rule"
 
     def __init__(self, rtt_cut: float = C45_RTT_CUT, loss_cut: float = C45_LOSS_CUT) -> None:
-        if not 0.0 <= rtt_cut < 1.0 or not 0.0 <= loss_cut < 1.0:
-            raise ControlError(f"cuts must be fractions in [0, 1): {rtt_cut}, {loss_cut}")
-        self.rtt_cut = rtt_cut
-        self.loss_cut = loss_cut
+        self.rtt_cut = check(rtt_cut, "rtt_cut", ge=0, lt=1, error=ControlError)
+        self.loss_cut = check(loss_cut, "loss_cut", ge=0, lt=1, error=ControlError)
 
     def _rule_holds(self, direct: ProbeResult, overlay: ProbeResult) -> bool:
         if not (direct.ok and overlay.ok):
@@ -456,8 +450,8 @@ class MptcpSubflowPolicy(Policy):
     name = "mptcp-subflows"
 
     def __init__(self, max_subflows: int | None = None) -> None:
-        if max_subflows is not None and max_subflows < 1:
-            raise ControlError(f"max_subflows must be >= 1, got {max_subflows}")
+        if max_subflows is not None:
+            check(max_subflows, "max_subflows", ge=1, error=ControlError)
         self.max_subflows = max_subflows
 
     def decide(
@@ -558,12 +552,10 @@ class QpsWeightedPolicy(Policy):
         smoothing: float = 0.05,
         max_relays: int | None = None,
     ) -> None:
-        if smoothing <= 0:
-            raise ControlError(f"smoothing must be positive, got {smoothing}")
-        if max_relays is not None and max_relays < 1:
-            raise ControlError(f"max_relays must be >= 1, got {max_relays}")
+        if max_relays is not None:
+            check(max_relays, "max_relays", ge=1, error=ControlError)
         self.load = load
-        self.smoothing = smoothing
+        self.smoothing = check(smoothing, "smoothing", gt=0, error=ControlError)
         self.max_relays = max_relays
 
     def _load_of(self, label: str, now: float) -> float:
@@ -678,10 +670,10 @@ class AnycastIngressPolicy(Policy):
     def __init__(
         self, load: LoadSignal | None = None, spill_threshold: float = 0.95
     ) -> None:
-        if spill_threshold <= 0:
-            raise ControlError(f"spill threshold must be positive, got {spill_threshold}")
         self.load = load
-        self.spill_threshold = spill_threshold
+        self.spill_threshold = check(
+            spill_threshold, "spill_threshold", gt=0, error=ControlError
+        )
 
     def _load_of(self, label: str, now: float) -> float:
         if self.load is None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pathset import OverlayPathOption, PathSet, PathType
-from repro.errors import ControlError
+from repro.errors import ControlError, check
 from repro.faults.events import ProbeFaultKind
 
 
@@ -104,49 +104,30 @@ class ProbeConfig:
     relax_factor: float = 1.25
 
     def __post_init__(self) -> None:
-        if not 0 < self.interval_s < math.inf:
-            raise ControlError(
-                f"probe interval must be positive and finite, got {self.interval_s}"
-            )
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ControlError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
-        if self.ping_count <= 0 or self.ping_bytes <= 0:
-            raise ControlError("ping probe parameters must be positive")
-        if self.budget_bytes_per_interval is not None and self.budget_bytes_per_interval <= 0:
-            raise ControlError("probe byte budget must be positive when set")
+        error = ControlError
+        check(self.interval_s, "interval_s", gt=0, error=error)
+        check(self.jitter_frac, "jitter_frac", ge=0, lt=1, error=error)
+        check(self.ping_count, "ping_count", gt=0, error=error)
+        check(self.ping_bytes, "ping_bytes", gt=0, error=error)
+        check(self.throughput_probe_bytes, "throughput_probe_bytes", ge=0, error=error)
+        if self.budget_bytes_per_interval is not None:
+            check(self.budget_bytes_per_interval, "budget_bytes_per_interval", gt=0,
+                  error=error)
         if self.mode is PathType.DIRECT:
             raise ControlError("probe mode must be an overlay path type")
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ControlError(f"probe timeout must be positive, got {self.timeout_ms}")
-        if self.max_retries < 0:
-            raise ControlError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0 < self.retry_backoff_s < math.inf:
-            raise ControlError(
-                f"retry backoff must be positive and finite, got {self.retry_backoff_s}"
-            )
-        if self.stale_after_s is not None and self.stale_after_s <= 0:
-            raise ControlError(f"stale_after_s must be positive, got {self.stale_after_s}")
-        if self.min_interval_s is not None and not 0 < self.min_interval_s < math.inf:
-            raise ControlError(
-                f"min_interval_s must be positive and finite, got {self.min_interval_s}"
-            )
-        if self.max_interval_s is not None and not math.isfinite(self.max_interval_s):
-            raise ControlError(f"max_interval_s must be finite, got {self.max_interval_s}")
-        if self.max_interval_s is not None and self.max_interval_s < (
-            self.min_interval_s if self.min_interval_s is not None else 0.0
-        ):
-            raise ControlError(
-                f"max_interval_s ({self.max_interval_s}) must be >= "
-                f"min_interval_s ({self.min_interval_s})"
-            )
-        if not 0.0 < self.tighten_factor < 1.0:
-            raise ControlError(
-                f"tighten_factor must be in (0, 1), got {self.tighten_factor}"
-            )
-        if not 1.0 < self.relax_factor < math.inf:
-            raise ControlError(
-                f"relax_factor must exceed 1.0 and be finite, got {self.relax_factor}"
-            )
+        if self.timeout_ms is not None:
+            check(self.timeout_ms, "timeout_ms", gt=0, error=error)
+        check(self.max_retries, "max_retries", ge=0, error=error)
+        check(self.retry_backoff_s, "retry_backoff_s", gt=0, error=error)
+        if self.stale_after_s is not None:
+            check(self.stale_after_s, "stale_after_s", gt=0, error=error)
+        if self.min_interval_s is not None:
+            check(self.min_interval_s, "min_interval_s", gt=0, error=error)
+        if self.max_interval_s is not None:
+            check(self.max_interval_s, "max_interval_s", gt=0, ge=self.min_interval_s,
+                  error=error)
+        check(self.tighten_factor, "tighten_factor", gt=0, lt=1, error=error)
+        check(self.relax_factor, "relax_factor", gt=1, error=error)
 
     @property
     def floor_interval_s(self) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 
 #: Fixed-point iterations of the capped-allocation solve.  Classes
 #: crossing a single bottleneck converge in one pass; chains of
@@ -39,11 +39,7 @@ class Resource:
     capacity_mbps: float
 
     def __post_init__(self) -> None:
-        if self.capacity_mbps <= 0:
-            raise ConfigError(
-                f"resource {self.label!r} capacity must be positive, "
-                f"got {self.capacity_mbps}"
-            )
+        check(self.capacity_mbps, f"capacity_mbps of resource {self.label!r}", gt=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,10 +57,8 @@ class FlowClass:
     resources: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ConfigError(f"class {self.label!r} count must be >= 0")
-        if self.per_flow_mbps < 0:
-            raise ConfigError(f"class {self.label!r} per-flow demand must be >= 0")
+        check(self.count, f"count of class {self.label!r}", ge=0)
+        check(self.per_flow_mbps, f"per_flow_mbps of class {self.label!r}", ge=0)
 
     @property
     def demand_mbps(self) -> float:

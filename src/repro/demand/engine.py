@@ -44,7 +44,7 @@ from repro.control.probes import ProbeResult
 from repro.demand.aggregate import solve_rates
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 
 #: Fixed-point rounds of (decide -> load -> decide) inside one epoch.
 #: The load signal is the running mean of the round snapshots
@@ -136,14 +136,10 @@ class DemandEngine:
             raise ConfigError("demand engine needs at least one pair")
         if not relays:
             raise ConfigError("demand engine needs at least one relay")
-        if flow_rate_mbps <= 0:
-            raise ConfigError(f"flow_rate_mbps must be positive, got {flow_rate_mbps}")
-        if mean_flow_s <= 0:
-            raise ConfigError(f"mean_flow_s must be positive, got {mean_flow_s}")
-        if not math.isfinite(load_scale) or load_scale < 0:
-            raise ConfigError(f"load_scale must be finite and >= 0, got {load_scale}")
-        if rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {rounds}")
+        check(flow_rate_mbps, "flow_rate_mbps", gt=0)
+        check(mean_flow_s, "mean_flow_s", gt=0)
+        check(load_scale, "load_scale", ge=0)
+        check(rounds, "rounds", ge=1)
         self.pairs = tuple(sorted(pairs, key=lambda p: p.pair_id))
         self.relays = {r.label: r for r in relays}
         if len(self.relays) != len(relays):

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 from repro.geo import city as lookup_city
 from repro.net.diurnal import DiurnalCurve, EpisodeProcess, peak_hour_for_longitude
 
@@ -45,8 +45,7 @@ class CityDemand:
     flash: EpisodeProcess
 
     def __post_init__(self) -> None:
-        if self.base_qps < 0:
-            raise ConfigError(f"base_qps must be >= 0, got {self.base_qps}")
+        check(self.base_qps, "base_qps", ge=0)
 
     def rate_qps(self, t: float) -> float:
         """Session arrival rate at absolute time ``t`` (sessions/sec).

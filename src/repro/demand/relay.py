@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.vm import DEFAULT_CPU_PPS, VirtualServer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 from repro.units import DEFAULT_MSS
 
 #: CPU packets/sec charged per concurrent flow for connection upkeep.
@@ -39,14 +39,10 @@ class RelayCapacity:
     mss_bytes: int = DEFAULT_MSS
 
     def __post_init__(self) -> None:
-        if self.nic_mbps <= 0:
-            raise ConfigError(f"nic_mbps must be positive, got {self.nic_mbps}")
-        if self.cpu_pps <= 0:
-            raise ConfigError(f"cpu_pps must be positive, got {self.cpu_pps}")
-        if self.per_flow_pps < 0:
-            raise ConfigError(f"per_flow_pps must be >= 0, got {self.per_flow_pps}")
-        if self.mss_bytes <= 0:
-            raise ConfigError(f"mss_bytes must be positive, got {self.mss_bytes}")
+        check(self.nic_mbps, "nic_mbps", gt=0)
+        check(self.cpu_pps, "cpu_pps", gt=0)
+        check(self.per_flow_pps, "per_flow_pps", ge=0)
+        check(self.mss_bytes, "mss_bytes", gt=0)
 
     @classmethod
     def from_vm(

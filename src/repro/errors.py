@@ -4,9 +4,14 @@ All library-raised exceptions derive from :class:`ReproError` so callers
 can catch one base type.  Subsystems raise the most specific subclass
 that applies; error messages carry enough context (ids, names, values)
 to diagnose a failure without a debugger.
+
+:func:`check` is the one bound check every config and constructor runs
+on its numeric inputs: finite, and within the given bounds.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class ReproError(Exception):
@@ -75,3 +80,45 @@ class PlanetLabError(ReproError):
 
 class ExecError(ReproError):
     """Sharded execution failed (bad spec, dead worker, aborted run)."""
+
+
+def _bounds(gt, ge, lt, le) -> str:
+    """The accepted range in words: ``positive``, ``>= 2``, ``in [0, 1)``."""
+    if (gt is not None or ge is not None) and (lt is not None or le is not None):
+        low = f"({gt}" if gt is not None else f"[{ge}"
+        high = f"{lt})" if lt is not None else f"{le}]"
+        return f"in {low}, {high}"
+    pairs = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+    words = [
+        "positive" if op == ">" and bound == 0 else f"{op} {bound}"
+        for op, bound in pairs
+        if bound is not None
+    ]
+    return " and ".join([*words, "finite"])
+
+
+def check(
+    value,
+    name: str,
+    *,
+    gt=None,
+    ge=None,
+    lt=None,
+    le=None,
+    error: type[ReproError] = ConfigError,
+):
+    """Return ``value`` if it is finite and meets every given bound.
+
+    Otherwise raise ``error`` naming ``name`` and the value, e.g.
+    "interval_s must be positive and finite, got nan".  ``nan`` fails
+    every bound, so no caller needs a separate finiteness test.
+    """
+    if (
+        (isinstance(value, int) or math.isfinite(value))
+        and (gt is None or value > gt)
+        and (ge is None or value >= ge)
+        and (lt is None or value < lt)
+        and (le is None or value <= le)
+    ):
+        return value
+    raise error(f"{name} must be {_bounds(gt, ge, lt, le)}, got {value}")

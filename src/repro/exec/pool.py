@@ -19,10 +19,8 @@ same protocol runs in-process, one shard after another.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecError
@@ -137,13 +135,16 @@ def execute_shards(
         else:
             pending.append(index)
 
-    if use_processes:
+    ctx = None
+    if use_processes and pending:
+        # Imported here: a fully cached run forks nothing.
+        import multiprocessing
+        from multiprocessing import connection
+
         try:
             ctx = multiprocessing.get_context(_MP_CONTEXT)
         except ValueError:
-            ctx = None
-    else:
-        ctx = None
+            pass
 
     def record(index: int, status: str, attempts: int, started: float,
                error: str | None = None) -> None:

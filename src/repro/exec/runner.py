@@ -14,14 +14,13 @@ proving that ``--resume`` completes with zero recomputation.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.errors import ExecError
+from repro.errors import ExecError, check
 from repro.exec.cache import MISS, ResultCache, code_salt
 from repro.exec.manifest import RunManifest, ShardRecord
 from repro.exec.plan import ExecTask
@@ -52,14 +51,10 @@ class ExecConfig:
     salt: str = ""
 
     def __post_init__(self) -> None:
-        if self.workers <= 0:
-            raise ExecError(f"workers must be positive, got {self.workers}")
-        if self.retries < 0:
-            raise ExecError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
-            raise ExecError(
-                f"timeout must be positive and finite when set, got {self.timeout_s}"
-            )
+        check(self.workers, "workers", gt=0, error=ExecError)
+        check(self.retries, "retries", ge=0, error=ExecError)
+        if self.timeout_s is not None:
+            check(self.timeout_s, "timeout_s", gt=0, error=ExecError)
 
     @property
     def cache_salt(self) -> str:

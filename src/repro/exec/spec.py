@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ExecError
+from repro.errors import ExecError, check
 
 
 def canonical_json(value: Any) -> str:
@@ -60,12 +60,8 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.kind:
             raise ExecError("spec kind must be non-empty")
-        if self.shard_count <= 0:
-            raise ExecError(f"shard_count must be positive, got {self.shard_count}")
-        if not 0 <= self.shard_index < self.shard_count:
-            raise ExecError(
-                f"shard_index {self.shard_index} outside [0, {self.shard_count})"
-            )
+        check(self.shard_count, "shard_count", gt=0, error=ExecError)
+        check(self.shard_index, "shard_index", ge=0, lt=self.shard_count, error=ExecError)
         canonical_json(self.params)  # fail fast on unhashable params
 
     def canonical(self) -> str:

@@ -19,12 +19,11 @@ RON-style headline CRONets inherits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.core.pathset import PathSet, PathType
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.experiments.scenario import World, build_world
 from repro.faults.events import LinkOutage, Window
 from repro.faults.injector import FaultInjector
@@ -44,14 +43,12 @@ class AvailabilityConfig:
     outage_duration_s: float = 1_800.0
 
     def __post_init__(self) -> None:
-        if self.n_pairs <= 0 or self.outages < 0:
-            raise ExperimentError("invalid availability config")
+        check(self.n_pairs, "n_pairs", gt=0, error=ExperimentError)
+        check(self.outages, "outages", ge=0, error=ExperimentError)
         # A zero or nan interval never ends (or never runs) the check
         # loop, and a nan horizon leaves no checks to divide by.
         for name in ("duration_hours", "check_interval_s", "outage_duration_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ExperimentError(f"{name} must be finite and positive, got {value}")
+            check(getattr(self, name), name, gt=0, error=ExperimentError)
 
 
 @dataclass

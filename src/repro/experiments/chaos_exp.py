@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.spec import TaskSpec
 from repro.faults.events import GrayFailure
@@ -91,22 +90,30 @@ class ChaosConfig:
     flap_margin_per_failure: float = 0.05
 
     def __post_init__(self) -> None:
-        if not all(
-            0 < value < math.inf
-            for value in (self.duration_s, self.tick_s, self.probe_interval_s)
-        ):
-            raise ExperimentError("durations and intervals must be positive and finite")
+        error = ExperimentError
+        check(self.duration_s, "duration_s", gt=0, error=error)
+        check(self.tick_s, "tick_s", gt=0, error=error)
+        check(self.probe_interval_s, "probe_interval_s", gt=0, error=error)
         unknown = [name for name in self.scenarios if name not in SCENARIOS]
         if unknown:
             raise ExperimentError(
                 f"unknown chaos scenarios {unknown}; choose from {sorted(SCENARIOS)}"
             )
-        if self.probe_floor_s is not None and not 0 < self.probe_floor_s < math.inf:
-            raise ExperimentError("probe_floor_s must be positive and finite when set")
-        if self.probe_ceiling_s is not None and not 0 < self.probe_ceiling_s < math.inf:
-            raise ExperimentError("probe_ceiling_s must be positive and finite when set")
-        if not 0 <= self.flap_margin_per_failure < math.inf:
-            raise ExperimentError("flap_margin_per_failure must be >= 0 and finite")
+        floor, ceiling = self.probe_floor_s, self.probe_ceiling_s
+        if (floor is not None or ceiling is not None) and not self.use_adaptive_cadence:
+            raise ExperimentError(
+                "--probe-floor/--probe-ceiling bound the adaptive probe cadence; "
+                "add --adaptive or --adaptive-cadence"
+            )
+        if floor is not None:
+            check(floor, "probe_floor_s", gt=0, error=error)
+        if ceiling is not None:
+            check(ceiling, "probe_ceiling_s", gt=0, error=error)
+        if floor is not None and ceiling is not None and floor > ceiling:
+            raise ExperimentError(
+                f"--probe-floor ({floor}) must not exceed --probe-ceiling ({ceiling})"
+            )
+        check(self.flap_margin_per_failure, "flap_margin_per_failure", ge=0, error=error)
 
     @property
     def scenario_names(self) -> tuple[str, ...]:
@@ -573,10 +580,10 @@ class PacketReplayConfig:
     queue_packets: int = 128
 
     def __post_init__(self) -> None:
-        if not (0 < self.duration_s < math.inf and 0 < self.flow_s < math.inf):
-            raise ExperimentError("durations must be positive and finite")
-        if self.queue_packets < 1:
-            raise ExperimentError("queue must hold >= 1 packet")
+        check(self.duration_s, "duration_s", gt=0, error=ExperimentError)
+        check(self.flow_s, "flow_s", gt=0, error=ExperimentError)
+        check(self.rwnd_bytes, "rwnd_bytes", gt=0, error=ExperimentError)
+        check(self.queue_packets, "queue_packets", ge=1, error=ExperimentError)
         unknown = [name for name in self.scenarios if name not in SCENARIOS]
         if unknown:
             raise ExperimentError(

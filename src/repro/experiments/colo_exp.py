@@ -29,7 +29,6 @@ columns reuse the demand engine's per-(seed, city, epoch) seeding.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,7 +47,7 @@ from repro.core.pathset import PathSet
 from repro.demand.engine import DemandEngine, RelayLoadTracker
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.shard import default_shard_count, partition_indices
 from repro.exec.spec import TaskSpec
@@ -112,12 +111,11 @@ class ColoConfig:
             raise ExperimentError(
                 "colo/mixed footprints need at least one colo facility city"
             )
-        if not 0 < self.demand_level < math.inf:
-            raise ExperimentError(
-                f"demand_level must be positive and finite, got {self.demand_level}"
-            )
-        if self.demand_epochs < 1:
-            raise ExperimentError(f"demand epochs must be >= 1, got {self.demand_epochs}")
+        for name in ("n_clients", "n_servers"):
+            if getattr(self, name) is not None:
+                check(getattr(self, name), name, ge=1, error=ExperimentError)
+        check(self.demand_level, "demand_level", gt=0, error=ExperimentError)
+        check(self.demand_epochs, "demand_epochs", ge=1, error=ExperimentError)
         check_demand_knobs(self)
 
     @property

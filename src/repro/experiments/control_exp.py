@@ -25,7 +25,6 @@ controller run, which the acceptance test pins for a fixed seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import format_table
@@ -41,7 +40,7 @@ from repro.control.policy import (
 )
 from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet, PathType
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.experiments.scenario import World, build_world
 from repro.faults.events import LinkOutage, Window
 from repro.faults.injector import FaultInjector
@@ -62,18 +61,18 @@ class ControlExpConfig:
     probe_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if not all(
-            0 < value < math.inf
-            for value in (self.duration_s, self.tick_s, self.probe_interval_s)
-        ):
-            raise ExperimentError("durations and intervals must be positive and finite")
-        if not (
-            0 <= self.outage_start_s < math.inf
-            and 0 < self.outage_duration_s < math.inf
-        ):
-            raise ExperimentError("outage window invalid")
-        if self.outage_start_s + self.outage_duration_s > self.duration_s:
-            raise ExperimentError("outage must end within the experiment horizon")
+        error = ExperimentError
+        check(self.duration_s, "duration_s", gt=0, error=error)
+        check(self.tick_s, "tick_s", gt=0, error=error)
+        check(self.probe_interval_s, "probe_interval_s", gt=0, error=error)
+        check(self.outage_start_s, "outage_start_s", ge=0, error=error)
+        check(self.outage_duration_s, "outage_duration_s", gt=0, error=error)
+        # The outage must end within the experiment horizon.
+        check(self.outage_start_s + self.outage_duration_s,
+              "outage end (outage_start_s + outage_duration_s)", le=self.duration_s,
+              error=error)
+        if self.probe_budget_bytes is not None:
+            check(self.probe_budget_bytes, "probe_budget_bytes", gt=0, error=error)
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from repro.analysis.improvement import ImprovementSummary, summarize_ratios
 from repro.analysis.tables import format_series, format_table
 from repro.core.measure_plan import FourWayMeasurement, measure_four_ways_batch
 from repro.core.pathset import PathSet
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.shard import default_shard_count, partition_indices
 from repro.exec.spec import TaskSpec
@@ -53,6 +53,12 @@ class ControlledConfig:
     n_clients: int | None = None  # defaults: 50 at paper scale, 8 small
     at_hours: float = 6.0
     duration_s: float = IPERF_DURATION_S
+
+    def __post_init__(self) -> None:
+        if self.n_clients is not None:
+            check(self.n_clients, "n_clients", ge=1, error=ExperimentError)
+        check(self.at_hours, "at_hours", ge=0, error=ExperimentError)
+        check(self.duration_s, "duration_s", gt=0, error=ExperimentError)
 
     def client_count(self) -> int:
         if self.n_clients is not None:

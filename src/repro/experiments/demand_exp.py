@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
 from repro.cloud.datacenter import PortSpeed
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.spec import TaskSpec
 
@@ -61,17 +60,12 @@ def check_demand_knobs(config: "DemandConfig | ColoConfig") -> None:
     """Reject engine knobs the demand engine cannot run.
 
     Shared by :class:`DemandConfig` and the colo study's config, so a
-    bad value fails before any world build or fork.  ``nan`` fails
-    every comparison, so each bound is written to reject it.
+    bad value fails before any world build or fork.
     """
     for name in ("epoch_s", "qps_per_client", "flow_rate_mbps", "mean_flow_s"):
-        value = getattr(config, name)
-        if not 0 < value < math.inf:
-            raise ExperimentError(f"{name} must be positive and finite, got {value}")
-    if config.rounds < 1:
-        raise ExperimentError(f"rounds must be >= 1, got {config.rounds}")
-    if not 0 <= config.at_hours < math.inf:
-        raise ExperimentError(f"at_hours must be >= 0 and finite, got {config.at_hours}")
+        check(getattr(config, name), name, gt=0, error=ExperimentError)
+    check(config.rounds, "rounds", ge=1, error=ExperimentError)
+    check(config.at_hours, "at_hours", ge=0, error=ExperimentError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,12 +97,11 @@ class DemandConfig:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ExperimentError("demand study needs at least one load level")
-        if any(not math.isfinite(level) or level <= 0 for level in self.levels):
-            raise ExperimentError(f"levels must be positive and finite, got {self.levels}")
+        for level in self.levels:
+            check(level, "levels", gt=0, error=ExperimentError)
         if len(set(self.levels)) != len(self.levels):
             raise ExperimentError(f"duplicate levels: {self.levels}")
-        if self.epochs < 1:
-            raise ExperimentError(f"epochs must be >= 1, got {self.epochs}")
+        check(self.epochs, "epochs", ge=1, error=ExperimentError)
         check_demand_knobs(self)
         if not self.policies:
             raise ExperimentError("demand study needs at least one policy")

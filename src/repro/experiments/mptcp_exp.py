@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.tables import format_table
 from repro.cloud.provider import CloudProvider
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.net.path import RouterPath
 from repro.net.topology import TopologyConfig, generate_topology
 from repro.net.world import Internet
@@ -55,6 +55,15 @@ class MptcpExpConfig:
     tick_s: float = 0.01
     scheme: MptcpScheme = MptcpScheme.OLIA
     overlay_node_count: int = 7  # paper: the other 7 of the 9 servers
+
+    def __post_init__(self) -> None:
+        error = ExperimentError
+        check(self.n_paths, "n_paths", ge=1, error=error)
+        check(self.iterations, "iterations", ge=1, error=error)
+        check(self.interval_hours, "interval_hours", ge=0, error=error)
+        check(self.duration_s, "duration_s", gt=0, error=error)
+        check(self.tick_s, "tick_s", gt=0, error=error)
+        check(self.overlay_node_count, "overlay_node_count", ge=1, error=error)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.improvement import ImprovementSummary, summarize_ratios
 from repro.analysis.tables import format_series, format_table
 from repro.core.measure_plan import PathSetBatch
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.experiments.scenario import World, build_world
 
 #: The file every client downloads (Sec. II-A).
@@ -34,6 +34,12 @@ class WeblabConfig:
     n_clients: int | None = None
     n_servers: int | None = None
     at_hours: float = 6.0
+
+    def __post_init__(self) -> None:
+        for name in ("n_clients", "n_servers"):
+            if getattr(self, name) is not None:
+                check(getattr(self, name), name, ge=1, error=ExperimentError)
+        check(self.at_hours, "at_hours", ge=0, error=ExperimentError)
 
 
 @dataclass

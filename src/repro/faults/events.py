@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, TopologyError
+from repro.errors import ConfigError, TopologyError, check
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
     import numpy as np
@@ -76,10 +76,8 @@ class Window:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ConfigError(
-                f"fault window invalid: start={self.start_s} duration={self.duration_s}"
-            )
+        check(self.start_s, "window start_s", ge=0)
+        check(self.duration_s, "window duration_s", gt=0)
 
     @property
     def end_s(self) -> float:
@@ -251,14 +249,8 @@ class RouteFlap(FaultEvent):
         duty: float = 0.5,
     ) -> None:
         super().__init__(link_ids, window)
-        if period_s <= 0 or period_s > window.duration_s:
-            raise ConfigError(
-                f"flap period must be in (0, {window.duration_s}], got {period_s}"
-            )
-        if not 0.0 < duty < 1.0:
-            raise ConfigError(f"flap duty must be in (0, 1), got {duty}")
-        self.period_s = period_s
-        self.duty = duty
+        self.period_s = check(period_s, "period_s", gt=0, le=window.duration_s)
+        self.duty = check(duty, "duty", gt=0, lt=1)
 
     def _withdrawn(self, t: float) -> bool:
         offset = (t - self.window.start_s) % self.period_s
@@ -310,12 +302,8 @@ class GrayFailure(FaultEvent):
         bulk_only: bool = False,
     ) -> None:
         super().__init__(link_ids, window)
-        if not 0.0 < drop_fraction <= 1.0:
-            raise ConfigError(f"drop fraction must be in (0, 1], got {drop_fraction}")
-        if extra_delay_ms < 0:
-            raise ConfigError(f"extra delay must be >= 0, got {extra_delay_ms}")
-        self.drop_fraction = drop_fraction
-        self.extra_delay_ms = extra_delay_ms
+        self.drop_fraction = check(drop_fraction, "drop_fraction", gt=0, le=1)
+        self.extra_delay_ms = check(extra_delay_ms, "extra_delay_ms", ge=0)
         self.bulk_only = bulk_only
 
     def effect_at(self, t: float) -> LinkEffect:
@@ -341,9 +329,7 @@ class CongestionStorm(FaultEvent):
         self, link_ids: tuple[int, ...], window: Window, surge: float
     ) -> None:
         super().__init__(link_ids, window)
-        if not 0.0 < surge <= 1.0:
-            raise ConfigError(f"storm surge must be in (0, 1], got {surge}")
-        self.surge = surge
+        self.surge = check(surge, "surge", gt=0, le=1)
 
     def effect_at(self, t: float) -> LinkEffect:
         """A background-utilization surge while the window covers ``t``."""
@@ -383,8 +369,7 @@ class ProbeFaultEvent:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.probability <= 1.0:
-            raise ConfigError(f"fault probability must be in (0, 1], got {self.probability}")
+        check(self.probability, "probability", gt=0, le=1)
 
     def applies(self, label: str, t: float, rng: np.random.Generator) -> bool:
         """Does this fault strike the probe of ``label`` at ``t``?"""

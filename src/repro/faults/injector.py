@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 from repro.faults.events import (
     FaultEvent,
     LinkEffect,
@@ -261,11 +261,9 @@ class PathFaultHistory:
         link_ids_by_label: dict[str, tuple[int, ...]],
         window_s: float = 900.0,
     ) -> None:
-        if window_s <= 0:
-            raise ConfigError(f"history window must be positive, got {window_s}")
         self.injector = injector
         self.link_ids_by_label = dict(link_ids_by_label)
-        self.window_s = window_s
+        self.window_s = check(window_s, "window_s", gt=0)
 
     def recent_failures(self, label: str, now: float) -> int:
         """Down-windows that *started* within ``window_s`` before ``now``.

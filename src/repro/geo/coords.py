@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 
 EARTH_RADIUS_KM = 6_371.0
 
@@ -26,10 +26,8 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ConfigError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ConfigError(f"longitude out of range: {self.lon}")
+        check(self.lat, "lat", ge=-90, le=90)
+        check(self.lon, "lon", ge=-180, le=180)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, check
 from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.shard import default_shard_count, partition_indices
 from repro.exec.spec import TaskSpec
@@ -98,13 +98,9 @@ class MeasurementCampaign:
     """Runs tasks repeatedly at a fixed interval."""
 
     def __init__(self, internet: Internet, interval_s: float, iterations: int) -> None:
-        if interval_s <= 0:
-            raise MeasurementError(f"interval must be positive, got {interval_s}")
-        if iterations <= 0:
-            raise MeasurementError(f"iterations must be positive, got {iterations}")
         self.internet = internet
-        self.interval_s = interval_s
-        self.iterations = iterations
+        self.interval_s = check(interval_s, "interval_s", gt=0, error=MeasurementError)
+        self.iterations = check(iterations, "iterations", gt=0, error=MeasurementError)
         #: Tallies of the most recent :meth:`run` (None before any run).
         self.summary: CampaignSummary | None = None
 

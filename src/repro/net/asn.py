@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import TopologyError
+from repro.errors import TopologyError, check
 
 
 class ASKind(enum.Enum):
@@ -49,8 +49,7 @@ class AutonomousSystem:
     pop_cities: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.asn <= 0:
-            raise TopologyError(f"ASN must be positive, got {self.asn}")
+        check(self.asn, "asn", gt=0, error=TopologyError)
         if not self.pop_cities:
             raise TopologyError(f"AS {self.name} must have at least one PoP city")
         if len(set(self.pop_cities)) != len(self.pop_cities):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 from repro.net.diurnal import (
     SECONDS_PER_DAY,
     DiurnalCurve,
@@ -30,7 +30,6 @@ from repro.net.diurnal import (
     EpisodeProcess,
     peak_hour_for_longitude,
 )
-from repro.units import check_fraction
 
 __all__ = [
     "SECONDS_PER_DAY",
@@ -74,12 +73,9 @@ class BackgroundLoad:
     _episodes: EpisodeProcess = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_fraction(self.base_util, "base_util")
-        check_fraction(self.diurnal_amp, "diurnal_amp")
-        if self.episode_rate_per_day < 0:
-            raise ConfigError(f"episode rate must be >= 0, got {self.episode_rate_per_day}")
-        if not 0.0 <= self.peak_hour < 24.0:
-            raise ConfigError(f"peak_hour must be in [0, 24), got {self.peak_hour}")
+        check(self.base_util, "base_util", ge=0, le=1)
+        check(self.diurnal_amp, "diurnal_amp", ge=0, le=1)
+        # The curve and the episode sampler check the remaining knobs.
         self._diurnal = DiurnalCurve(amplitude=self.diurnal_amp, peak_hour=self.peak_hour)
         self._episodes = EpisodeProcess(
             rate_per_day=self.episode_rate_per_day,

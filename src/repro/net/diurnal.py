@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import check
 from repro.units import SECONDS_PER_HOUR
 
 #: One simulated day, in seconds.
@@ -60,10 +60,8 @@ class DiurnalCurve:
     peak_hour: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not 0.0 <= self.peak_hour < 24.0:
-            raise ConfigError(f"peak_hour must be in [0, 24), got {self.peak_hour}")
+        check(self.amplitude, "amplitude", ge=0)
+        check(self.peak_hour, "peak_hour", ge=0, lt=24)
 
     def offset(self, t: float) -> float:
         """Additive swing at absolute time ``t``: ``amp * cos(phase)``."""
@@ -100,17 +98,11 @@ class EpisodeProcess:
     _cache: dict[int, tuple[Episode, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.rate_per_day < 0:
-            raise ConfigError(f"episode rate must be >= 0, got {self.rate_per_day}")
-        if self.mean_duration_s <= 0:
-            raise ConfigError(
-                f"mean duration must be positive, got {self.mean_duration_s}"
-            )
-        if not 0 <= self.severity_low <= self.severity_high:
-            raise ConfigError(
-                f"need 0 <= severity_low <= severity_high, got "
-                f"{self.severity_low} / {self.severity_high}"
-            )
+        check(self.rate_per_day, "rate_per_day", ge=0)
+        check(self.mean_severity, "mean_severity", ge=0)
+        check(self.mean_duration_s, "mean_duration_s", gt=0)
+        check(self.severity_low, "severity_low", ge=0)
+        check(self.severity_high, "severity_high", ge=self.severity_low)
 
     def episodes_for_day(self, day: int) -> tuple[Episode, ...]:
         """Generate (and cache) the episode schedule for one day."""

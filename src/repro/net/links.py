@@ -22,9 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import LinkError
+from repro.errors import LinkError, check
 from repro.net.congestion import BackgroundLoad
-from repro.units import check_fraction, check_non_negative, check_positive
 
 
 class LinkClass(enum.Enum):
@@ -119,10 +118,10 @@ class Link:
     bulk_extra_loss: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        check_positive(self.capacity_mbps, "capacity_mbps")
-        check_non_negative(self.prop_delay_ms, "prop_delay_ms")
-        check_fraction(self.base_loss, "base_loss")
-        check_non_negative(self.max_queue_ms, "max_queue_ms")
+        check(self.capacity_mbps, "capacity_mbps", gt=0)
+        check(self.prop_delay_ms, "prop_delay_ms", ge=0)
+        check(self.base_loss, "base_loss", ge=0, le=1)
+        check(self.max_queue_ms, "max_queue_ms", ge=0)
         if self.router_a == self.router_b:
             raise LinkError(f"link {self.link_id} is a self-loop at router {self.router_a}")
 
@@ -228,10 +227,10 @@ class Link:
         bulk_extra_loss: float = 0.0,
     ) -> None:
         """Set the link's impairment (replaces any previous one)."""
-        check_fraction(extra_loss, "extra_loss")
-        check_fraction(util_surge, "util_surge")
-        check_non_negative(extra_delay_ms, "extra_delay_ms")
-        check_fraction(bulk_extra_loss, "bulk_extra_loss")
+        check(extra_loss, "extra_loss", ge=0, le=1)
+        check(util_surge, "util_surge", ge=0, le=1)
+        check(extra_delay_ms, "extra_delay_ms", ge=0)
+        check(bulk_extra_loss, "bulk_extra_loss", ge=0, le=1)
         self.extra_loss = extra_loss
         self.extra_delay_ms = extra_delay_ms
         self.util_surge = util_surge

@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, TopologyError
+from repro.errors import ConfigError, TopologyError, check
 from repro.geo import city as lookup_city, city_distance_km
 from repro.net.asn import ASKind, AutonomousSystem
 from repro.rand import RandomStreams
@@ -108,10 +108,12 @@ class TopologyConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.n_tier1 < 2:
-            raise ConfigError("need at least 2 Tier-1 ASes for a core")
-        if self.n_transit < 2:
-            raise ConfigError("need at least 2 transit ASes")
+        # A core needs two Tier-1s; the transit mesh needs two carriers.
+        check(self.n_tier1, "n_tier1", ge=2)
+        check(self.n_transit, "n_transit", ge=2)
+        for name in ("n_stub", "n_academic", "n_content"):
+            check(getattr(self, name), name, ge=0)
+        check(self.transit_peer_prob, "transit_peer_prob", ge=0, le=1)
         total = sum(self.stub_region_weights.values())
         if abs(total - 1.0) > 1e-6:
             raise ConfigError(f"stub region weights must sum to 1, got {total}")

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigError, RoutingError, TopologyError
+from repro.errors import ConfigError, RoutingError, TopologyError, check
 from repro.geo import city_distance_km, propagation_delay_ms
 from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
@@ -37,7 +37,6 @@ from repro.net.reroute import (
 from repro.net.routers import RouterRegistry
 from repro.net.topology import Relationship, Topology
 from repro.rand import RandomStreams
-from repro.units import check_positive
 
 #: Host node ids start here so they never collide with router ids.
 HOST_ID_BASE = 10_000_000
@@ -349,8 +348,8 @@ class Internet:
         asys = self.topology.ases.get(asn)
         if asys is None:
             raise TopologyError(f"cannot attach host to unknown AS{asn}")
-        check_positive(nic_mbps, "nic_mbps")
-        check_positive(rwnd_bytes, "rwnd_bytes")
+        check(nic_mbps, "nic_mbps", gt=0)
+        check(rwnd_bytes, "rwnd_bytes", gt=0)
         if city_name is None:
             city_name = asys.pop_cities[0]
         elif city_name not in asys.pop_cities:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 
 #: Windows never drop below this (TCP's loss-recovery floor).
 MIN_CWND_SEGMENTS = 2.0
@@ -23,11 +23,8 @@ class CongestionControl(abc.ABC):
     """Per-flow window controller driven by per-round loss feedback."""
 
     def __init__(self, initial_cwnd: float = 10.0) -> None:
-        if initial_cwnd < MIN_CWND_SEGMENTS:
-            raise TransportError(
-                f"initial cwnd must be >= {MIN_CWND_SEGMENTS}, got {initial_cwnd}"
-            )
-        self.cwnd = initial_cwnd
+        self.cwnd = check(initial_cwnd, "initial_cwnd", ge=MIN_CWND_SEGMENTS,
+                          error=TransportError)
         #: Flows start in slow start (window doubling) until first loss.
         self.in_slow_start = True
 

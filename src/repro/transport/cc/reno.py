@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.transport.cc.base import MIN_CWND_SEGMENTS, CongestionControl
 
 
@@ -16,14 +16,12 @@ class RenoCC(CongestionControl):
         multiplicative_decrease: float = 0.5,
     ) -> None:
         super().__init__(initial_cwnd=initial_cwnd)
-        if additive_increase <= 0:
-            raise TransportError(f"additive increase must be positive, got {additive_increase}")
-        if not 0.0 < multiplicative_decrease < 1.0:
-            raise TransportError(
-                f"multiplicative decrease must be in (0, 1), got {multiplicative_decrease}"
-            )
-        self.additive_increase = additive_increase
-        self.multiplicative_decrease = multiplicative_decrease
+        self.additive_increase = check(
+            additive_increase, "additive_increase", gt=0, error=TransportError
+        )
+        self.multiplicative_decrease = check(
+            multiplicative_decrease, "multiplicative_decrease", gt=0, lt=1, error=TransportError
+        )
 
     def on_round(self, lost: bool, rtt_s: float) -> None:
         """Apply one RTT of AIMD: halve on loss, otherwise grow."""

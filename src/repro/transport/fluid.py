@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.links import Link
 from repro.net.path import RouterPath
 from repro.transport.cc.base import CongestionControl
@@ -95,11 +95,9 @@ class FluidSimulator:
         mss_bytes: int = DEFAULT_MSS,
         on_tick=None,
     ) -> None:
-        if tick_s <= 0:
-            raise TransportError(f"tick must be positive, got {tick_s}")
         self.at_time = at_time
         self.rng = rng
-        self.tick_s = tick_s
+        self.tick_s = check(tick_s, "tick_s", gt=0, error=TransportError)
         self.mss_bytes = mss_bytes
         self.on_tick = on_tick
         self.flows: list[FluidFlow] = []

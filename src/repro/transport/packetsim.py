@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.path import PathMetrics
 from repro.transport.throughput import FlowStats
 from repro.units import DEFAULT_MSS
@@ -98,24 +98,16 @@ class SimLink:
     bulk_loss_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if self.capacity_mbps <= 0:
-            raise TransportError(f"capacity must be positive, got {self.capacity_mbps}")
-        if self.prop_delay_ms < 0:
-            raise TransportError(f"negative delay: {self.prop_delay_ms}")
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise TransportError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
-        if self.bulk_loss_prob is not None and not 0.0 <= self.bulk_loss_prob < 1.0:
-            raise TransportError(
-                f"bulk_loss_prob must be in [0, 1), got {self.bulk_loss_prob}"
-            )
-        if self.queue_packets < 1:
-            raise TransportError(f"queue must hold >= 1 packet, got {self.queue_packets}")
-        if self.shaper_burst_packets < 0:
-            raise TransportError(
-                f"shaper burst must be >= 0, got {self.shaper_burst_packets}"
-            )
-        if self.line_rate_mbps < self.capacity_mbps:
-            raise TransportError("line rate cannot be below the shaped rate")
+        error = TransportError
+        check(self.capacity_mbps, "capacity_mbps", gt=0, error=error)
+        check(self.prop_delay_ms, "prop_delay_ms", ge=0, error=error)
+        check(self.loss_prob, "loss_prob", ge=0, lt=1, error=error)
+        if self.bulk_loss_prob is not None:
+            check(self.bulk_loss_prob, "bulk_loss_prob", ge=0, lt=1, error=error)
+        check(self.queue_packets, "queue_packets", ge=1, error=error)
+        check(self.shaper_burst_packets, "shaper_burst_packets", ge=0, error=error)
+        # The line rate cannot be below the shaped rate.
+        check(self.line_rate_mbps, "line_rate_mbps", ge=self.capacity_mbps, error=error)
 
     @property
     def is_shaped(self) -> bool:
@@ -286,10 +278,9 @@ class PacketLevelTcp:
     ) -> None:
         if not links:
             raise TransportError("need at least one link")
-        if mss_bytes <= 0:
-            raise TransportError(f"MSS must be positive, got {mss_bytes}")
-        if limit_segments is not None and limit_segments < 1:
-            raise TransportError(f"segment limit must be >= 1, got {limit_segments}")
+        check(mss_bytes, "mss_bytes", gt=0, error=TransportError)
+        if limit_segments is not None:
+            check(limit_segments, "limit_segments", ge=1, error=TransportError)
         self.links = list(links)
         self.rng = rng
         self._fast = packet_fastpath_enabled() if fastpath is None else fastpath

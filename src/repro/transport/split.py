@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.path import PathMetrics, RouterPath
 from repro.transport.throughput import FlowStats, TcpParams, steady_state_throughput_mbps
 
@@ -41,10 +41,7 @@ class SplitTcpChain:
             raise TransportError(
                 f"a split chain needs at least 2 segments, got {len(self.segments)}"
             )
-        if not 0.0 < self.proxy_efficiency <= 1.0:
-            raise TransportError(
-                f"proxy efficiency must be in (0, 1], got {self.proxy_efficiency}"
-            )
+        check(self.proxy_efficiency, "proxy_efficiency", gt=0, le=1, error=TransportError)
 
     @property
     def relay_count(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.path import LegMetrics, PathMetrics
 from repro.transport.mathis import MATHIS_CONSTANT, mathis_throughput_mbps
 from repro.units import DEFAULT_MSS, mbps_to_bytes_per_sec
@@ -37,14 +37,10 @@ class TcpParams:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mss_bytes <= 0:
-            raise TransportError(f"MSS must be positive, got {self.mss_bytes}")
-        if self.rwnd_bytes < self.mss_bytes:
-            raise TransportError(
-                f"rwnd ({self.rwnd_bytes}) must hold at least one MSS ({self.mss_bytes})"
-            )
-        if not 0.0 < self.efficiency <= 1.0:
-            raise TransportError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        check(self.mss_bytes, "mss_bytes", gt=0, error=TransportError)
+        # The window must hold at least one segment.
+        check(self.rwnd_bytes, "rwnd_bytes", ge=self.mss_bytes, error=TransportError)
+        check(self.efficiency, "efficiency", gt=0, le=1, error=TransportError)
 
     def with_mss(self, mss_bytes: int) -> "TcpParams":
         """Copy with a different MSS (tunnel encapsulation shrinks it)."""

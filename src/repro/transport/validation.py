@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.path import PathMetrics
 from repro.transport.cc import RenoCC
 from repro.transport.packetsim import PacketLevelTcp, SimLink
@@ -36,12 +36,13 @@ class Scenario:
     bulk_loss: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bottleneck_mbps <= 0 or self.one_way_delay_ms < 0:
-            raise TransportError(f"invalid scenario {self.name}")
-        if not 0.0 <= self.loss < 1.0:
-            raise TransportError(f"invalid loss in scenario {self.name}")
-        if self.bulk_loss is not None and not self.loss <= self.bulk_loss < 1.0:
-            raise TransportError(f"invalid bulk loss in scenario {self.name}")
+        error = TransportError
+        check(self.bottleneck_mbps, f"bottleneck_mbps of {self.name}", gt=0, error=error)
+        check(self.one_way_delay_ms, f"one_way_delay_ms of {self.name}", ge=0, error=error)
+        check(self.loss, f"loss of {self.name}", ge=0, lt=1, error=error)
+        if self.bulk_loss is not None:
+            check(self.bulk_loss, f"bulk_loss of {self.name}", ge=self.loss, lt=1,
+                  error=error)
 
     @property
     def rtt_ms(self) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import TunnelError
+from repro.errors import TunnelError, check
 from repro.units import DEFAULT_MTU, IPV4_HEADER, TCP_HEADER
 
 
@@ -42,10 +42,9 @@ class TunnelSpec:
     mtu_bytes: int = DEFAULT_MTU
 
     def __post_init__(self) -> None:
-        if self.mtu_bytes <= self.tunnel_type.overhead_bytes + IPV4_HEADER + TCP_HEADER:
-            raise TunnelError(
-                f"MTU {self.mtu_bytes} cannot fit {self.tunnel_type.value} overhead"
-            )
+        check(self.mtu_bytes, f"mtu_bytes of a {self.tunnel_type.value} tunnel",
+              gt=self.tunnel_type.overhead_bytes + IPV4_HEADER + TCP_HEADER,
+              error=TunnelError)
 
     @property
     def inner_mss_bytes(self) -> int:

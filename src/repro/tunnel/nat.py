@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import NatError
+from repro.errors import NatError, check
 
 #: Linux's default ephemeral/masquerade port range.
 DEFAULT_PORT_RANGE = (32_768, 61_000)
@@ -36,8 +36,8 @@ class MasqueradeNat:
 
     def __init__(self, nat_ip: str, port_range: tuple[int, int] = DEFAULT_PORT_RANGE) -> None:
         lo, hi = port_range
-        if not (0 < lo <= hi <= 65_535):
-            raise NatError(f"invalid port range {port_range}")
+        check(hi, "highest port", le=65_535, error=NatError)
+        check(lo, "lowest port", gt=0, le=hi, error=NatError)
         self.nat_ip = nat_ip
         self._port_range = port_range
         self._next_port = lo

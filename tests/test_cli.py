@@ -372,3 +372,64 @@ class TestExplicitFlagsBeatFast:
         assert main(argv) == 0
         (config,) = seen
         assert {name: getattr(config, name) for name in expected} == expected
+
+
+class TestChaosIgnoresNoFlag:
+    """``chaos`` refuses a flag it would not use instead of dropping it.
+
+    Each study run function is replaced by one that fails the test, so
+    a flag that is silently ignored again shows up as a failure, not as
+    a whole replay.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_study_runs(self, monkeypatch):
+        def unreachable(config, runner=None):
+            raise AssertionError("the study ran with a flag it should have refused")
+
+        monkeypatch.setattr("repro.experiments.chaos_exp.run_chaos", unreachable)
+        monkeypatch.setattr("repro.experiments.chaos_exp.run_chaos_packet", unreachable)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--tick", "-5"),
+            ("--tick", "5"),
+            ("--probe-interval", "nan"),
+            ("--adaptive",),
+            ("--adaptive-cadence",),
+            ("--gray-detect",),
+            ("--flap-margin",),
+            ("--probe-floor", "5"),
+            ("--probe-ceiling", "7"),
+        ],
+        ids=" ".join,
+    )
+    def test_packet_engine_refuses_controller_flags(self, flag, capsys):
+        assert main(["chaos", "--engine", "packet", "--fast", *flag]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert flag[0] in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--probe-floor", "5"), ("--probe-ceiling", "7"),
+         ("--probe-floor", "5", "--probe-ceiling", "7")],
+        ids=" ".join,
+    )
+    def test_cadence_bounds_need_an_adaptive_cadence_arm(self, bounds, capsys):
+        # Without one, the bounds used to leave the output byte-identical.
+        argv = ["chaos", "--fast", "--scenario", "probe-blackout", *bounds]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--adaptive-cadence" in err
+
+    def test_floor_above_ceiling_names_both_flags(self, capsys):
+        argv = [
+            "chaos", "--fast", "--adaptive", "--probe-floor", "100", "--probe-ceiling", "10",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--probe-floor" in err and "--probe-ceiling" in err
+        assert "max_interval_s" not in err

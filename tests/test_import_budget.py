@@ -102,8 +102,11 @@ class TestImportBudget:
         cache = str(tmp_path / "cache")
         study = [*argv, "--seed", "7", "--cache-dir", cache]
         cold = _python(_cli([*study, "--workers", "1", "--out", str(tmp_path / "cold.json")]))
+        # A warm run forks nothing, so it must not load the pool's
+        # process machinery either.
         warm, loaded = _run_loaded(
-            _cli([*study, "--resume", "--out", str(tmp_path / "warm.json")]), ENGINES
+            _cli([*study, "--resume", "--out", str(tmp_path / "warm.json")]),
+            [*ENGINES, "multiprocessing"],
         )
         assert loaded == []
         # Served, not recomputed: the warm run prints and writes the cold run's result.

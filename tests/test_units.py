@@ -1,10 +1,10 @@
-"""Unit conversions and validators."""
+"""Unit conversions, and the fraction, positive and non-negative bound checks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check
 from repro import units
 
 
@@ -18,22 +18,23 @@ class TestConversions:
 
 
 class TestValidators:
+    """The three bound shapes the library checks most, via :func:`check`."""
+
     def test_check_fraction_accepts_bounds(self):
-        assert units.check_fraction(0.0, "x") == 0.0
-        assert units.check_fraction(1.0, "x") == 1.0
+        assert check(0.0, "x", ge=0, le=1) == 0.0
+        assert check(1.0, "x", ge=0, le=1) == 1.0
 
     @pytest.mark.parametrize("bad", [-0.001, 1.001, 5.0])
     def test_check_fraction_rejects(self, bad):
         with pytest.raises(ConfigError):
-            units.check_fraction(bad, "x")
+            check(bad, "x", ge=0, le=1)
 
     def test_check_positive(self):
-        assert units.check_positive(0.1, "x") == 0.1
+        assert check(0.1, "x", gt=0) == 0.1
         with pytest.raises(ConfigError):
-            units.check_positive(0.0, "x")
+            check(0.0, "x", gt=0)
 
     def test_check_non_negative(self):
-        assert units.check_non_negative(0.0, "x") == 0.0
+        assert check(0.0, "x", ge=0) == 0.0
         with pytest.raises(ConfigError):
-            units.check_non_negative(-0.1, "x")
-
+            check(-0.1, "x", ge=0)
