@@ -23,7 +23,7 @@ def lazy_exports(
     ``exports`` maps a submodule path relative to ``package`` to the
     names the package re-exports from it; ``__all__`` lists them in
     that order.  A name that shadows its own submodule
-    (``repro.measure.iperf`` the function, not the module) is bound at
+    (``repro.measure.tstat`` the function, not the module) is bound at
     once: importing the submodule first would otherwise leave the
     module object under that name.
     """

@@ -28,11 +28,6 @@ class TrafficTier(enum.Enum):
     GB_20000 = 20_000
     UNLIMITED = 0
 
-    @property
-    def gigabytes(self) -> float:
-        """Included outbound volume; ``inf`` for unlimited."""
-        return float("inf") if self is TrafficTier.UNLIMITED else float(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class PricingModel:

@@ -125,9 +125,3 @@ class CloudProvider:
         """Total monthly cost of every VM currently rented."""
         return sum(server.monthly_cost_usd for server in self.servers)
 
-    def release_vm(self, server: VirtualServer) -> None:
-        """Stop renting a VM (it remains attached but is off the bill)."""
-        try:
-            self.servers.remove(server)
-        except ValueError:
-            raise CloudError(f"server {server.name} is not rented from {self.name}") from None

@@ -214,9 +214,3 @@ class ColoOperator:
         """Total monthly cost of every racked server."""
         return sum(server.monthly_cost_usd for server in self.servers)
 
-    def release_server(self, server: ColoServer) -> None:
-        """Unrack a server (it stays attached but is off the bill)."""
-        try:
-            self.servers.remove(server)
-        except ValueError:
-            raise ColoError(f"server {server.name} is not racked with {self.name}") from None

@@ -78,16 +78,3 @@ class ColoPricingModel:
             + transit_commit_mbps * self.transit_usd_per_mbps
         )
 
-    def footprint_monthly_usd(
-        self,
-        site_count: int,
-        port_speed: PortSpeed = PortSpeed.GBPS_1,
-        cross_connects: int = 2,
-        transit_commit_mbps: float = 100.0,
-    ) -> float:
-        """Monthly price of ``site_count`` identical relay sites."""
-        if site_count <= 0:
-            raise BillingError(f"site count must be positive, got {site_count}")
-        return site_count * self.site_monthly_usd(
-            port_speed, cross_connects, transit_commit_mbps
-        )

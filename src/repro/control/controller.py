@@ -46,17 +46,11 @@ WRONG_PATH_TOLERANCE = 0.05
 
 @dataclass(frozen=True, slots=True)
 class GoodputSample:
-    """Goodput delivered by the active set at one tick.
-
-    ``best_mbps`` is the oracle: the best any single candidate path
-    could have delivered at that instant (None unless the controller
-    tracks it).
-    """
+    """Goodput delivered by the active set at one tick."""
 
     at_time: float
     goodput_mbps: float
     active: tuple[str, ...]
-    best_mbps: float | None = None
 
 
 @dataclass
@@ -403,11 +397,7 @@ class OverlayController:
             self._decide(now, triggers)
             goodput = self._goodput(now)
             best = self._best_possible(now) if self.track_oracle else None
-            samples.append(
-                GoodputSample(
-                    at_time=now, goodput_mbps=goodput, active=self.active, best_mbps=best
-                )
-            )
+            samples.append(GoodputSample(at_time=now, goodput_mbps=goodput, active=self.active))
             step = min(self.tick_s, end - now)
             if goodput <= 0.0:
                 downtime_s += step

@@ -126,12 +126,3 @@ class DegradationGuard:
         cutoff = now - self.config.flap_window_s
         return sum(1 for t in times if cutoff <= t <= now)
 
-    def active_quarantines(self, now: float) -> tuple[str, ...]:
-        """Labels currently excluded (sorted)."""
-        return tuple(
-            sorted(
-                label
-                for label, until in self._quarantined_until.items()
-                if now < until
-            )
-        )

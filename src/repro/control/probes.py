@@ -22,8 +22,6 @@ baseline):
 * ``max_retries`` / ``retry_backoff_s`` — a failed or lost probe is
   retried on an exponential backoff (with the scheduler's jitter)
   instead of waiting a full interval with no data,
-* ``stale_after_s`` — :meth:`ProbeScheduler.fresh_result` serves the
-  last-known-good result only while it is younger than the bound,
 * an optional probe-plane fault model (:class:`~repro.faults.injector.
   ProbeFaultModel`) can lose a probe, time it out, or serve a stale
   cached result — the measurement substrate misbehaving independently
@@ -87,8 +85,6 @@ class ProbeConfig:
     max_retries: int = 0
     #: First retry delay; doubles per attempt, capped at ``interval_s``.
     retry_backoff_s: float = 5.0
-    #: Age bound for :meth:`ProbeScheduler.fresh_result` (None = any age).
-    stale_after_s: float | None = None
     #: Adapt the probe cadence to overall path health: tighten toward
     #: ``min_interval_s`` while any path is unhealthy, relax toward
     #: ``max_interval_s`` while all are healthy.  Off by default — the
@@ -119,13 +115,16 @@ class ProbeConfig:
             check(self.timeout_ms, "timeout_ms", gt=0, error=error)
         check(self.max_retries, "max_retries", ge=0, error=error)
         check(self.retry_backoff_s, "retry_backoff_s", gt=0, error=error)
-        if self.stale_after_s is not None:
-            check(self.stale_after_s, "stale_after_s", gt=0, error=error)
         if self.min_interval_s is not None:
             check(self.min_interval_s, "min_interval_s", gt=0, error=error)
         if self.max_interval_s is not None:
             check(self.max_interval_s, "max_interval_s", gt=0, ge=self.min_interval_s,
                   error=error)
+        elif self.min_interval_s is not None and self.min_interval_s > self.interval_s:
+            raise ControlError(
+                f"min_interval_s ({self.min_interval_s}) must not exceed interval_s "
+                f"({self.interval_s}), the cadence ceiling while max_interval_s is unset"
+            )
         check(self.tighten_factor, "tighten_factor", gt=0, lt=1, error=error)
         check(self.relax_factor, "relax_factor", gt=1, error=error)
 
@@ -169,8 +168,6 @@ class ProbeScheduler:
         #: All paths are due immediately so the controller starts informed.
         self._next_due: dict[str, float] = {label: 0.0 for label in self.labels}
         self.last_result: dict[str, ProbeResult] = {}
-        #: Last *successful* result per path (last-known-good cache).
-        self.last_good: dict[str, ProbeResult] = {}
         self._attempts: dict[str, int] = {label: 0 for label in self.labels}
         self.total_bytes = 0
         self.probes_sent = 0
@@ -345,8 +342,6 @@ class ProbeScheduler:
         )
         self._schedule_next(label, now, ok=result.ok)
         self.last_result[label] = result
-        if result.ok:
-            self.last_good[label] = result
         return result
 
     def _throughput(self, label: str, now: float) -> float:
@@ -371,7 +366,7 @@ class ProbeScheduler:
         return results
 
     # ------------------------------------------------------------------
-    # last-known-good cache
+    # result ages
     # ------------------------------------------------------------------
     def result_age(self, label: str, now: float) -> float:
         """Seconds since the last result for ``label`` (inf when none).
@@ -390,12 +385,3 @@ class ProbeScheduler:
         """
         return min((self.result_age(label, now) for label in self.labels), default=math.inf)
 
-    def fresh_result(self, label: str, now: float) -> ProbeResult | None:
-        """Last-known-good result, only while within the staleness bound."""
-        result = self.last_good.get(label)
-        if result is None:
-            return None
-        bound = self.config.stale_after_s
-        if bound is not None and now - result.at_time > bound:
-            return None
-        return result

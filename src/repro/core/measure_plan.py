@@ -64,10 +64,6 @@ class FourWayMeasurement:
             )
         return overlay_mbps / self.direct.throughput_mbps
 
-    def min_overlay_retransmission_rate(self) -> float:
-        """Lowest retx rate across overlay tunnels (Fig. 4's per-pair stat)."""
-        return min(stats.retransmission_rate for stats in self.overlay.values())
-
     def min_overlay_rtt_ms(self) -> float:
         """Lowest average RTT across overlay tunnels (Fig. 5's numerator)."""
         return min(stats.avg_rtt_ms for stats in self.overlay.values())

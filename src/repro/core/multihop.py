@@ -21,7 +21,6 @@ from repro.errors import ConfigError
 from repro.net.path import RouterPath
 from repro.net.world import Internet
 from repro.transport.split import SplitTcpChain
-from repro.transport.tcp import TcpConnection
 from repro.transport.throughput import TcpParams
 from repro.tunnel.node import OverlayNode, SPLIT_EFFICIENCY
 from repro.units import DEFAULT_MSS
@@ -101,11 +100,6 @@ class MultiHopPathSet:
             params=self._params(),
             proxy_efficiency=SPLIT_EFFICIENCY,
         )
-
-    def plain_connection(self, option: MultiHopOption) -> TcpConnection:
-        """One end-to-end TCP connection through all the relays."""
-        efficiency = 0.995 ** option.hop_count
-        return TcpConnection(option.concatenated, self._params().with_efficiency(efficiency))
 
     def best_by_hop_count(self, at_time: float) -> dict[int, tuple[str, float]]:
         """Best split-chain throughput per relay count.

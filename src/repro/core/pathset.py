@@ -170,8 +170,11 @@ class PathSet:
         """TCP parameters of the tunnel overlay through ``option``."""
         tunnel = option.node.tunnel_for(self.dst_name)
         forwarder = option.node.with_mode(NodeMode.FORWARD)
-        params = self._receiver_params().with_mss(tunnel.inner_mss_bytes)
-        return params.with_efficiency(forwarder.relay_efficiency)
+        return TcpParams(
+            mss_bytes=tunnel.inner_mss_bytes,
+            rwnd_bytes=self._receiver_params().rwnd_bytes,
+            efficiency=forwarder.relay_efficiency,
+        )
 
     def split_chain(self, option: OverlayPathOption) -> SplitTcpChain:
         """Split-TCP through the node (split-overlay mode).

@@ -76,12 +76,6 @@ class EpochAllocation:
     per_flow_mbps: np.ndarray
     #: Offered load per resource (Mbps) — demand, before capping.
     offered_mbps: np.ndarray
-    #: Carried load per resource (Mbps) — after capping.
-    carried_mbps: np.ndarray
-
-    def achieved_mbps(self, class_index: int) -> float:
-        """Aggregate achieved rate of one class."""
-        return float(self.per_flow_mbps[class_index] * self.classes[class_index].count)
 
     def utilization(self, resource_index: int) -> float:
         """Offered load over capacity (may exceed 1 when saturated)."""
@@ -89,24 +83,6 @@ class EpochAllocation:
             self.offered_mbps[resource_index]
             / self.resources[resource_index].capacity_mbps
         )
-
-    def loss_fraction(self, resource_index: int) -> float:
-        """Fraction of offered load the resource could not carry."""
-        offered = float(self.offered_mbps[resource_index])
-        if offered <= 0.0:
-            return 0.0
-        return max(0.0, 1.0 - float(self.carried_mbps[resource_index]) / offered)
-
-    @property
-    def satisfied_fraction(self) -> float:
-        """Achieved over offered across the whole population."""
-        offered = sum(c.demand_mbps for c in self.classes)
-        if offered <= 0.0:
-            return 1.0
-        achieved = float(
-            sum(self.achieved_mbps(i) for i in range(len(self.classes)))
-        )
-        return achieved / offered
 
 
 def solve_rates(
@@ -193,7 +169,7 @@ def solve_epoch(
     ri = np.array(
         [idx for c in classes for idx in c.resources], dtype=np.intp
     )
-    rate, offered, carried = solve_rates(desired, capacity, ci, ri, iterations)
+    rate, offered, _ = solve_rates(desired, capacity, ci, ri, iterations)
 
     counts = np.array([c.count for c in classes], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,5 +179,4 @@ def solve_epoch(
         resources=resources,
         per_flow_mbps=per_flow,
         offered_mbps=offered,
-        carried_mbps=carried,
     )

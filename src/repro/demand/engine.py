@@ -287,8 +287,8 @@ class DemandEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             unserved = 1.0 - carried.reshape(capacity.shape) / offered
         loss = np.where((offered > 0.0) & (unserved > 0.0), unserved, 0.0)
-        # Achieved rate as per-flow rate times count, the rounding of
-        # EpochAllocation.achieved_mbps.
+        # Achieved rate as per-flow rate times count, rounded as
+        # solve_epoch's per-flow rates are.
         achieved = (rate / class_counts * class_counts).tolist()
         desired = desired.tolist()
         bounds = np.searchsorted(epoch_of, np.arange(len(epochs) + 1)).tolist()

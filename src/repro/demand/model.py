@@ -127,15 +127,6 @@ class DemandModel:
             raise ConfigError("demand model needs at least one city with clients")
         return cls(seed=seed, cities=tuple(cities))
 
-    @property
-    def city_names(self) -> tuple[str, ...]:
-        """Cities in the population, sorted (construction order)."""
-        return tuple(c.city for c in self.cities)
-
-    def total_rate_qps(self, t: float) -> float:
-        """Whole-population arrival rate at time ``t``."""
-        return sum(c.rate_qps(t) for c in self.cities)
-
     def expected_concurrent(self, t: float, mean_flow_s: float) -> dict[str, float]:
         """Per-city mean concurrency at ``t`` (Little's law)."""
         return {c.city: c.expected_concurrent(t, mean_flow_s) for c in self.cities}

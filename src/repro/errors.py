@@ -50,10 +50,6 @@ class TunnelError(ReproError):
     """Tunnel establishment or encapsulation failed."""
 
 
-class NatError(TunnelError):
-    """NAT translation failed (unknown mapping, exhausted ports)."""
-
-
 class TransportError(ReproError):
     """Transport-layer simulation failed (bad window, negative RTT...)."""
 
@@ -75,7 +71,7 @@ class ControlError(ReproError):
 
 
 class PlanetLabError(ReproError):
-    """PlanetLab client population errors (cap exceeded, unknown site)."""
+    """PlanetLab client population errors (unknown site, empty deployment)."""
 
 
 class ExecError(ReproError):

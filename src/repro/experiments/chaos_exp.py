@@ -113,6 +113,11 @@ class ChaosConfig:
             raise ExperimentError(
                 f"--probe-floor ({floor}) must not exceed --probe-ceiling ({ceiling})"
             )
+        if floor is not None and ceiling is None and floor > self.probe_interval_s:
+            raise ExperimentError(
+                f"--probe-floor ({floor}) must not exceed --probe-interval "
+                f"({self.probe_interval_s}), the cadence ceiling without --probe-ceiling"
+            )
         check(self.flap_margin_per_failure, "flap_margin_per_failure", ge=0, error=error)
 
     @property
@@ -154,7 +159,6 @@ class ChaosConfig:
             timeout_ms=2_000.0,
             max_retries=2,
             retry_backoff_s=max(self.probe_interval_s / 6.0, 1.0),
-            stale_after_s=2.0 * self.probe_interval_s,
         )
 
     def adaptive_probes(self) -> ProbeConfig:
@@ -166,7 +170,6 @@ class ChaosConfig:
             timeout_ms=2_000.0,
             max_retries=2,
             retry_backoff_s=max(self.probe_interval_s / 6.0, 1.0),
-            stale_after_s=2.0 * self.probe_interval_s,
             adaptive=True,
             min_interval_s=self.probe_floor_s,
             max_interval_s=self.probe_ceiling_s,

@@ -226,18 +226,6 @@ class FaultInjector:
         ]
         return tuple(sorted(windows, key=lambda w: (w.start_s, w.end_s)))
 
-    def flap_count(
-        self, link_id: int, since: float = 0.0, until: float = float("inf")
-    ) -> int:
-        """How many distinct down-windows hit ``link_id`` in the range.
-
-        Each withdraw phase of a :class:`~repro.faults.events.RouteFlap`
-        counts separately, so a flapping link scores much higher than a
-        link with one long outage — exactly the asymmetry a
-        flap-penalising path policy wants.
-        """
-        return len(self.down_windows(link_id, since, until))
-
     def describe(self) -> str:
         """One line per registered event."""
         return "\n".join(event.describe() for event in self.events)

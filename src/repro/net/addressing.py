@@ -73,13 +73,6 @@ class AddressPlan:
         self._allocations[asn] = allocation
         return allocation
 
-    def allocation_of(self, asn: int) -> Allocation:
-        """The existing block of AS ``asn``."""
-        allocation = self._allocations.get(asn)
-        if allocation is None:
-            raise TopologyError(f"AS{asn} has no address allocation")
-        return allocation
-
     def assign_router(self, router_id: int, asn: int) -> str:
         """Assign (or return) the address of a router."""
         existing = self._router_addresses.get(router_id)
@@ -118,10 +111,3 @@ class AddressPlan:
             raise TopologyError(f"host {host_name!r} has no address")
         return address
 
-    def owner_of(self, address: str) -> int:
-        """The ASN whose block contains ``address``."""
-        target = ipaddress.ip_address(address)
-        for allocation in self._allocations.values():
-            if target in allocation.network:
-                return allocation.asn
-        raise TopologyError(f"address {address} belongs to no allocated block")

@@ -67,10 +67,6 @@ class BgpRouting:
         self.topology = topology
         self._cache: dict[int, dict[int, Route]] = {}
 
-    def invalidate(self) -> None:
-        """Drop cached routing trees (call after topology changes)."""
-        self._cache.clear()
-
     def routes_to(self, dest_asn: int) -> dict[int, Route]:
         """Best route from every AS toward ``dest_asn``.
 

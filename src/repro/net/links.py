@@ -125,14 +125,6 @@ class Link:
         if self.router_a == self.router_b:
             raise LinkError(f"link {self.link_id} is a self-loop at router {self.router_a}")
 
-    def other_end(self, router_id: int) -> int:
-        """The router at the opposite end of ``router_id``."""
-        if router_id == self.router_a:
-            return self.router_b
-        if router_id == self.router_b:
-            return self.router_a
-        raise LinkError(f"router {router_id} is not an endpoint of link {self.link_id}")
-
     def utilization(self, t: float) -> float:
         """Background utilization at time ``t`` (0 when failed: no traffic)."""
         if self.failed:
@@ -208,16 +200,6 @@ class Link:
         """Bring a failed link back up."""
         self.failed = False
         _bump_epoch()
-
-    @property
-    def impaired(self) -> bool:
-        """True while a gray failure or congestion surge is in effect."""
-        return (
-            self.extra_loss > 0.0
-            or self.extra_delay_ms > 0.0
-            or self.util_surge > 0.0
-            or self.bulk_extra_loss > 0.0
-        )
 
     def impair(
         self,

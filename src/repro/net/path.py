@@ -168,10 +168,6 @@ class RouterPath:
         """End-to-end loss fraction at time ``t`` (convenience accessor)."""
         return self.metrics(t).loss
 
-    def common_routers(self, other: "RouterPath") -> set[int]:
-        """Routers appearing on both paths (diversity-score numerator)."""
-        return set(self.router_ids) & set(other.router_ids)
-
     def concatenate(self, other: "RouterPath") -> "RouterPath":
         """Join two path segments at a shared point (A->O + O->B).
 

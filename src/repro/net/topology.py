@@ -80,10 +80,6 @@ class ASRelation:
         if not self.interconnect_cities:
             raise TopologyError(f"relation AS{self.a}-AS{self.b} has no interconnects")
 
-    def involves(self, asn: int) -> bool:
-        """True if ``asn`` is one of the two parties."""
-        return asn in (self.a, self.b)
-
 
 @dataclass(slots=True)
 class TopologyConfig:

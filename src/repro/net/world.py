@@ -406,8 +406,7 @@ class Internet:
 
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` (>= 0); see :meth:`set_time`."""
-        if seconds < 0:
-            raise ConfigError(f"cannot advance time by {seconds}")
+        check(seconds, "advance seconds", ge=0)
         return self.set_time(self._clock_s + seconds)
 
     def set_time(self, t: float) -> float:
@@ -422,8 +421,7 @@ class Internet:
         functions of time (``FaultInjector.apply`` is), not
         accumulators that assume monotonic ticks.
         """
-        if t < 0:
-            raise ConfigError(f"time must be >= 0, got {t}")
+        check(t, "time", ge=0)
         if t < self._clock_s:
             self.invalidate_path_cache()
         self._clock_s = t

@@ -1,8 +1,8 @@
-"""PlanetLab nodes: hosts in academic ASes with daily outbound caps."""
+"""PlanetLab nodes: client hosts in academic ASes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlanetLabError
 from repro.geo import city as lookup_city
@@ -10,19 +10,12 @@ from repro.net.asn import ASKind
 from repro.net.world import Host, Internet
 from repro.rand import RandomStreams
 
-#: Default PlanetLab daily outbound cap (10 GB/day was typical).
-DEFAULT_DAILY_CAP_BYTES = 10_000_000_000
-#: Outbound throughput multiplier once the cap is blown (footnote 1).
-THROTTLED_FRACTION = 0.1
-
 
 @dataclass
 class PlanetLabNode:
-    """One PlanetLab client with its daily outbound accounting."""
+    """One PlanetLab client."""
 
     host: Host
-    daily_cap_bytes: int = DEFAULT_DAILY_CAP_BYTES
-    sent_today: dict[int, int] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -32,20 +25,6 @@ class PlanetLabNode:
     def region(self) -> str:
         """The node's continent tag."""
         return lookup_city(self.host.city_name).region
-
-    def record_outbound(self, day: int, size_bytes: int) -> None:
-        """Account outbound traffic for cap enforcement."""
-        if size_bytes < 0:
-            raise PlanetLabError(f"negative transfer size {size_bytes}")
-        self.sent_today[day] = self.sent_today.get(day, 0) + size_bytes
-
-    def is_throttled(self, day: int) -> bool:
-        """True once the node blew its cap for ``day``."""
-        return self.sent_today.get(day, 0) > self.daily_cap_bytes
-
-    def outbound_rate_factor(self, day: int) -> float:
-        """Multiplier on outbound throughput (the cap's penalty)."""
-        return THROTTLED_FRACTION if self.is_throttled(day) else 1.0
 
 
 @dataclass

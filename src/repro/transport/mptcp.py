@@ -48,10 +48,6 @@ class MptcpStats:
         """Aggregate goodput of the MPTCP connection."""
         return self.total.throughput_mbps
 
-    def best_subflow_mbps(self) -> float:
-        """Goodput of the single best subflow in this run."""
-        return max(stats.throughput_mbps for stats in self.subflows)
-
 
 class MptcpConnection:
     """An MPTCP connection over a set of candidate paths."""

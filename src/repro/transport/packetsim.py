@@ -395,19 +395,6 @@ class PacketLevelTcp:
     # ------------------------------------------------------------------
     # bookkeeping (ring buffers in fastpath mode, pruned dicts in scalar)
     # ------------------------------------------------------------------
-    def is_received(self, seq: int) -> bool:
-        """Whether the receiver holds segment ``seq``.
-
-        Everything below the cumulative ``expected_seq`` is received by
-        definition; above it, membership comes from the out-of-order
-        buffer (the ring in fastpath mode, the pruned set otherwise).
-        """
-        if seq < self.expected_seq:
-            return True
-        if self._fast:
-            return self._rcv_seq[seq & self._mask] == seq
-        return seq in self._received
-
     def _prune(self) -> None:
         """Drop bookkeeping for long-ACKed segments (scalar mode).
 

@@ -48,12 +48,6 @@ class TcpParams:
             mss_bytes=mss_bytes, rwnd_bytes=self.rwnd_bytes, efficiency=self.efficiency
         )
 
-    def with_efficiency(self, efficiency: float) -> "TcpParams":
-        """Copy with a different processing-efficiency factor."""
-        return TcpParams(
-            mss_bytes=self.mss_bytes, rwnd_bytes=self.rwnd_bytes, efficiency=efficiency
-        )
-
 
 def steady_state_throughput_mbps(metrics: PathMetrics, params: TcpParams) -> float:
     """Steady-state throughput of one TCP flow over a path snapshot.

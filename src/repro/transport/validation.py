@@ -49,11 +49,6 @@ class Scenario:
         """Round-trip propagation time of the scenario's path."""
         return 2.0 * self.one_way_delay_ms
 
-    @property
-    def data_loss(self) -> float:
-        """The loss a bulk transfer pays in this scenario."""
-        return self.loss if self.bulk_loss is None else self.bulk_loss
-
 
 #: The validation matrix: clean, window-limited, lossy, long-lossy.
 CANONICAL_SCENARIOS: tuple[Scenario, ...] = (

@@ -2,7 +2,7 @@
 
 Relays run on either substrate — a cloud VM (the paper's deployment)
 or a bare-metal server in a colocation facility (:mod:`repro.colo`).
-Everything above the host (tunnels, NAT, modes) is substrate-blind.
+Everything above the host (tunnels, modes) is substrate-blind.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.errors import TunnelError
 from repro.net.world import Host
 from repro.tunnel.encap import TunnelSpec, TunnelType
-from repro.tunnel.nat import MasqueradeNat
 
 
 class NodeMode(enum.Enum):
@@ -27,8 +26,6 @@ class NodeMode(enum.Enum):
 #: colo bare-metal servers.  Clients/servers never relay.
 RELAY_HOST_KINDS = ("cloud_vm", "colo_relay")
 
-#: Userspace forwarding adds a little latency per direction.
-FORWARD_DELAY_MS = 0.15
 #: Relay efficiency of kernel forwarding (near line rate).
 FORWARD_EFFICIENCY = 0.995
 #: Relay efficiency of the split-TCP proxy (copies through userspace).
@@ -41,13 +38,13 @@ class OverlayNode:
 
     ``host`` is the VM's attachment in the simulated Internet.  Tunnels
     are established from *client* endpoints only; the server side rides
-    the NAT (Sec. II: "without having to establish any tunnel with that
-    other endpoint").
+    the node's IP masquerade (Sec. II: "without having to establish any
+    tunnel with that other endpoint").  The model keeps no NAT state:
+    an overlay option's two resolved legs carry both directions.
     """
 
     host: Host
     mode: NodeMode = NodeMode.FORWARD
-    nat: MasqueradeNat = field(default_factory=lambda: MasqueradeNat("0.0.0.0"))
     tunnels: dict[str, TunnelSpec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -56,12 +53,6 @@ class OverlayNode:
                 f"overlay nodes must run on a relay host {RELAY_HOST_KINDS}, "
                 f"got host kind {self.host.kind!r}"
             )
-        # Bind the NAT to the VM's public address.
-        if self.nat.nat_ip == "0.0.0.0":
-            public_ip = self.host.ip_address
-            if public_ip == "0.0.0.0":
-                public_ip = f"10.{self.host.host_id % 256}.0.1"
-            self.nat = MasqueradeNat(public_ip)
 
     @property
     def name(self) -> str:
@@ -79,12 +70,6 @@ class OverlayNode:
         self.tunnels[client_name] = spec
         return spec
 
-    def tear_down_tunnel(self, client_name: str) -> None:
-        """Remove a client's tunnel."""
-        if client_name not in self.tunnels:
-            raise TunnelError(f"no tunnel from {client_name!r} at node {self.name}")
-        del self.tunnels[client_name]
-
     def tunnel_for(self, client_name: str) -> TunnelSpec:
         """The tunnel spec for a client, which must already exist."""
         spec = self.tunnels.get(client_name)
@@ -97,15 +82,10 @@ class OverlayNode:
         """Throughput efficiency of the relay function in this mode."""
         return FORWARD_EFFICIENCY if self.mode is NodeMode.FORWARD else SPLIT_EFFICIENCY
 
-    @property
-    def added_delay_ms(self) -> float:
-        """One-way latency the node adds to traversing packets."""
-        return FORWARD_DELAY_MS if self.mode is NodeMode.FORWARD else 2 * FORWARD_DELAY_MS
-
     def with_mode(self, mode: NodeMode) -> "OverlayNode":
         """A view of the same node operating in a different mode.
 
-        Shares the host, NAT and tunnels — the paper measures the same
+        Shares the host and tunnels — the paper measures the same
         node both as a plain relay and as a split proxy.
         """
-        return OverlayNode(host=self.host, mode=mode, nat=self.nat, tunnels=self.tunnels)
+        return OverlayNode(host=self.host, mode=mode, tunnels=self.tunnels)

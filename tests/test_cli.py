@@ -433,3 +433,15 @@ class TestChaosIgnoresNoFlag:
         err = capsys.readouterr().err
         assert "--probe-floor" in err and "--probe-ceiling" in err
         assert "max_interval_s" not in err
+
+    def test_floor_above_the_implicit_ceiling_is_refused(self, capsys):
+        # Without --probe-ceiling the ceiling is the probe interval (15 s
+        # under --fast); a floor above it used to override it silently.
+        argv = [
+            "chaos", "--fast", "--scenario", "gray-detect", "--adaptive", "--probe-floor", "100",
+        ]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert "--probe-floor" in out.err and "--probe-interval" in out.err
+        assert out.out == ""

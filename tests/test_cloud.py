@@ -93,10 +93,6 @@ class TestRentVm:
         assert provider.monthly_bill_usd() == pytest.approx(
             s1.monthly_cost_usd + s2.monthly_cost_usd
         )
-        provider.release_vm(s1)
-        assert provider.monthly_bill_usd() == pytest.approx(s2.monthly_cost_usd)
-        with pytest.raises(CloudError):
-            provider.release_vm(s1)
 
     def test_port_speed_sets_nic(self, cloudy_world):
         internet, provider = cloudy_world
@@ -170,7 +166,3 @@ class TestPricing:
         )
         assert comparison.cost_ratio < 0.2
         assert comparison.overlay_monthly_usd < comparison.leased_line_monthly_usd
-
-    def test_unlimited_tier_gigabytes(self):
-        assert TrafficTier.UNLIMITED.gigabytes == float("inf")
-        assert TrafficTier.GB_5000.gigabytes == 5_000.0

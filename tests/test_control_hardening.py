@@ -144,23 +144,6 @@ class TestProbePlaneFaults:
 
 
 class TestLastKnownGood:
-    def test_fresh_result_respects_staleness_bound(self, pathset):
-        sched = scheduler(pathset, stale_after_s=100.0)
-        sched.probe("direct", 0.0)
-        assert sched.fresh_result("direct", 50.0) is not None
-        assert sched.fresh_result("direct", 101.0) is None
-        assert sched.fresh_result("vm", 0.0) is None
-
-    def test_failed_probe_never_enters_last_good(self, pathset):
-        sched = scheduler(pathset, stale_after_s=1_000.0)
-        sched.probe("direct", 0.0)
-        pathset.direct.links[2].fail()
-        sched.probe("direct", 100.0)
-        good = sched.fresh_result("direct", 150.0)
-        assert good is not None and good.ok
-        assert good.at_time == 0.0
-        pathset.direct.links[2].restore()
-
     def test_freshest_age(self, pathset):
         sched = scheduler(pathset)
         assert sched.freshest_age(0.0) == math.inf
@@ -201,7 +184,6 @@ class TestDegradationGuard:
         assert quarantine.until == pytest.approx(600.0)
         assert guard.is_quarantined("vm", 599.0)
         assert not guard.is_quarantined("vm", 600.0)
-        assert guard.active_quarantines(400.0) == ("vm",)
 
     def test_failures_outside_window_forgotten(self):
         guard = self.guard(flap_window_s=150.0)
@@ -308,11 +290,12 @@ class TestOracleTracking:
             track_oracle=True,
         )
         report = controller.run(100.0)
-        assert all(s.best_mbps is not None for s in report.samples)
-        best = report.samples[0].best_mbps
-        got = report.samples[0].goodput_mbps
-        if got < best * 0.95:
-            assert report.wrong_path_s > 0.0
+        # The oracle is a pure function of the instant and link state.
+        lagging = [
+            s for s in report.samples
+            if s.goodput_mbps < controller._best_possible(s.at_time) * 0.95
+        ]
+        assert report.wrong_path_s == pytest.approx(10.0 * len(lagging))
 
     def test_oracle_off_by_default(self, small_internet, pathset):
         controller = OverlayController(
@@ -322,5 +305,4 @@ class TestOracleTracking:
             tick_s=10.0,
         )
         report = controller.run(50.0)
-        assert all(s.best_mbps is None for s in report.samples)
         assert report.wrong_path_s == 0.0

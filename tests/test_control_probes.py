@@ -226,6 +226,12 @@ class TestAdaptiveCadence:
         with pytest.raises(ControlError):
             ProbeConfig(adaptive=True, relax_factor=1.0)
 
+    def test_floor_above_the_implicit_ceiling_rejected(self):
+        # Without max_interval_s the ceiling is interval_s.
+        with pytest.raises(ControlError, match=r"min_interval_s \(100.0\).*interval_s \(15.0\)"):
+            ProbeConfig(interval_s=15.0, adaptive=True, min_interval_s=100.0)
+        ProbeConfig(interval_s=15.0, adaptive=True, min_interval_s=15.0)
+
     def test_defaults_derive_from_interval(self):
         config = ProbeConfig(interval_s=60.0, adaptive=True)
         assert config.floor_interval_s == pytest.approx(15.0)

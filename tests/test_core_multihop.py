@@ -76,10 +76,3 @@ class TestThroughput:
         two_hops = [o for o in multihop.options if o.hop_count == 2]
         assert any(multihop.uses_backbone(o) for o in two_hops)
 
-    def test_plain_connection_efficiency_penalty(self, multihop_world):
-        internet, cronet = multihop_world
-        multihop = MultiHopPathSet.build(internet, "srv", "cli", cronet.nodes, max_hops=2)
-        two_hop = next(o for o in multihop.options if o.hop_count == 2)
-        conn = multihop.plain_connection(two_hop)
-        assert conn.params.efficiency < 1.0
-

@@ -36,10 +36,7 @@ class TestSolveEpoch:
             [cls("a", 100.0, 0.05, 0), cls("b", 50.0, 0.02, 0)],
             [Resource("r", 10.0)],
         )
-        assert allocation.achieved_mbps(0) == pytest.approx(5.0)
-        assert allocation.achieved_mbps(1) == pytest.approx(1.0)
-        assert allocation.satisfied_fraction == pytest.approx(1.0)
-        assert allocation.loss_fraction(0) == 0.0
+        assert allocation.per_flow_mbps.tolist() == pytest.approx([0.05, 0.02])
 
     def test_single_bottleneck_scales_proportionally(self):
         allocation = solve_epoch(
@@ -47,33 +44,30 @@ class TestSolveEpoch:
             [Resource("r", 20.0)],
         )
         # 40 Mbps offered into 20: both classes halved.
-        assert allocation.achieved_mbps(0) == pytest.approx(15.0, rel=1e-6)
-        assert allocation.achieved_mbps(1) == pytest.approx(5.0, rel=1e-6)
+        assert allocation.per_flow_mbps.tolist() == pytest.approx([0.05, 0.05], rel=1e-6)
         assert allocation.utilization(0) == pytest.approx(2.0)
-        assert allocation.loss_fraction(0) == pytest.approx(0.5, rel=1e-6)
 
     def test_carried_never_exceeds_capacity(self):
         allocation = solve_epoch(
             [cls("a", 1_000.0, 0.5, 0, 1), cls("b", 2_000.0, 0.25, 1)],
             [Resource("r0", 100.0), Resource("r1", 200.0)],
         )
-        assert float(allocation.carried_mbps[0]) <= 100.0 + 1e-9
-        assert float(allocation.carried_mbps[1]) <= 200.0 + 1e-9
+        a, b = allocation.per_flow_mbps
+        assert 1_000 * a <= 100.0 + 1e-9
+        assert 1_000 * a + 2_000 * b <= 200.0 + 1e-9
 
     def test_chained_bottleneck_binds_at_minimum(self):
         allocation = solve_epoch(
             [cls("a", 10.0, 10.0, 0, 1)],
             [Resource("wide", 1_000.0), Resource("narrow", 25.0)],
         )
-        assert allocation.achieved_mbps(0) == pytest.approx(25.0, rel=1e-6)
         assert float(allocation.per_flow_mbps[0]) == pytest.approx(2.5, rel=1e-6)
 
     def test_unconstrained_class_passes_through(self):
         allocation = solve_epoch(
             [cls("free", 1_000_000.0, 0.01)], [Resource("r", 1.0)]
         )
-        assert allocation.achieved_mbps(0) == pytest.approx(10_000.0)
-        assert allocation.satisfied_fraction == pytest.approx(1.0)
+        assert float(allocation.per_flow_mbps[0]) == pytest.approx(0.01)
 
     def test_deterministic(self):
         classes = [cls(f"c{i}", 10.0 * i + 1, 0.3, i % 2) for i in range(10)]
@@ -81,19 +75,19 @@ class TestSolveEpoch:
         a = solve_epoch(classes, resources)
         b = solve_epoch(classes, resources)
         assert np.array_equal(a.per_flow_mbps, b.per_flow_mbps)
-        assert np.array_equal(a.carried_mbps, b.carried_mbps)
+        assert np.array_equal(a.offered_mbps, b.offered_mbps)
 
     def test_millions_of_flows_without_per_flow_objects(self):
         allocation = solve_epoch(
             [cls("mega", 3_000_000.0, 0.02, 0)], [Resource("r", 1_000.0)]
         )
         assert allocation.utilization(0) == pytest.approx(60.0)
-        assert allocation.achieved_mbps(0) == pytest.approx(1_000.0, rel=1e-6)
+        assert 3_000_000 * float(allocation.per_flow_mbps[0]) == pytest.approx(1_000.0, rel=1e-6)
 
     def test_empty_epoch(self):
         allocation = solve_epoch([], [])
         assert isinstance(allocation, EpochAllocation)
-        assert allocation.satisfied_fraction == 1.0
+        assert allocation.per_flow_mbps.size == 0
 
 
 class TestRelayCapacity:

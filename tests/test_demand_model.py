@@ -63,7 +63,7 @@ class TestDemandModelBuild:
 
     def test_cities_sorted_and_zero_client_cities_dropped(self):
         model = DemandModel.build({"tokyo": 2, "london": 3, "paris": 0}, seed=1)
-        assert model.city_names == ("london", "tokyo")
+        assert tuple(c.city for c in model.cities) == ("london", "tokyo")
 
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigError):

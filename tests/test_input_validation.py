@@ -1,8 +1,9 @@
 """Every numeric knob fails early on nan, ±inf, 0 and −1, or says why not.
 
 One table-driven sweep covers the numeric fields of every ``*Config``
-dataclass and the numeric flags of ``control``, ``chaos``, ``demand``,
-``colo`` and ``--workers``.  Each bad value must raise a
+dataclass, the numeric flags of ``control``, ``chaos``, ``demand``,
+``colo`` and ``--workers``, and the simulated clock's ``set_time`` and
+``advance``.  Each bad value must raise a
 :mod:`repro.errors` type (configs), make ``main()`` return 1 with
 ``error:`` (CLI), or appear in an acceptance table below with the
 reason it is a legitimate input.
@@ -161,6 +162,29 @@ class TestConfigSweep:
                 assert any(f == field for _, f in fields)
             else:
                 assert (config, field, value) in cases
+
+
+#: Clock moves accepted among :data:`BAD_VALUES`, with the reason.
+ACCEPTED_CLOCK_VALUES: dict[tuple[str, float], str] = {
+    ("set_time", 0): "t=0 is the start of every run",
+    ("advance", 0): "a zero step leaves the clock where it is",
+}
+
+
+class TestClockSweep:
+    """``Internet.set_time`` and ``advance``: per-call checks on the clock."""
+
+    @pytest.mark.parametrize("method", ["set_time", "advance"])
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=str)
+    def test_bad_clock_move_raises_or_is_documented(self, small_internet, method, value):
+        move = getattr(small_internet, method)
+        small_internet.set_time(60.0)
+        if (method, value) in ACCEPTED_CLOCK_VALUES:
+            move(value)
+            return
+        with pytest.raises(ConfigError, match="finite"):
+            move(value)
+        assert small_internet.now == 60.0
 
 
 class TestCheck:

@@ -1,27 +1,12 @@
-"""Measurement tools: iperf, tstat, traceroute, campaigns."""
+"""Measurement tools: tstat, traceroute, campaigns."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measure import MeasurementCampaign, iperf, traceroute, tstat
-from repro.transport import TcpConnection
+from repro.measure import MeasurementCampaign, traceroute, tstat
 from repro.transport.throughput import FlowStats
-
-
-class TestIperf:
-    def test_report_matches_connection(self, small_internet):
-        conn = TcpConnection(small_internet.resolve_path("client", "server"))
-        report = iperf(conn, start_time=3_600.0, duration_s=30.0)
-        assert report.duration_s == 30.0
-        assert report.throughput_mbps > 0
-        assert report.transferred_bytes > 0
-
-    def test_rejects_bad_duration(self, small_internet):
-        conn = TcpConnection(small_internet.resolve_path("client", "server"))
-        with pytest.raises(MeasurementError):
-            iperf(conn, 0.0, duration_s=0.0)
 
 
 class TestTstat:

@@ -152,14 +152,6 @@ class TestGeneratedTopologyRouting:
             a: r.path for a, r in fresh.routes_to(dst).items()
         }
 
-    def test_invalidate_clears_cache(self, routed):
-        _topo, bgp = routed
-        dst = sorted(bgp.topology.ases)[0]
-        bgp.routes_to(dst)
-        assert bgp._cache
-        bgp.invalidate()
-        assert not bgp._cache
-
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))

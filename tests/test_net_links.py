@@ -51,13 +51,6 @@ class TestLinkConstruction:
         with pytest.raises(ConfigError):
             make_link(base_loss=1.5)
 
-    def test_other_end(self):
-        link = make_link()
-        assert link.other_end(1) == 2
-        assert link.other_end(2) == 1
-        with pytest.raises(LinkError):
-            link.other_end(99)
-
 
 class TestQueuing:
     def test_no_queue_below_knee(self):

@@ -1,4 +1,4 @@
-"""PlanetLab population: distributions, caps, deployment."""
+"""PlanetLab population: distributions and deployment."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from repro.planetlab import (
     CONTROLLED_DISTRIBUTION,
     WEBLAB_DISTRIBUTION,
     PlanetLabDeployment,
-    PlanetLabNode,
     deploy_planetlab,
 )
-from repro.planetlab.nodes import THROTTLED_FRACTION
 from repro.planetlab.sites import scale_distribution
 
 
@@ -83,27 +81,3 @@ class TestDeployment:
     def test_empty_deployment_rejected(self):
         with pytest.raises(PlanetLabError):
             PlanetLabDeployment(nodes=[])
-
-
-class TestOutboundCap:
-    def _node(self, small_internet):
-        host = small_internet.host("client")
-        return PlanetLabNode(host=host, daily_cap_bytes=1_000)
-
-    def test_throttles_after_cap(self, small_internet):
-        node = self._node(small_internet)
-        assert node.outbound_rate_factor(day=0) == 1.0
-        node.record_outbound(day=0, size_bytes=2_000)
-        assert node.is_throttled(day=0)
-        assert node.outbound_rate_factor(day=0) == THROTTLED_FRACTION
-
-    def test_caps_are_per_day(self, small_internet):
-        node = self._node(small_internet)
-        node.record_outbound(day=0, size_bytes=2_000)
-        assert not node.is_throttled(day=1)
-        assert node.outbound_rate_factor(day=1) == 1.0
-
-    def test_negative_size_rejected(self, small_internet):
-        node = self._node(small_internet)
-        with pytest.raises(PlanetLabError):
-            node.record_outbound(day=0, size_bytes=-1)

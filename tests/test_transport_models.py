@@ -119,7 +119,7 @@ class TestTcpParams:
         assert p.rwnd_bytes == TcpParams().rwnd_bytes
 
     def test_with_efficiency(self):
-        assert TcpParams().with_efficiency(0.95).efficiency == 0.95
+        assert TcpParams(efficiency=0.95).efficiency == 0.95
         with pytest.raises(TransportError):
             TcpParams(efficiency=0.0)
 
