@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.net import Internet, TopologyConfig, generate_topology
 from repro.net.asn import ASKind
 from repro.rand import RandomStreams
+
+#: A long search for manual runs: ``pytest --hypothesis-profile thorough``.
+settings.register_profile("thorough", max_examples=2_000)
 
 
 @pytest.fixture(scope="session")
