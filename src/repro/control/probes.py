@@ -118,8 +118,7 @@ class ProbeConfig:
         if self.min_interval_s is not None:
             check(self.min_interval_s, "min_interval_s", gt=0, error=error)
         if self.max_interval_s is not None:
-            check(self.max_interval_s, "max_interval_s", gt=0, ge=self.min_interval_s,
-                  error=error)
+            check(self.max_interval_s, "max_interval_s", ge=self.floor_interval_s, error=error)
         elif self.min_interval_s is not None and self.min_interval_s > self.interval_s:
             raise ControlError(
                 f"min_interval_s ({self.min_interval_s}) must not exceed interval_s "

@@ -146,8 +146,7 @@ class FluidSimulator:
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> dict[int, FlowStats]:
         """Simulate ``duration_s`` and report per-flow statistics."""
-        if duration_s <= 0:
-            raise TransportError(f"duration must be positive, got {duration_s}")
+        check(duration_s, "duration_s", gt=0, error=TransportError)
         if not self.flows:
             raise TransportError("no flows registered")
 

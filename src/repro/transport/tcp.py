@@ -9,20 +9,13 @@ behind the iperf/file-download measurements of Secs. II–V.
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import TransportError
+from repro.errors import TransportError, check
 from repro.net.path import RouterPath
 from repro.transport.throughput import (
     FlowStats,
     TcpParams,
     steady_state_throughput_mbps,
 )
-from repro.units import mbps_to_bytes_per_sec
-
-#: Initial congestion window (RFC 6928) used for the slow-start ramp
-#: estimate on finite transfers.
-INITIAL_CWND_SEGMENTS = 10
 
 
 class TcpConnection:
@@ -43,8 +36,7 @@ class TcpConnection:
         and averaged — long transfers ride through load variation, the
         way a 30-second iperf run does.
         """
-        if duration_s <= 0:
-            raise TransportError(f"duration must be positive, got {duration_s}")
+        check(duration_s, "duration_s", gt=0, error=TransportError)
         if samples < 1:
             raise TransportError(f"need at least one sample, got {samples}")
         rates = []
@@ -58,32 +50,3 @@ class TcpConnection:
             # Retransmissions are data segments: they pay the bulk loss.
             losses.append(metrics.bulk_loss)
         return FlowStats.from_samples(duration_s, rates, rtts, losses)
-
-    def transfer(self, start_time: float, size_bytes: int) -> FlowStats:
-        """Download ``size_bytes`` (e.g. the paper's 100 MB file).
-
-        Adds a slow-start ramp penalty: roughly
-        ``RTT * log2(target_window / initial_window)`` before the flow
-        reaches its steady rate, which matters for small files on long
-        paths.
-        """
-        if size_bytes <= 0:
-            raise TransportError(f"size must be positive, got {size_bytes}")
-        metrics = self.path.metrics(start_time)
-        rate = steady_state_throughput_mbps(metrics, self.params)
-        rtt_s = metrics.rtt_ms / 1_000.0
-        target_window_segments = max(
-            mbps_to_bytes_per_sec(rate) * rtt_s / self.params.mss_bytes, 1.0
-        )
-        ramp_rounds = max(math.log2(target_window_segments / INITIAL_CWND_SEGMENTS), 0.0)
-        ramp_s = ramp_rounds * rtt_s
-        steady_s = size_bytes / mbps_to_bytes_per_sec(rate)
-        duration = ramp_s + steady_s
-        effective_rate = size_bytes * 8 / duration / 1e6
-        return FlowStats(
-            duration_s=duration,
-            bytes_acked=size_bytes,
-            bytes_retransmitted=int(size_bytes * metrics.bulk_loss),
-            avg_rtt_ms=metrics.rtt_ms,
-            throughput_mbps=effective_rate,
-        )

@@ -232,6 +232,12 @@ class TestAdaptiveCadence:
             ProbeConfig(interval_s=15.0, adaptive=True, min_interval_s=100.0)
         ProbeConfig(interval_s=15.0, adaptive=True, min_interval_s=15.0)
 
+    def test_ceiling_below_the_implicit_floor_rejected(self):
+        # Without min_interval_s the floor is a quarter of interval_s.
+        with pytest.raises(ControlError, match="max_interval_s must be >= 15.0"):
+            ProbeConfig(interval_s=60.0, adaptive=True, max_interval_s=7.0)
+        ProbeConfig(interval_s=60.0, adaptive=True, max_interval_s=15.0)
+
     def test_defaults_derive_from_interval(self):
         config = ProbeConfig(interval_s=60.0, adaptive=True)
         assert config.floor_interval_s == pytest.approx(15.0)

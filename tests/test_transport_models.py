@@ -168,19 +168,6 @@ class TestTcpConnection:
         with pytest.raises(TransportError):
             conn.run(0.0, 10.0, samples=0)
 
-    def test_transfer_slower_than_steady_state(self, small_internet):
-        """Slow start makes the effective file rate < the steady rate."""
-        path = small_internet.resolve_path("client", "server")
-        conn = TcpConnection(path)
-        stats = conn.transfer(3_600.0, 100_000_000)
-        assert stats.bytes_acked == 100_000_000
-        assert stats.throughput_mbps <= conn.throughput_at(3_600.0) + 1e-9
-
-    def test_transfer_validates_size(self, small_internet):
-        conn = TcpConnection(small_internet.resolve_path("client", "server"))
-        with pytest.raises(TransportError):
-            conn.transfer(0.0, 0)
-
 
 class TestSplitTcpChain:
     def test_needs_two_segments(self, small_internet):
