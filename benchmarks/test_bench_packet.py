@@ -4,18 +4,30 @@ Not a paper figure — the performance contract behind the packet-level
 chaos replay: the batched engine (ring-buffer bookkeeping, burst hop
 traversal, widened draw plane, lazy RTO re-arm) must run the
 representative overlay transfer at least 5x faster than the scalar
-reference it is byte-identical to.  ``BENCH_packet.json`` records the
-same numbers as a trajectory snapshot; this test is the hard gate.
+reference it is byte-identical to (``tests/reference/packetsim_scalar.py``,
+loaded by path: ``tests/`` is not a package).  ``BENCH_packet.json``
+records the same numbers as a trajectory snapshot; this test is the
+hard gate.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.transport.packetsim import PacketLevelTcp, SimLink
+
+_SPEC = importlib.util.spec_from_file_location(
+    "packetsim_scalar",
+    Path(__file__).parents[1] / "tests" / "reference" / "packetsim_scalar.py",
+)
+_REFERENCE = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_REFERENCE)
 
 #: Lossy ingress hop, then a clean 11-hop backbone chain — the shape
 #: the burst traversal is built for (and the shape of a CRONets
@@ -27,9 +39,8 @@ REPEATS = 5
 
 
 def _segments_per_sec(fastpath: bool) -> float:
-    tcp = PacketLevelTcp(
-        LINKS, np.random.default_rng(7), rwnd_bytes=4_194_304, fastpath=fastpath
-    )
+    engine = PacketLevelTcp if fastpath else _REFERENCE.PacketLevelTcp
+    tcp = engine(LINKS, np.random.default_rng(7), rwnd_bytes=4_194_304)
     begin = time.perf_counter()
     tcp.run(10.0)
     elapsed = time.perf_counter() - begin

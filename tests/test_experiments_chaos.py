@@ -276,8 +276,10 @@ class TestPacketReplay:
             assert impaired < quiet
 
     def test_fastpath_and_scalar_replays_agree(self, monkeypatch):
+        from reference.packetsim_scalar import PacketLevelTcp as ScalarTcp
+
         fast = run_chaos_packet(self.CONFIG)
-        monkeypatch.setenv("REPRO_PACKET_FASTPATH", "0")
+        monkeypatch.setattr("repro.transport.packetsim.PacketLevelTcp", ScalarTcp)
         scalar = run_chaos_packet(self.CONFIG)
         assert fast.samples == scalar.samples
 
