@@ -15,10 +15,16 @@ longer search, run::
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from reference.packetsim_scalar import PacketLevelTcp as ScalarTcp
+from repro.core.measure_plan import PathSetBatch
+from repro.experiments.scenario import build_world
+from repro.net.diurnal import SECONDS_PER_DAY
+from repro.net.path import RouterPath
 from repro.transport.packetsim import PacketLevelTcp, SimLink
 
 #: Rates in Mbps and delays in ms small enough that a drawn flow stays
@@ -107,3 +113,139 @@ def test_packet_engine_matches_scalar_reference(
     args = (links, seed, rwnd_bytes, limit_segments, duration_s)
     fast = _replay(PacketLevelTcp, *args)
     assert fast == _replay(ScalarTcp, *args)
+
+
+# ----------------------------------------------------------------------
+# link metrics: the mirror against the scalar walk
+# ----------------------------------------------------------------------
+
+#: The fault effects a link can carry, as ``Link.impair`` keywords (and
+#: ``fail``).  Magnitudes are drawn in [0, 1] and scaled per effect.
+_EFFECTS = ("fail", "extra_loss", "extra_delay_ms", "util_surge", "bulk_extra_loss")
+
+
+def _twin_worlds(seed: int):
+    """One small world per link-metric mode, from one seed."""
+    worlds = []
+    for mode in ("1", "0"):
+        previous = os.environ.get("REPRO_FASTPATH")
+        os.environ["REPRO_FASTPATH"] = mode
+        try:
+            worlds.append(build_world(seed=seed, scale="small"))
+        finally:
+            if previous is None:
+                del os.environ["REPRO_FASTPATH"]
+            else:
+                os.environ["REPRO_FASTPATH"] = previous
+    return worlds
+
+
+def _pathset(world, pair: tuple[int, int]):
+    hosts = world.server_names + world.client_names()
+    src = hosts[pair[0] % len(hosts)]
+    dst = hosts[pair[1] % len(hosts)]
+    if src == dst:
+        dst = hosts[(pair[1] + 1) % len(hosts)]
+    return world.cronet().path_set(src, dst)
+
+
+def _paths(pathset) -> list[RouterPath]:
+    """The direct path, then per overlay option its joined leg and halves."""
+    paths = [pathset.direct]
+    for option in pathset.options:
+        paths += [option.concatenated, option.leg_to_node, option.leg_from_node]
+    return paths
+
+
+def _apply_faults(paths: list[RouterPath], faults) -> None:
+    links = list({link.link_id: link for p in paths for link in p.links}.values())
+    impairments: dict[int, dict[str, float]] = {}
+    for index, effect, magnitude in faults:
+        link = links[index % len(links)]
+        if effect == "fail":
+            link.fail()
+            continue
+        scale = 60.0 if effect == "extra_delay_ms" else 1.0
+        impairments.setdefault(link.link_id, {})[effect] = magnitude * scale
+    by_id = {link.link_id: link for link in links}
+    for link_id, knobs in impairments.items():
+        by_id[link_id].impair(**knobs)
+
+
+def _scalar_hops(path: RouterPath, t: float) -> tuple[list, ...]:
+    """(one-way delay, loss, bulk loss, available bandwidth) per hop."""
+    return tuple(
+        [getattr(link, name)(t) for link in path.links]
+        for name in ("one_way_delay_ms", "loss", "bulk_loss", "available_bw_mbps")
+    )
+
+
+def _mirror_hops(path: RouterPath, t: float) -> tuple[list, ...]:
+    mirror = path.__dict__["_fastpath"]
+    lists = mirror.metric_lists(t, mirror.state_key())
+    positions = mirror._path_positions(path)
+    return tuple([values[p] for p in positions] for values in lists)
+
+
+def _per_path_samples(pathset, t: float):
+    """What :meth:`PathSetBatch.sample` batches, one connection at a time."""
+    direct = pathset.direct.metrics(t)
+    rows = [
+        (
+            pathset.direct_connection().throughput_at(t),
+            direct.rtt_ms,
+            direct.bulk_loss,
+        )
+    ]
+    for option in pathset.options:
+        chain = pathset.split_chain(option)
+        tunnel = option.concatenated.metrics(t)
+        first = option.leg_to_node.metrics(t)
+        second = option.leg_from_node.metrics(t)
+        rows += [
+            (
+                pathset.overlay_connection(option).throughput_at(t),
+                tunnel.rtt_ms,
+                tunnel.bulk_loss,
+            ),
+            (chain.throughput_at(t), first.rtt_ms + second.rtt_ms, first.loss),
+            chain.discrete_bound_at(t),
+        ]
+    return rows
+
+
+def _batched_samples(sample) -> list:
+    rows = [tuple(sample.direct)]
+    for name in sample.overlay:
+        rows += [
+            tuple(sample.overlay[name]),
+            tuple(sample.split[name]),
+            sample.discrete[name],
+        ]
+    return rows
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    pair=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 14 * SECONDS_PER_DAY)),
+    faults=st.lists(
+        st.tuples(st.integers(0, 255), st.sampled_from(_EFFECTS), st.floats(0.0, 1.0)),
+        max_size=4,
+    ),
+)
+def test_link_metrics_match_scalar_walk(seed, pair, t, faults):
+    fast_world, scalar_world = _twin_worlds(seed)
+    fast_set = _pathset(fast_world, pair)
+    scalar_set = _pathset(scalar_world, pair)
+    fast_paths, scalar_paths = _paths(fast_set), _paths(scalar_set)
+    _apply_faults(fast_paths, faults)
+    _apply_faults(scalar_paths, faults)
+    for fast, scalar in zip(fast_paths, scalar_paths, strict=True):
+        assert fast.is_alive() == scalar.is_alive()
+        assert fast.metrics(t) == scalar.metrics(t)
+        # The per-hop values fluid, the packet snapshot and traceroute read.
+        assert _mirror_hops(fast, t) == _scalar_hops(scalar, t)
+    (sample,) = PathSetBatch([fast_set]).sample(t)
+    assert _batched_samples(sample) == _per_path_samples(scalar_set, t)
