@@ -167,31 +167,36 @@ def _bench_exec() -> dict:
     }
 
 
+def _reference(name: str):
+    """A frozen test-only reference module, loaded by path from ``tests/reference``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tests" / "reference" / f"{name}.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_net(quick: bool = False) -> dict:
     """The vectorized network core's headline numbers (DESIGN.md §15).
 
-    Times the hot path twice — fastpath on (the default) and
-    ``REPRO_FASTPATH=0`` object mode — so the snapshot records the
-    speedup alongside the absolute numbers.  Worlds are built fresh
-    per mode because the flag is read at ``Internet`` construction.
+    Times the hot path twice — on the mirror and in object mode, where
+    every link metric comes from the frozen scalar walk
+    (``tests/reference/link_metrics.py``, loaded by path) — so the
+    snapshot records the speedup alongside the absolute numbers.
     """
-    import os
-
     from repro.exec.runner import ExecConfig, ExecRunner
     from repro.experiments.chaos_exp import ChaosConfig, run_chaos
     from repro.experiments.scenario import build_world
     from repro.faults.scenarios import SCENARIOS
 
-    def with_fastpath(value: str, fn):
-        previous = os.environ.get("REPRO_FASTPATH")
-        os.environ["REPRO_FASTPATH"] = value
-        try:
+    reference = _reference("link_metrics")
+
+    def in_object_mode(fn):
+        with reference.object_mode():
             return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_FASTPATH", None)
-            else:
-                os.environ["REPRO_FASTPATH"] = previous
 
     # Live-path resolutions per second with the path cache invalidated
     # every round — the post-convergence expansion hot loop (same
@@ -224,8 +229,8 @@ def _bench_net(quick: bool = False) -> dict:
             rates.append(resolved / (time.perf_counter() - start))
         return round(statistics.median(rates))
 
-    pps_fast = with_fastpath("1", paths_per_sec)
-    pps_object = with_fastpath("0", paths_per_sec)
+    pps_fast = paths_per_sec()
+    pps_object = in_object_mode(paths_per_sec)
 
     # ``repro chaos --scenario all`` equivalent: every scenario, both
     # arms.  The headline wall is the *serial* entry point — exactly
@@ -255,14 +260,14 @@ def _bench_net(quick: bool = False) -> dict:
             )
 
     walls: dict[str, float] = {
-        "wall_s_serial": with_fastpath("1", chaos_wall),
+        "wall_s_serial": chaos_wall(),
     }
     if not quick:
-        walls["wall_s_serial_object_mode"] = with_fastpath("0", chaos_wall)
+        walls["wall_s_serial_object_mode"] = in_object_mode(chaos_wall)
         walls["speedup_vs_object_mode"] = round(
             walls["wall_s_serial_object_mode"] / walls["wall_s_serial"], 2
         )
-        walls["wall_s_workers_8"] = with_fastpath("1", lambda: campaign_exec(8))
+        walls["wall_s_workers_8"] = campaign_exec(8)
 
     return {
         "paths_per_sec_expanded": pps_fast,
@@ -337,18 +342,12 @@ def _bench_packet() -> dict:
     traversal pays most.  Then the packet-level chaos replay wall-clock
     (both default scenarios at the smoke horizon).
     """
-    import importlib.util
-
     import numpy as np
 
     from repro.experiments.chaos_exp import PacketReplayConfig, run_chaos_packet
     from repro.transport.packetsim import PacketLevelTcp, SimLink
 
-    spec = importlib.util.spec_from_file_location(
-        "packetsim_scalar", ROOT / "tests" / "reference" / "packetsim_scalar.py"
-    )
-    reference = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
+    reference = _reference("packetsim_scalar")
 
     links = [SimLink(400.0, 8.0, loss_prob=1e-4)] + [SimLink(1_000.0, 3.0)] * 11
     # Long enough to reach congestion-avoidance steady state: the

@@ -522,10 +522,7 @@ def _run_one(name: str, args: argparse.Namespace, runner=None):
         if scale == "paper":
             config = MptcpExpConfig(seed=seed, scheme=scheme)
         else:
-            config = MptcpExpConfig(
-                seed=seed, scheme=scheme, n_paths=4, iterations=2, duration_s=15.0,
-                tick_s=0.02,
-            )
+            config = MptcpExpConfig.small(seed, scheme)
         return run_mptcp_experiment(config)
 
     if name == "cost":

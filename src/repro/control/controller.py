@@ -162,8 +162,8 @@ class OverlayController:
         #: ((now, mutation epoch), {(mode, label): rate}) — goodput and
         #: oracle sampling both rate every candidate each tick; one
         #: evaluation per (label, instant, link state) serves both.
-        #: The inner dict is shared through the pathset when a fastpath
-        #: mirror exists (see :meth:`_label_rate`).
+        #: The inner dict is shared through the pathset (see
+        #: :meth:`_label_rate`).
         self._rate_cache: tuple[tuple[float, int], dict] | None = None
         #: label -> interned "mode:label" key for the shared rate dict
         #: (string keys hash once; mode is fixed per controller).
@@ -314,32 +314,28 @@ class OverlayController:
 
         A rate is a pure function of (mode, label, instant, link
         state) — connections come from the shared pathset's factories
-        and never consult controller health — so when the world has a
-        fastpath mirror the per-instant rate dict lives *on the
-        pathset*, keyed by the mirror's interned state id.  Campaign
-        runs that replay the same fault timeline against the same
-        pathset (one run per arm × strategy) then reuse each other's
-        evaluations instead of recomputing them per controller.
+        and never consult controller health — so the per-instant rate
+        dict lives *on the pathset*, keyed by the world mirror's
+        interned state id.  Campaign runs that replay the same fault
+        timeline against the same pathset (one run per arm × strategy)
+        then reuse each other's evaluations instead of recomputing them
+        per controller.
         """
         key = (now, mutation_epoch())
         cache = self._rate_cache
         if cache is None or cache[0] != key:
-            fastpath = self.internet.fastpath
-            if fastpath is not None:
-                shared = self.pathset.__dict__.get("_shared_rates")
-                if shared is None:
-                    shared = {}
-                    object.__setattr__(self.pathset, "_shared_rates", shared)
-                skey = (now, fastpath.state_key())
-                rates = shared.get(skey)
-                if rates is None:
-                    if len(shared) >= 8192:
-                        shared.clear()
-                    rates = {}
-                    shared[skey] = rates
-                cache = (key, rates)
-            else:
-                cache = (key, {})
+            shared = self.pathset.__dict__.get("_shared_rates")
+            if shared is None:
+                shared = {}
+                object.__setattr__(self.pathset, "_shared_rates", shared)
+            skey = (now, self.internet.fastpath.state_key())
+            rates = shared.get(skey)
+            if rates is None:
+                if len(shared) >= 8192:
+                    shared.clear()
+                rates = {}
+                shared[skey] = rates
+            cache = (key, rates)
             self._rate_cache = cache
         rates = cache[1]
         rkey = self._rate_keys.get(label)

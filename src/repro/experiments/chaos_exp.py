@@ -721,9 +721,7 @@ def run_chaos_packet(
                             )
                         )
                         continue
-                    links = sim_links_at(
-                        path.links, at_s, queue_packets=config.queue_packets
-                    )
+                    links = sim_links_at(path, at_s, queue_packets=config.queue_packets)
                     model = steady_state_throughput_mbps(
                         sim_path_metrics(links), params
                     )

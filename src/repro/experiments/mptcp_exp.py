@@ -65,6 +65,13 @@ class MptcpExpConfig:
         check(self.tick_s, "tick_s", gt=0, error=error)
         check(self.overlay_node_count, "overlay_node_count", ge=1, error=error)
 
+    @classmethod
+    def small(cls, seed: int, scheme: MptcpScheme = MptcpScheme.OLIA) -> "MptcpExpConfig":
+        """The short campaign below paper scale (``run fig12``/``fig13``, ``report --mptcp``)."""
+        return cls(
+            seed=seed, scheme=scheme, n_paths=4, iterations=2, duration_s=15.0, tick_s=0.02
+        )
+
 
 @dataclass
 class PathComparison:

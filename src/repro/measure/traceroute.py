@@ -28,10 +28,11 @@ class TracerouteHop:
 def traceroute(internet: Internet, path: RouterPath, at_time: float) -> list[TracerouteHop]:
     """Trace a path: cumulative RTT to each node along it."""
     hops: list[TracerouteHop] = []
+    one_way_ms = path.hop_metrics(at_time).one_way_ms
     cumulative_one_way = 0.0
     for i, node_id in enumerate(path.router_ids):
         if i > 0:
-            cumulative_one_way += path.links[i - 1].one_way_delay_ms(at_time)
+            cumulative_one_way += one_way_ms[i - 1]
         if node_id >= HOST_ID_BASE:
             host = next(
                 (h for h in internet.hosts.values() if h.host_id == node_id), None

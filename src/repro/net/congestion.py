@@ -11,21 +11,21 @@ Each link carries a deterministic load process composed of three parts:
   events at an intermediate ISP" the paper observed in its longitudinal
   study (Sec. IV).
 
-The diurnal and episode machinery lives in :mod:`repro.net.diurnal`
-(shared with the demand engine); this module keeps the link-utilization
-composition.  The process is a pure function of (link seed, time), so
-any time point can be queried without simulating forward, and results
-are identical across runs with the same world seed.
+The episode machinery lives in :mod:`repro.net.diurnal` (shared with
+the demand engine); :class:`~repro.net.fastpath.FastPath` composes the
+three parts into each link's utilization.  The process is a pure
+function of (link seed, time), so any time point can be queried without
+simulating forward, and results are identical across runs with the same
+world seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, check
+from repro.errors import check
 from repro.net.diurnal import (
     SECONDS_PER_DAY,
-    DiurnalCurve,
     Episode,
     EpisodeProcess,
     peak_hour_for_longitude,
@@ -34,7 +34,6 @@ from repro.net.diurnal import (
 __all__ = [
     "SECONDS_PER_DAY",
     "BackgroundLoad",
-    "DiurnalCurve",
     "Episode",
     "EpisodeProcess",
     "peak_hour_for_longitude",
@@ -69,24 +68,16 @@ class BackgroundLoad:
     episode_severity: float = 0.2
     episode_mean_duration_s: float = 2_700.0
     seed: int = 0
-    _diurnal: DiurnalCurve = field(init=False, repr=False)
     _episodes: EpisodeProcess = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check(self.base_util, "base_util", ge=0, le=1)
         check(self.diurnal_amp, "diurnal_amp", ge=0, le=1)
-        # The curve and the episode sampler check the remaining knobs.
-        self._diurnal = DiurnalCurve(amplitude=self.diurnal_amp, peak_hour=self.peak_hour)
+        check(self.peak_hour, "peak_hour", ge=0, lt=24)
+        # The episode sampler checks the remaining knobs.
         self._episodes = EpisodeProcess(
             rate_per_day=self.episode_rate_per_day,
             mean_severity=self.episode_severity,
             mean_duration_s=self.episode_mean_duration_s,
             seed=self.seed,
         )
-
-    def utilization(self, t: float) -> float:
-        """Utilization of the link at absolute time ``t`` (seconds)."""
-        if t < 0:
-            raise ConfigError(f"time must be >= 0, got {t}")
-        util = self.base_util + self._diurnal.offset(t) + self._episodes.extra_at(t)
-        return min(max(util, 0.0), 0.995)

@@ -6,6 +6,8 @@ population-scale demand engine (:mod:`repro.demand`) — shares one
 implementation of:
 
 * :class:`DiurnalCurve` — a sinusoid anchored to a local peak hour,
+  the demand model's (link load evaluates the same sinusoid in
+  :class:`~repro.net.fastpath.FastPath`),
 * :class:`EpisodeProcess` — the seeded per-day episode sampler
   (Poisson count, uniform start, exponential duration, jittered
   severity) that :class:`~repro.net.congestion.BackgroundLoad` has
@@ -50,10 +52,10 @@ class Episode:
 class DiurnalCurve:
     """A daily sinusoid: peak at ``peak_hour``, trough 12 h later.
 
-    ``offset`` is the additive form used by link utilization
-    (``amplitude * cos(...)``, symmetric around zero); ``multiplier``
-    is the multiplicative form used by demand rates (``1 + offset``,
-    clamped at zero so a deep trough cannot go negative).
+    ``offset`` is the additive form (``amplitude * cos(...)``,
+    symmetric around zero); ``multiplier`` is the multiplicative form
+    used by demand rates (``1 + offset``, clamped at zero so a deep
+    trough cannot go negative).
     """
 
     amplitude: float

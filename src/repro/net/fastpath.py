@@ -1,13 +1,13 @@
 """Vectorized struct-of-arrays mirror of the link state (the fastpath).
 
-Every study funnels through the same per-object hot loop: for each
-probe or throughput evaluation, :meth:`RouterPath.metrics
-<repro.net.path.RouterPath.metrics>` walks its links and calls four
-scalar metric methods per link, each re-deriving background
-utilization from the diurnal curve and the day's episode schedule.
-Profiling a chaos campaign puts >85 % of wall-clock in that walk.
+Every link metric in the library — each path's delay, loss, bulk loss
+and available bandwidth, and the per-hop values the fluid engine, the
+packet snapshot and traceroute read — is evaluated here.  The scalar
+per-link walk it replaced, where each of four metric methods per link
+re-derived background utilization from the diurnal curve and the day's
+episode schedule, is frozen in ``tests/reference/link_metrics.py``.
 
-:class:`FastPath` replaces the walk with flat numpy arrays:
+:class:`FastPath` evaluates the metrics over flat numpy arrays:
 
 * **static arrays** (capacity, propagation delay, base loss, queue
   depth, diurnal parameters) gathered once per topology size, in
@@ -26,13 +26,13 @@ Profiling a chaos campaign puts >85 % of wall-clock in that walk.
   *positions* (0, 1, 2, … in first-fold order), so a world whose
   paths touch 32 of 426 links pays for 32.
 * **per-(t, state) metric lists**: one vectorized pass computes the
-  one-way delay, loss, bulk loss, and available bandwidth of every
-  row read so far, by position, for a time instant; all paths queried
-  at that instant index the same lists.  An entry cached before more
-  rows were read is extended in place on its next lookup: the lookup
-  key holds the current state id, so the dynamic state the extension
-  reads is the one the entry was computed under.  The key is the
-  *interned dynamic state* (every distinct gathered blob, over all
+  one-way delay, loss, bulk loss, available bandwidth and utilization
+  of every row read so far, by position, for a time instant; all paths
+  queried at that instant index the same lists.  An entry cached before
+  more rows were read is extended in place on its next lookup: the
+  lookup key holds the current state id, so the dynamic state the
+  extension reads is the one the entry was computed under.  The key is
+  the *interned dynamic state* (every distinct gathered blob, over all
   links, gets a small integer id), not the epoch — campaign runs that
   rewind the clock and replay the same fault timeline re-enter
   previously seen states and hit the metric and per-path fold caches
@@ -43,28 +43,28 @@ Profiling a chaos campaign puts >85 % of wall-clock in that walk.
   positions batches read, so measuring many paths at one instant costs
   one vectorized fold, not one Python walk per path.
 
-**Byte-identity.**  The vector pass mirrors the scalar formulas of
-:mod:`repro.net.links` operation-for-operation: elementwise IEEE-754
-``+ - * /``, ``minimum``/``maximum``/``where`` reproduce the scalar
-results bit-for-bit when the operand order matches (numpy float64 ops
-are the same hardware instructions as Python float arithmetic).  Two
-places need care: the diurnal cosine is evaluated with ``math.cos``
-per *unique* peak hour of the rows read (``np.cos`` may differ in the
-last ulp) and scattered back through a ``np.unique`` inverse; and
-per-path aggregation folds sequentially, in Python over the indexed
-values or with ufunc ``accumulate`` down a batch's hops
-(``numpy.sum`` uses pairwise summation, which is *not* the scalar
-accumulation order).  The episode overlay is each read link's
-own :meth:`EpisodeProcess.extra_at
-<repro.net.diurnal.EpisodeProcess.extra_at>` — the sampler and the
-accumulation the scalar ``BackgroundLoad.utilization`` uses — so
-episode days are drawn only for links some path reads.  The property
-tests in ``tests/test_fastpath_identity.py`` assert byte-identical
-study JSON against object mode.
+Each :class:`~repro.net.world.Internet` owns one mirror over its
+``links_by_id``; a hand-built :class:`~repro.net.path.RouterPath` gets a
+private one over its own links.  The caches live on the mirror, never
+in a process-wide memo keyed by link id: ids restart in every world.
 
-The mirror is opt-out: set ``REPRO_FASTPATH=0`` to build worlds
-without it (the object-mode reference the identity tests compare
-against).
+**Byte-identity.**  The vector pass reproduces the scalar formulas
+operation for operation: elementwise IEEE-754 ``+ - * /``,
+``minimum``/``maximum``/``where`` give the scalar results bit for bit
+when the operand order matches (numpy float64 ops are the same hardware
+instructions as Python float arithmetic).  Two places need care: the
+diurnal cosine is evaluated with ``math.cos`` per *unique* peak hour of
+the rows read (``np.cos`` may differ in the last ulp) and scattered back
+through a ``np.unique`` inverse; and per-path aggregation folds
+sequentially, in Python over the indexed values or with ufunc
+``accumulate`` down a batch's hops (``numpy.sum`` uses pairwise
+summation, which is *not* the scalar accumulation order).  The episode
+overlay is each read link's own :meth:`EpisodeProcess.extra_at
+<repro.net.diurnal.EpisodeProcess.extra_at>`, so episode days are drawn
+only for links some path reads.  ``tests/test_twin_properties.py``
+asserts bit-equal metrics against the frozen walk at drawn worlds,
+instants and faults, and ``tests/test_fastpath_identity.py``
+byte-identical study JSON.
 """
 
 from __future__ import annotations
@@ -72,24 +72,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.errors import check
 from repro.net.links import (
     LOSS_KNEE,
     MAX_CONGESTION_LOSS,
     MIN_FAIR_SHARE,
     QUEUE_KNEE,
+    Link,
     mutation_epoch,
 )
-from repro.net.path import LegMetrics, PathMetrics, RouterPath
+from repro.net.path import HopMetrics, LegMetrics, PathMetrics, RouterPath
 from repro.units import SECONDS_PER_HOUR
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.net.world import Internet
 
 #: Cap on cached per-(t, state) metric-list sets; cleared when full.
 _METRIC_CACHE_MAX = 1024
@@ -103,22 +101,11 @@ _BATCH_CACHE_MAX = 128
 _PADDING = np.array([0.0, 1.0, 1.0, math.inf])
 
 
-def fastpath_enabled() -> bool:
-    """Whether new worlds should build a fastpath mirror.
-
-    Controlled by the ``REPRO_FASTPATH`` environment variable; any
-    value other than ``"0"`` (including unset) enables it.  Read at
-    :class:`~repro.net.world.Internet` construction, so exec workers
-    (which inherit the environment) make the same choice as their
-    parent.
-    """
-    return os.environ.get("REPRO_FASTPATH", "1") != "0"
-
-
 class FastPath:
-    """Struct-of-arrays link-state mirror for one :class:`Internet`.
+    """Struct-of-arrays mirror of a live ``{link id: link}`` mapping.
 
-    All arrays are lazily (re)built on first use: ``sync()`` rebuilds
+    The mapping is a world's ``links_by_id`` (hosts attached later add
+    rows) or a hand-built path's own links.  All arrays are lazily (re)built on first use: ``sync()`` rebuilds
     the static arrays when the link count changed (hosts attached) and
     re-gathers the dynamic arrays when the mutation epoch moved.
     Callers never notify the mirror of individual mutations — the
@@ -136,8 +123,8 @@ class FastPath:
     #: keeps the first serial it is ever assigned).
     _next_serial = 0
 
-    def __init__(self, internet: "Internet") -> None:
-        self._internet = internet
+    def __init__(self, links_by_id: Mapping[int, Link]) -> None:
+        self._links_by_id = links_by_id
         self._links: list = []
         self._row: dict[int, int] = {}
         self._n_links = -1
@@ -159,8 +146,8 @@ class FastPath:
         self._extra_at: list = []
         #: Number of positions the per-position arrays cover (-1: none).
         self._n_gathered = -1
-        #: (t, state id) -> (one_way, loss, bulk_loss, avail) lists,
-        #: indexed by position.
+        #: (t, state id) -> (one_way, loss, bulk_loss, avail, util)
+        #: lists, indexed by position.
         self._mcache: dict[tuple[float, int], tuple] = {}
         #: (path serial, t, state id) -> PathMetrics.
         self._pmcache: dict[tuple[int, float, int], PathMetrics] = {}
@@ -173,7 +160,7 @@ class FastPath:
     # ------------------------------------------------------------------
     def sync(self) -> int:
         """Bring the arrays up to date; returns the current epoch."""
-        if len(self._internet.links_by_id) != self._n_links:
+        if len(self._links_by_id) != self._n_links:
             self._rebuild_static()
         epoch = mutation_epoch()
         if epoch != self._epoch:
@@ -191,7 +178,7 @@ class FastPath:
         memos keyed on them, e.g. the pathset-shared label-rate memo)
         already hold.
         """
-        links = sorted(self._internet.links_by_id.values(), key=lambda l: l.link_id)
+        links = sorted(self._links_by_id.values(), key=lambda l: l.link_id)
         self._links = links
         self._row = {link.link_id: i for i, link in enumerate(links)}
         self._n_links = len(links)
@@ -324,19 +311,19 @@ class FastPath:
         return self._p_amplitude[sel] * cos_by_peak[self._p_peak_inverse[sel]]
 
     def _link_metrics(self, t: float, sel) -> tuple:
-        """(one_way, loss, bulk_loss, avail) arrays at ``t``.
+        """(one_way, loss, bulk_loss, avail, util) arrays at ``t``.
 
         ``sel`` selects positions: a slice, or an index array of the
-        positions one batch reads.  The formulas mirror
-        :class:`~repro.net.links.Link` op-for-op (see the module
-        docstring for the byte-identity argument); the ``_any_*``-gated
-        skips are identity operations on the values they skip.  Reads
-        the *current* dynamic arrays.
+        positions one batch reads.  The formulas are the scalar walk's
+        op for op (see the module docstring for the byte-identity
+        argument); the ``_any_*``-gated skips are identity operations on
+        the values they skip.  Reads the *current* dynamic arrays.
         """
+        check(t, "time", ge=0)
         if self._n_gathered != len(self._read):
             self._gather_read()
         rows = self._read_idx[sel]
-        # BackgroundLoad.utilization: base + diurnal + episodes, clamped.
+        # Background utilization: base + diurnal + episodes, clamped.
         util = self._p_base_util[sel] + self._diurnal_offset(t, sel)
         # Adding an all-zero overlay is the identity (the base+diurnal
         # sum is never -0.0: x + (-x) rounds to +0.0), so it is skipped.
@@ -344,19 +331,19 @@ class FastPath:
         if any(extra):
             util = util + np.array(extra, dtype=np.float64)
         util = np.minimum(np.maximum(util, 0.0), 0.995)
-        # Link.utilization: surge on top, 0 when failed.  util is
+        # Link utilization: surge on top, 0 when failed.  util is
         # already <= 0.995, so with no surge the min(…, 1.0) is a no-op.
         u = np.minimum(util + self._util_surge[rows], 1.0) if self._any_surge else util
         failed = self._failed[rows] if self._any_failed else None
         if failed is not None:
             u = np.where(failed, 0.0, u)
-        # Link.queuing_delay_ms.
+        # Queuing delay.
         fill = (u - QUEUE_KNEE) / (1.0 - QUEUE_KNEE)
         queue = np.where(u <= QUEUE_KNEE, 0.0, self._p_max_queue[sel] * fill * fill)
         one_way = self._p_prop[sel] + queue
         if self._any_extra_delay:
             one_way = one_way + self._extra_delay[rows]
-        # Link.loss.
+        # Loss.
         severity = (u - LOSS_KNEE) / (1.0 - LOSS_KNEE)
         congestion = np.where(
             u > LOSS_KNEE, MAX_CONGESTION_LOSS * severity * severity, 0.0
@@ -368,7 +355,7 @@ class FastPath:
             loss = np.where(extra_loss <= 0.0, loss, composed)
         if failed is not None:
             loss = np.where(failed, 1.0, loss)
-        # Link.bulk_loss (on the post-failure visible loss).
+        # Bulk loss (on the post-failure visible loss).
         if self._any_bulk:
             bulk_extra = self._bulk_extra[rows]
             bulk = np.where(
@@ -378,14 +365,14 @@ class FastPath:
             )
         else:
             bulk = loss
-        # Link.available_bw_mbps.
+        # Available bandwidth.
         avail = np.maximum((1.0 - u) * self._p_capacity[sel], self._p_min_fair[sel])
         if failed is not None:
             avail = np.where(failed, 0.0, avail)
-        return one_way, loss, bulk, avail
+        return one_way, loss, bulk, avail, u
 
     def metric_lists(self, t: float, state: int) -> tuple:
-        """(one_way_ms, loss, bulk_loss, avail_mbps) lists at ``t``.
+        """(one_way_ms, loss, bulk_loss, avail_mbps, util) lists at ``t``.
 
         Indexed by position, over every row read so far; ``state`` must
         be the current state id (:meth:`state_key`).  Cached per (t,
@@ -461,22 +448,14 @@ class FastPath:
                 return False
         return True
 
-    def path_metrics(self, path: "RouterPath", t: float) -> PathMetrics | None:
-        """Vectorized :meth:`RouterPath.metrics`; ``None`` → fall back.
-
-        Returns ``None`` for ``t < 0`` so the caller's object walk
-        raises exactly the scalar :class:`ConfigError` (a failed link's
-        scalar metrics never consult the load process, so the error
-        surface is alive-link-dependent — easiest to preserve by
-        delegating).
+    def path_metrics(self, path: "RouterPath", t: float) -> PathMetrics:
+        """:meth:`RouterPath.metrics`; a ``t < 0`` raises :class:`ConfigError`.
 
         The fold accumulates sequentially in link order — the scalar
         walk's accumulation order — over the shared per-instant metric
         lists; each accumulator is independent, so fusing them into
         one pass is order-preserving.
         """
-        if t < 0:
-            return None
         self.sync()
         state = self._state_id
         key = (t, state)
@@ -494,7 +473,7 @@ class FastPath:
             object.__setattr__(path, "_fp_mval", metrics)
             return metrics
         positions = self._path_positions(path)
-        one_way_l, loss_l, bulk_l, avail_l = self.metric_lists(t, state)
+        one_way_l, loss_l, bulk_l, avail_l, _ = self.metric_lists(t, state)
         one_way = 0.0
         survive = 1.0
         survive_bulk = 1.0
@@ -523,6 +502,13 @@ class FastPath:
         object.__setattr__(path, "_fp_mkey", key)
         object.__setattr__(path, "_fp_mval", metrics)
         return metrics
+
+    def hop_metrics(self, path: "RouterPath", t: float) -> HopMetrics:
+        """:meth:`RouterPath.hop_metrics`: the shared lists at the path's hops."""
+        self.sync()
+        positions = self._path_positions(path)
+        lists = self.metric_lists(t, self._state_id)
+        return HopMetrics(*([values[p] for p in positions] for values in lists))
 
     # ------------------------------------------------------------------
     # batched folds
@@ -588,7 +574,7 @@ class FastPath:
         operands, have = entry
         need = read[~have[read]]
         if len(need):
-            one_way, loss, bulk, avail = self._link_metrics(t, need - 1)
+            one_way, loss, bulk, avail, _ = self._link_metrics(t, need - 1)
             operands[0, need] = one_way
             operands[1, need] = 1.0 - loss
             operands[2, need] = 1.0 - bulk
@@ -597,7 +583,7 @@ class FastPath:
         return operands
 
     def fold(self, batch: "LegBatch", t: float) -> LegMetrics:
-        """Every leg of ``batch`` at ``t``, in one pass (``t >= 0``).
+        """Every leg of ``batch`` at ``t``, in one pass.
 
         Link metrics are evaluated for the batch's own positions only,
         not for every row read so far, so a fresh instant draws episode
@@ -654,12 +640,12 @@ class LegBatch:
     A leg is a tuple of path segments whose links run end to end: a
     direct path is one segment, and an overlay leg is the to-node leg
     followed by the from-node leg — the link order of
-    :meth:`RouterPath.concatenate`, so the batch builds no joined path
-    on the fastpath.  When every segment shares one world's mirror,
-    :meth:`metrics` is :meth:`FastPath.fold`; otherwise (object mode,
-    hand-built paths, or ``t < 0``) each leg's snapshot is its joined
-    path's :meth:`RouterPath.metrics`.  Either way the arrays are
-    bit-identical to the per-path snapshots.
+    :meth:`RouterPath.concatenate`, so the batch builds no joined path.
+    When every segment shares one mirror (a world's), :meth:`metrics`
+    is :meth:`FastPath.fold`; otherwise (hand-built paths, or segments
+    of different worlds) each leg's snapshot is its joined path's
+    :meth:`RouterPath.metrics`.  Either way the arrays are bit-identical
+    to the per-path snapshots.
     """
 
     def __init__(self, legs: Sequence[tuple[RouterPath, ...]]) -> None:
@@ -677,7 +663,7 @@ class LegBatch:
 
     def metrics(self, t: float) -> LegMetrics:
         """Every leg's metrics at ``t``."""
-        if self._fastpath is not None and t >= 0:
+        if self._fastpath is not None:
             return self._fastpath.fold(self, t)
         if self._joined is None:
             self._joined = [

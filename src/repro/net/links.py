@@ -1,13 +1,11 @@
 """Link model: capacity, propagation delay, queuing, loss, failure.
 
-Links are undirected; both directions share one load process.  The
-metrics exposed here are the inputs to the transport models:
-
-* ``utilization(t)`` — background load fraction,
-* ``queuing_delay_ms(t)`` — M/M/1-style delay growing with load,
-* ``loss(t)`` — base (physical/random) loss plus congestion loss once
-  utilization passes a knee,
-* ``available_bw(t)`` — headroom a new TCP flow can claim.
+Links are undirected; both directions share one load process.  A
+:class:`Link` holds the state its metrics derive from, and the constants
+below shape them: queues build past :data:`QUEUE_KNEE`, congestion loss
+sets in past :data:`LOSS_KNEE`, and headroom never falls below
+:data:`MIN_FAIR_SHARE`.  :class:`~repro.net.fastpath.FastPath`
+evaluates the metrics of every link a path reads.
 
 Besides the binary ``failed`` flag, a link can carry an *impairment*:
 extra silent drop probability, extra one-way delay, and a background
@@ -124,72 +122,6 @@ class Link:
         check(self.max_queue_ms, "max_queue_ms", ge=0)
         if self.router_a == self.router_b:
             raise LinkError(f"link {self.link_id} is a self-loop at router {self.router_a}")
-
-    def utilization(self, t: float) -> float:
-        """Background utilization at time ``t`` (0 when failed: no traffic)."""
-        if self.failed:
-            return 0.0
-        return min(self.load.utilization(t) + self.util_surge, 1.0)
-
-    def queuing_delay_ms(self, t: float) -> float:
-        """One-way queuing delay from background load at time ``t``.
-
-        Routers keep their buffers (sized to ``max_queue_ms`` worth of
-        line rate) mostly empty below :data:`QUEUE_KNEE` utilization and
-        fill them quadratically as load approaches saturation — the
-        standing-queue behaviour congested core links exhibit.
-        """
-        u = self.utilization(t)
-        if u <= QUEUE_KNEE:
-            return 0.0
-        fill = (u - QUEUE_KNEE) / (1.0 - QUEUE_KNEE)
-        return self.max_queue_ms * fill * fill
-
-    def loss(self, t: float) -> float:
-        """Packet loss fraction at time ``t``.
-
-        Congestion loss grows quadratically past :data:`LOSS_KNEE`,
-        reaching :data:`MAX_CONGESTION_LOSS` at full utilization.
-        """
-        if self.failed:
-            return 1.0
-        u = self.utilization(t)
-        congestion = 0.0
-        if u > LOSS_KNEE:
-            severity = (u - LOSS_KNEE) / (1.0 - LOSS_KNEE)
-            congestion = MAX_CONGESTION_LOSS * severity * severity
-        clean = min(self.base_loss + congestion, 1.0)
-        if self.extra_loss <= 0.0:
-            return clean
-        # Gray-failure drops are independent of congestion drops.
-        return min(1.0 - (1.0 - clean) * (1.0 - self.extra_loss), 1.0)
-
-    def bulk_loss(self, t: float) -> float:
-        """Loss fraction full-size data segments see at time ``t``.
-
-        Equals :meth:`loss` plus the bulk-only silent drop (independent
-        processes).  Ping probes read :meth:`loss`; transfers pay this.
-        """
-        visible = self.loss(t)
-        if self.bulk_extra_loss <= 0.0:
-            return visible
-        return min(1.0 - (1.0 - visible) * (1.0 - self.bulk_extra_loss), 1.0)
-
-    def available_bw_mbps(self, t: float) -> float:
-        """Bandwidth a new persistent flow can expect to claim at ``t``.
-
-        Headroom ``(1 - u) * capacity``, floored at a minimal fair share
-        — TCP on a saturated link still pushes background traffic aside
-        a little rather than starving entirely.
-        """
-        if self.failed:
-            return 0.0
-        headroom = (1.0 - self.utilization(t)) * self.capacity_mbps
-        return max(headroom, MIN_FAIR_SHARE * self.capacity_mbps)
-
-    def one_way_delay_ms(self, t: float) -> float:
-        """Propagation plus queuing plus impairment delay at time ``t``."""
-        return self.prop_delay_ms + self.queuing_delay_ms(t) + self.extra_delay_ms
 
     def fail(self) -> None:
         """Take the link down (used by failure-injection experiments)."""

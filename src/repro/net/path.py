@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.net.links import Link
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.net.fastpath import FastPath
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +52,21 @@ class PathMetrics:
             object.__setattr__(self, "bulk_loss", self.loss)
         elif not 0.0 <= self.bulk_loss <= 1.0:
             raise RoutingError(f"bulk loss out of range: {self.bulk_loss}")
+
+
+class HopMetrics(NamedTuple):
+    """Per-link metric lists of one path at one instant, in link order.
+
+    What the per-hop consumers read: the fluid engine's background load
+    and exogenous loss, the packet engine's link snapshot, and
+    traceroute's cumulative delay.
+    """
+
+    one_way_ms: list[float]
+    loss: list[float]
+    bulk_loss: list[float]
+    available_bw_mbps: list[float]
+    utilization: list[float]
 
 
 class LegMetrics(NamedTuple):
@@ -105,12 +123,12 @@ class RouterPath:
     because host-access links at the two ends have a host, not a
     router, on one side.
 
-    Paths resolved by a fastpath-enabled world carry a ``_fastpath``
-    handle (attached via ``object.__setattr__`` — the dataclass is
-    frozen but not slotted) through which ``is_alive``/``metrics``
-    read the vectorized struct-of-arrays mirror instead of walking
-    links; results are bit-identical (see :mod:`repro.net.fastpath`).
-    Hand-built paths have no handle and always take the object walk.
+    Link metrics come from a :class:`~repro.net.fastpath.FastPath`
+    mirror, attached as ``_fastpath`` (via ``object.__setattr__`` — the
+    dataclass is frozen but not slotted): the resolving world's, or, for
+    a hand-built path, a private one over its own links, built on first
+    use.  ``tests/reference/link_metrics.py`` keeps the per-link walk
+    the mirror reproduces bit for bit.
     """
 
     src_name: str
@@ -127,38 +145,29 @@ class RouterPath:
         """Router-level hop count (number of routers traversed)."""
         return len(self.router_ids)
 
+    def _mirror(self) -> "FastPath":
+        mirror = self.__dict__.get("_fastpath")
+        if mirror is None:
+            from repro.net.fastpath import FastPath  # fastpath imports this module
+
+            links_by_id = {link.link_id: link for link in self.links}
+            if len(links_by_id) != len({id(link) for link in self.links}):
+                raise RoutingError(f"path {self.src_name}->{self.dst_name} reuses a link id")
+            mirror = FastPath(links_by_id)
+            object.__setattr__(self, "_fastpath", mirror)
+        return mirror
+
     def is_alive(self) -> bool:
         """False if any constituent link has failed."""
-        fastpath = self.__dict__.get("_fastpath")
-        if fastpath is not None:
-            return fastpath.path_alive(self)
-        return not any(link.failed for link in self.links)
+        return self._mirror().path_alive(self)
 
     def metrics(self, t: float) -> PathMetrics:
         """Aggregate path metrics at absolute time ``t`` (seconds)."""
-        fastpath = self.__dict__.get("_fastpath")
-        if fastpath is not None:
-            vectorized = fastpath.path_metrics(self, t)
-            if vectorized is not None:
-                return vectorized
-        one_way = 0.0
-        survive = 1.0
-        survive_bulk = 1.0
-        avail = float("inf")
-        capacity = float("inf")
-        for link in self.links:
-            one_way += link.one_way_delay_ms(t)
-            survive *= 1.0 - link.loss(t)
-            survive_bulk *= 1.0 - link.bulk_loss(t)
-            avail = min(avail, link.available_bw_mbps(t))
-            capacity = min(capacity, link.capacity_mbps)
-        return PathMetrics(
-            rtt_ms=2.0 * one_way,
-            loss=1.0 - survive,
-            available_bw_mbps=avail,
-            capacity_mbps=capacity,
-            bulk_loss=1.0 - survive_bulk,
-        )
+        return self._mirror().path_metrics(self, t)
+
+    def hop_metrics(self, t: float) -> HopMetrics:
+        """Each link's metrics at absolute time ``t``, in link order."""
+        return self._mirror().hop_metrics(self, t)
 
     def rtt_ms(self, t: float) -> float:
         """Round-trip time at time ``t`` (convenience accessor)."""
@@ -185,7 +194,7 @@ class RouterPath:
             router_ids=tuple(routers),
             links=tuple(self.links) + tuple(other.links),
         )
-        fastpath = self.__dict__.get("_fastpath") or other.__dict__.get("_fastpath")
-        if fastpath is not None:
-            object.__setattr__(joined, "_fastpath", fastpath)
+        mirror = self.__dict__.get("_fastpath")
+        if mirror is not None and other.__dict__.get("_fastpath") is mirror:
+            object.__setattr__(joined, "_fastpath", mirror)
         return joined

@@ -25,7 +25,7 @@ from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
 from repro.net.bgp import BgpRouting
 from repro.net.congestion import BackgroundLoad, peak_hour_for_longitude
-from repro.net.fastpath import FastPath, fastpath_enabled
+from repro.net.fastpath import FastPath
 from repro.net.links import Link, LinkClass, mutation_epoch
 from repro.net.path import RouterPath
 from repro.net.reroute import (
@@ -163,8 +163,8 @@ class Internet:
         self._dark_cache: frozenset[int] | None = None
         self._live_route_cache: dict[tuple[int, int, int], object] = {}
         self._live_path_cache: dict[tuple[str, str], object] = {}
-        #: Vectorized link-state mirror (None when REPRO_FASTPATH=0).
-        self.fastpath: FastPath | None = FastPath(self) if fastpath_enabled() else None
+        #: Vectorized link-state mirror: every path it resolves reads it.
+        self.fastpath = FastPath(self.links_by_id)
         self._build()
 
     # ------------------------------------------------------------------
@@ -622,8 +622,7 @@ class Internet:
             router_ids=tuple(router_ids),
             links=tuple(links),
         )
-        if self.fastpath is not None:
-            object.__setattr__(path, "_fastpath", self.fastpath)
+        object.__setattr__(path, "_fastpath", self.fastpath)
         return path
 
     def _select_as_path(self, src: Host, dst: Host) -> tuple[int, ...]:

@@ -242,11 +242,8 @@ def generate_report(
         from repro.experiments.mptcp_exp import MptcpExpConfig, run_mptcp_experiment
         from repro.transport.mptcp import MptcpScheme
 
-        mini = dict(n_paths=4, iterations=2, duration_s=15.0, tick_s=0.02)
-        olia = run_mptcp_experiment(MptcpExpConfig(seed=seed, **mini))
-        cubic = run_mptcp_experiment(
-            MptcpExpConfig(seed=seed, scheme=MptcpScheme.UNCOUPLED_CUBIC, **mini)
-        )
+        olia = run_mptcp_experiment(MptcpExpConfig.small(seed))
+        cubic = run_mptcp_experiment(MptcpExpConfig.small(seed, MptcpScheme.UNCOUPLED_CUBIC))
         sections.append(_section("MPTCP with OLIA", "Sec. VI-B, Fig. 12", olia.render()))
         sections.append(_section("MPTCP with Cubic", "Sec. VI-C, Fig. 13", cubic.render()))
 

@@ -56,6 +56,7 @@ class FluidFlow:
 
     flow_id: int
     label: str
+    path: RouterPath
     hops: list[_DirectedHop]
     cc: CongestionControl
     rwnd_bytes: int
@@ -95,10 +96,10 @@ class FluidSimulator:
         mss_bytes: int = DEFAULT_MSS,
         on_tick=None,
     ) -> None:
-        self.at_time = at_time
+        self.at_time = check(at_time, "at_time", ge=0, error=TransportError)
         self.rng = rng
         self.tick_s = check(tick_s, "tick_s", gt=0, error=TransportError)
-        self.mss_bytes = mss_bytes
+        self.mss_bytes = check(mss_bytes, "mss_bytes", gt=0, error=TransportError)
         self.on_tick = on_tick
         self.flows: list[FluidFlow] = []
         self._next_flow_id = 1
@@ -118,6 +119,9 @@ class FluidSimulator:
         sequence, so opposite-direction flows on a full-duplex link do
         not contend.
         """
+        check(rwnd_bytes, "rwnd_bytes", gt=0, error=TransportError)
+        if mss_bytes is not None:
+            check(mss_bytes, "mss_bytes", gt=0, error=TransportError)
         if len(path.links) != len(path.router_ids) - 1:
             raise TransportError(
                 f"path {path.src_name}->{path.dst_name} has inconsistent "
@@ -133,6 +137,7 @@ class FluidSimulator:
         flow = FluidFlow(
             flow_id=self._next_flow_id,
             label=label or f"flow-{self._next_flow_id}",
+            path=path,
             hops=hops,
             cc=cc,
             rwnd_bytes=rwnd_bytes,
@@ -202,14 +207,16 @@ class FluidSimulator:
         capacity: dict[tuple[int, bool], float] = {}
         exo_loss: dict[tuple[int, bool], float] = {}
         for flow in self.flows:
-            for hop in flow.hops:
+            hop_metrics = flow.path.hop_metrics(t)
+            for hop, util, bulk_loss in zip(
+                flow.hops, hop_metrics.utilization, hop_metrics.bulk_loss
+            ):
                 if hop.key in background:
                     continue
-                util = hop.link.utilization(t)
                 background[hop.key] = util * hop.link.capacity_mbps
                 capacity[hop.key] = hop.link.capacity_mbps
                 # Fluid flows model bulk data: they pay any silent bulk drop.
-                exo_loss[hop.key] = hop.link.bulk_loss(t)
+                exo_loss[hop.key] = bulk_loss
         return background, capacity, exo_loss
 
     def _loss_table(self, background, capacity, exo_loss) -> _LossTable:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TransportError, check
-from repro.net.path import PathMetrics
+from repro.net.path import PathMetrics, RouterPath
 from repro.transport.throughput import FlowStats
 from repro.units import DEFAULT_MSS
 
@@ -74,8 +74,8 @@ class SimLink:
     #: Drop probability for full-size data segments; ``None`` means the
     #: hop treats all traffic alike (``loss_prob``).  A value above
     #: ``loss_prob`` models the differential-observability gray failure
-    #: of :meth:`repro.net.links.Link.bulk_loss` — pings survive, bulk
-    #: data pays extra.
+    #: of a link's ``bulk_extra_loss`` — pings survive, bulk data pays
+    #: extra.
     bulk_loss_prob: float | None = None
 
     def __post_init__(self) -> None:
@@ -104,31 +104,31 @@ class SimLink:
         return packet_bytes * 8 / (self.line_rate_mbps * 1e6)
 
 
-def sim_link_at(link, t: float, queue_packets: int = 128) -> SimLink:
-    """Snapshot one world :class:`~repro.net.links.Link` at time ``t``.
+def sim_links_at(path: RouterPath, t: float, queue_packets: int = 128) -> list[SimLink]:
+    """Snapshot a router path's links at time ``t``, in link order.
 
-    Threads the link's time-varying state into the packet engine:
-    ping-visible ``loss(t)`` becomes ``loss_prob``, the bulk-only
-    ``bulk_loss(t)`` becomes the per-segment drop draw, and queuing and
-    impairment delay fold into the hop's propagation delay.  With a
+    Threads each link's time-varying state into the packet engine:
+    ping-visible loss becomes ``loss_prob``, the bulk-only loss becomes
+    the per-segment drop draw, and queuing and impairment delay fold
+    into the hop's propagation delay.  With a
     :class:`~repro.faults.injector.FaultInjector` installed, sampling
     mid-episode picks up the impaired state — the chaos replay's way of
     running packets through a gray hop.
     """
-    capacity = link.available_bw_mbps(t)
-    return SimLink(
-        capacity_mbps=capacity,
-        prop_delay_ms=link.one_way_delay_ms(t),
-        loss_prob=link.loss(t),
-        bulk_loss_prob=link.bulk_loss(t),
-        queue_packets=queue_packets,
-        line_rate_mbps=max(capacity, 10_000.0),
-    )
-
-
-def sim_links_at(links, t: float, queue_packets: int = 128) -> list[SimLink]:
-    """Snapshot a whole router path's links at time ``t``."""
-    return [sim_link_at(link, t, queue_packets=queue_packets) for link in links]
+    hops = path.hop_metrics(t)
+    return [
+        SimLink(
+            capacity_mbps=capacity,
+            prop_delay_ms=one_way,
+            loss_prob=loss,
+            bulk_loss_prob=bulk_loss,
+            queue_packets=queue_packets,
+            line_rate_mbps=max(capacity, 10_000.0),
+        )
+        for one_way, loss, bulk_loss, capacity in zip(
+            hops.one_way_ms, hops.loss, hops.bulk_loss, hops.available_bw_mbps
+        )
+    ]
 
 
 def sim_path_metrics(links: list[SimLink]) -> PathMetrics:

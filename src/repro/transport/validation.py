@@ -117,8 +117,8 @@ def fluid_throughput(scenario: Scenario, seed: int, duration_s: float = 60.0) ->
         load=BackgroundLoad(base_util=0.0, diurnal_amp=0.0, episode_rate_per_day=0.0),
     )
     if scenario.bulk_loss is not None and scenario.bulk_loss > scenario.loss:
-        # Compose so that link.bulk_loss(t) equals the scenario's bulk
-        # number: data = 1 - (1 - visible)(1 - extra).
+        # Compose so that the link's bulk loss equals the scenario's
+        # bulk number: data = 1 - (1 - visible)(1 - extra).
         extra = 1.0 - (1.0 - scenario.bulk_loss) / (1.0 - scenario.loss)
         link.impair(bulk_extra_loss=extra)
     path = RouterPath(src_name="a", dst_name="b", router_ids=(1, 2), links=(link,))

@@ -445,3 +445,31 @@ class TestChaosIgnoresNoFlag:
         assert out.err.startswith("error: ")
         assert "--probe-floor" in out.err and "--probe-interval" in out.err
         assert out.out == ""
+
+
+class TestBlasThreads:
+    """``python -m repro`` starts no BLAS thread pool unless asked to."""
+
+    # Runs the entry module and reports, at exit, the thread count numpy
+    # saw and whether importing the package alone had loaded numpy.
+    PROBE = (
+        "import atexit, os, runpy, sys\n"
+        "import repro\n"
+        "early = 'numpy' in sys.modules\n"
+        "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), early))\n"
+        "sys.argv = ['repro', 'world', '--seed', '3', '--scale', 'small']\n"
+        "runpy.run_module('repro', run_name='__main__')\n"
+    )
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_default_applies_and_a_preset_value_wins(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"{expected} False"

@@ -3,12 +3,11 @@
 For each study (chaos, demand, controlled, longitudinal, weblab) and
 several seeds, the dumped result JSON must be byte-identical between
 
-* object mode (``REPRO_FASTPATH=0`` — the scalar per-link walk),
-  in-process,
-* fastpath in-process (no runner), and
-* fastpath at 1 and 8 workers (the pool forks, so workers inherit the
-  parent's mode choice) — for the studies that shard; weblab is one
-  batch in-process.
+* object mode (the frozen scalar per-link walk of
+  ``tests/reference/link_metrics.py``), in-process,
+* the mirror in-process (no runner), and
+* the mirror at 1 and 8 workers — for the studies that shard; weblab
+  is one batch in-process.
 
 Each study has one entry point, ``run_X(config, runner=None)``, that
 runs the same shard list in-process or on the pool, so every run is
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference.link_metrics import object_mode
 from repro.exec.runner import ExecConfig, ExecRunner
 from repro.experiments.chaos_exp import ChaosConfig, run_chaos
 from repro.experiments.controlled import ControlledConfig, run_controlled
@@ -93,15 +93,12 @@ UNSHARDED = {"weblab"}
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("study", sorted(STUDIES))
-def test_fastpath_output_byte_identical_to_object_mode(
-    study, seed, tmp_path, monkeypatch
-):
+def test_fastpath_output_byte_identical_to_object_mode(study, seed, tmp_path):
     make_config, run_study = STUDIES[study]
 
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    reference = _dump(tmp_path, f"{study}-obj", run_study(make_config(seed)))
+    with object_mode():
+        reference = _dump(tmp_path, f"{study}-obj", run_study(make_config(seed)))
 
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
     fast_serial = _dump(tmp_path, f"{study}-fast-serial", run_study(make_config(seed)))
     assert fast_serial == reference, (
         f"{study} seed {seed}: in-process fastpath output differs from object mode"

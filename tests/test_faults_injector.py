@@ -15,7 +15,14 @@ from repro.faults.events import (
     Window,
 )
 from repro.faults.injector import FaultInjector, ProbeFaultModel
+from repro.net.path import RouterPath
 from repro.rand import RandomStreams
+
+
+def _hop(link, t: float):
+    """(one-way delay, loss, bulk loss) of a link at ``t``, via a one-link path."""
+    metrics = RouterPath("a", "b", (link.router_a, link.router_b), (link,)).hop_metrics(t)
+    return metrics.one_way_ms[0], metrics.loss[0], metrics.bulk_loss[0]
 
 
 def any_link(small_internet):
@@ -56,8 +63,7 @@ class TestInjection:
 
     def test_gray_failure_impairs_without_failing(self, small_internet):
         link = any_link(small_internet)
-        clean_loss = link.loss(120.0)
-        clean_delay = link.one_way_delay_ms(120.0)
+        clean_delay, clean_loss, _ = _hop(link, 120.0)
         injector = FaultInjector(small_internet)
         injector.add(
             GrayFailure(
@@ -69,8 +75,9 @@ class TestInjection:
         small_internet.set_time(120.0)
         assert not link.failed
         assert (link.extra_loss, link.extra_delay_ms) == (0.3, 25.0)
-        assert link.loss(120.0) > clean_loss
-        assert link.one_way_delay_ms(120.0) == pytest.approx(clean_delay + 25.0)
+        delay, loss, _ = _hop(link, 120.0)
+        assert loss > clean_loss
+        assert delay == pytest.approx(clean_delay + 25.0)
         small_internet.set_time(200.0)
         assert (link.extra_loss, link.extra_delay_ms) == (0.0, 0.0)
 
@@ -278,7 +285,7 @@ class TestProbeFaultModel:
 class TestBulkOnlyGray:
     def test_bulk_only_gray_spares_pings(self, small_internet):
         link = any_link(small_internet)
-        clean_loss = link.loss(120.0)
+        _, clean_loss, _ = _hop(link, 120.0)
         injector = FaultInjector(small_internet)
         injector.add(
             GrayFailure(
@@ -290,10 +297,12 @@ class TestBulkOnlyGray:
         small_internet.set_time(120.0)
         assert not link.failed
         # Pings see nothing; bulk segments pay the silent drop.
-        assert link.loss(120.0) == pytest.approx(clean_loss)
-        assert link.bulk_loss(120.0) > link.loss(120.0)
+        _, loss, bulk_loss = _hop(link, 120.0)
+        assert loss == pytest.approx(clean_loss)
+        assert bulk_loss > loss
         small_internet.set_time(200.0)
-        assert link.bulk_loss(200.0) == link.loss(200.0)
+        _, loss, bulk_loss = _hop(link, 200.0)
+        assert bulk_loss == loss
         injector.uninstall()
 
 

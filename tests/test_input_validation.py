@@ -220,6 +220,30 @@ class TestEngineHorizons:
             conn.run(0.0, value)
 
 
+class TestFluidInputs:
+    """The fluid engine refuses a bad instant, MSS or window up front."""
+
+    # 0 is a valid instant: the world clock's epoch.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1], ids=str)
+    def test_at_time(self, value):
+        with pytest.raises(TransportError, match="at_time"):
+            FluidSimulator(at_time=value, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=str)
+    def test_simulator_mss(self, value):
+        with pytest.raises(TransportError, match="mss_bytes"):
+            FluidSimulator(at_time=0.0, rng=np.random.default_rng(0), mss_bytes=value)
+
+    @pytest.mark.parametrize("knob", ["mss_bytes", "rwnd_bytes"])
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=str)
+    def test_flow_knob(self, small_internet, knob, value):
+        sim = FluidSimulator(at_time=0.0, rng=np.random.default_rng(0))
+        path = small_internet.resolve_path("client", "server")
+        with pytest.raises(TransportError, match=knob):
+            sim.add_flow(path, RenoCC(), **{knob: value})
+        assert not sim.flows
+
+
 class TestCheck:
     """:func:`repro.errors.check`, the one bound check."""
 

@@ -2,7 +2,8 @@
 
 Every batched value must equal its per-path counterpart *bit for bit*
 (``==`` on raw floats): the studies that batch are pinned by golden
-files and by the object-mode identity suite.
+files and by the object-mode identity suite.  The per-path counterpart
+is the frozen scalar walk (``tests/reference/link_metrics.py``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from reference import link_metrics
 from repro.cloud.provider import CloudProvider
 from repro.core import CRONet
 from repro.core.measure_plan import PathSetBatch, measure_four_ways_batch
@@ -39,18 +41,20 @@ def net(small_internet):
     stubs = small_internet.topology.ases_of_kind(ASKind.STUB)
     small_internet.attach_host("c2", stubs[1].asn, kind="planetlab")
     small_internet.attach_host("c3", stubs[len(stubs) // 2].asn, kind="planetlab")
-    assert small_internet.fastpath is not None
     return small_internet
 
 
 def _walk(leg: tuple[RouterPath, ...], t: float) -> PathMetrics:
-    """The object walk over a leg's links (no mirror handle)."""
-    return RouterPath(
-        src_name=leg[0].src_name,
-        dst_name=leg[-1].dst_name,
-        router_ids=(),
-        links=tuple(itertools.chain.from_iterable(seg.links for seg in leg)),
-    ).metrics(t)
+    """The frozen scalar walk over a leg's links, end to end."""
+    return link_metrics.path_metrics(
+        RouterPath(
+            src_name=leg[0].src_name,
+            dst_name=leg[-1].dst_name,
+            router_ids=(),
+            links=tuple(itertools.chain.from_iterable(seg.links for seg in leg)),
+        ),
+        t,
+    )
 
 
 def _legs(net) -> list[tuple[RouterPath, ...]]:

@@ -12,6 +12,8 @@ from repro.net.diurnal import (
     EpisodeProcess,
     peak_hour_for_longitude,
 )
+from repro.net.links import Link, LinkClass
+from repro.net.path import RouterPath
 
 
 class TestEpisode:
@@ -71,6 +73,15 @@ class TestPeakHour:
         assert peak_hour_for_longitude(-74.0) == pytest.approx((20.0 + 74.0 / 15.0) % 24.0)
 
 
+def _utilization(load: BackgroundLoad, t: float) -> float:
+    """A load's utilization at ``t``, read through a one-link path."""
+    link = Link(
+        link_id=1, router_a=1, router_b=2, capacity_mbps=100.0, prop_delay_ms=1.0,
+        base_loss=0.0, link_class=LinkClass.ACCESS, load=load,
+    )
+    return RouterPath("a", "b", (1, 2), (link,)).hop_metrics(t).utilization[0]
+
+
 class TestBackgroundLoadComposition:
     def test_utilization_is_base_plus_diurnal_plus_episodes(self):
         load = BackgroundLoad(
@@ -79,16 +90,16 @@ class TestBackgroundLoadComposition:
         )
         t = 20.0 * 3600.0
         curve = DiurnalCurve(amplitude=0.2, peak_hour=20.0)
-        assert load.utilization(t) == pytest.approx(0.4 + curve.offset(t))
+        assert _utilization(load, t) == pytest.approx(0.4 + curve.offset(t))
 
     def test_utilization_clamped(self):
         load = BackgroundLoad(
             base_util=0.95, diurnal_amp=0.3, peak_hour=12.0,
             episode_rate_per_day=0.0, seed=3,
         )
-        assert load.utilization(12.0 * 3600.0) == pytest.approx(0.995)
+        assert _utilization(load, 12.0 * 3600.0) == pytest.approx(0.995)
         hot = BackgroundLoad(
             base_util=0.1, diurnal_amp=0.5, peak_hour=0.0,
             episode_rate_per_day=0.0, seed=3,
         )
-        assert hot.utilization(12.0 * 3600.0) == 0.0
+        assert _utilization(hot, 12.0 * 3600.0) == 0.0

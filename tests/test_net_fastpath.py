@@ -1,20 +1,24 @@
 """Unit tests of the struct-of-arrays link-state mirror.
 
-Identity assertions use ``==`` on raw floats on purpose: the
-fastpath's contract with the scalar walk is *bit* equality, not
-approximate equality — a one-ulp drift would break the study-level
-byte-identity guarantee downstream.
+Identity assertions use ``==`` on raw floats on purpose: the mirror's
+contract with the frozen scalar walk (``tests/reference/link_metrics.py``)
+is *bit* equality, not approximate equality — a one-ulp drift would
+break the study-level byte-identity guarantee downstream.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from reference import link_metrics
 from repro.control.controller import OverlayController
 from repro.control.health import HealthConfig
 from repro.control.metrics import MetricsRegistry
 from repro.control.policy import BestPathPolicy
 from repro.core.pathset import PathSet
+from repro.errors import ConfigError, RoutingError
 from repro.net.asn import ASKind
 from repro.net.path import RouterPath
 from repro.tunnel.node import OverlayNode
@@ -24,9 +28,7 @@ TIMES = (0.0, 1_800.0, 43_200.0, 90_000.0)
 
 @pytest.fixture()
 def fastpath(small_internet):
-    mirror = small_internet.fastpath
-    assert mirror is not None, "fixture worlds must build with the mirror"
-    return mirror
+    return small_internet.fastpath
 
 
 def _assert_lists_match_links(fastpath, t: float) -> None:
@@ -34,16 +36,17 @@ def _assert_lists_match_links(fastpath, t: float) -> None:
     # first, so no link drops out of the check.
     state = fastpath.state_key()
     positions = fastpath._positions(range(len(fastpath._links)))
-    one_way, loss, bulk, avail = fastpath.metric_lists(t, state)
+    one_way, loss, bulk, avail, util = fastpath.metric_lists(t, state)
     for p, link in zip(positions, fastpath._links, strict=True):
-        assert one_way[p] == link.one_way_delay_ms(t)
-        assert loss[p] == link.loss(t)
-        assert bulk[p] == link.bulk_loss(t)
-        assert avail[p] == link.available_bw_mbps(t)
+        assert one_way[p] == link_metrics.one_way_delay_ms(link, t)
+        assert loss[p] == link_metrics.loss(link, t)
+        assert bulk[p] == link_metrics.bulk_loss(link, t)
+        assert avail[p] == link_metrics.available_bw_mbps(link, t)
+        assert util[p] == link_metrics.utilization(link, t)
 
 
 def _bare(path: RouterPath) -> RouterPath:
-    """The same path without a mirror handle: always walks link objects."""
+    """The same path without the world's mirror: it builds a private one."""
     return RouterPath(
         src_name=path.src_name,
         dst_name=path.dst_name,
@@ -71,10 +74,10 @@ class TestMetricIdentity:
 
     def test_path_metrics_match_object_walk(self, small_internet):
         path = small_internet.resolve_live_path("server", "client")
-        bare = _bare(path)
         for t in TIMES:
-            assert path.metrics(t) == bare.metrics(t)
-            assert path.is_alive() == bare.is_alive()
+            assert path.metrics(t) == link_metrics.path_metrics(path, t)
+            assert path.hop_metrics(t) == link_metrics.hop_metrics(path, t)
+            assert path.is_alive() == link_metrics.path_alive(path)
 
     def test_cached_instant_extends_to_unread_links(self, small_internet, fastpath):
         first = small_internet.resolve_live_path("server", "client")
@@ -94,11 +97,49 @@ class TestMetricIdentity:
         state = fastpath.state_key()
         entry = fastpath._mcache[(t, state)]
         assert len(entry[0]) == len(first_ids)
-        assert second.metrics(t) == _bare(second).metrics(t)
+        assert second.metrics(t) == link_metrics.path_metrics(second, t)
         assert fastpath.state_key() == state
         assert fastpath._mcache[(t, state)] is entry  # extended in place
         assert len(entry[0]) == len(first_ids) + len(unread)
-        assert first.metrics(t) == _bare(first).metrics(t)
+        assert first.metrics(t) == link_metrics.path_metrics(first, t)
+
+
+class TestPrivateMirrors:
+    """Hand-built paths read a mirror over their own links."""
+
+    def test_hand_built_path_matches_the_world_mirror(self, small_internet):
+        path = small_internet.resolve_live_path("server", "client")
+        bare = _bare(path)
+        path.links[1].impair(extra_loss=0.1, util_surge=0.5, bulk_extra_loss=0.2)
+        for t in TIMES:
+            assert bare.metrics(t) == path.metrics(t)
+            assert bare.hop_metrics(t) == path.hop_metrics(t)
+        assert bare.__dict__["_fastpath"] is not small_internet.fastpath
+
+    def test_concatenate_keeps_only_a_shared_mirror(self, small_internet):
+        to_vm = small_internet.resolve_path("server", "vm")
+        from_vm = small_internet.resolve_path("vm", "client")
+        joined = to_vm.concatenate(from_vm)
+        assert joined.__dict__["_fastpath"] is small_internet.fastpath
+        mixed = to_vm.concatenate(_bare(from_vm))
+        assert "_fastpath" not in mixed.__dict__
+        assert mixed.metrics(600.0) == joined.metrics(600.0)
+        assert mixed.__dict__["_fastpath"] is not small_internet.fastpath
+
+    def test_two_links_with_one_id_are_refused(self, small_internet):
+        path = small_internet.resolve_live_path("server", "client")
+        twin = dataclasses.replace(path.links[0])
+        bare = RouterPath("a", "b", (), (path.links[0], twin))
+        with pytest.raises(RoutingError, match="reuses a link id"):
+            bare.metrics(0.0)
+
+    def test_negative_time_raises_even_on_a_dead_path(self, small_internet):
+        path = small_internet.resolve_live_path("server", "client")
+        for link in path.links:
+            link.fail()
+        for read in (path.metrics, path.hop_metrics, _bare(path).metrics):
+            with pytest.raises(ConfigError, match="time must be >= 0"):
+                read(-1.0)
 
 
 class TestRowsRead:
@@ -111,7 +152,7 @@ class TestRowsRead:
         rows = [fastpath._row[link.link_id] for link in path.links]
         distinct = list(dict.fromkeys(rows))
         lists = fastpath.metric_lists(t, fastpath.state_key())
-        assert [len(values) for values in lists] == [len(distinct)] * 4
+        assert [len(values) for values in lists] == [len(distinct)] * 5
         assert fastpath._read == distinct
         on_path = {link.link_id for link in path.links}
         drawn = [
@@ -196,7 +237,7 @@ class TestStateInterning:
         assert fastpath._mcache[(t, state)] is entry
         assert [list(v) for v in entry] == values
         late = small_internet.resolve_live_path("late-probe", "server")
-        assert late.metrics(t) == _bare(late).metrics(t)
+        assert late.metrics(t) == link_metrics.path_metrics(late, t)
         assert path.metrics(t) == before
 
 

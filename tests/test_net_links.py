@@ -1,4 +1,8 @@
-"""Link model: utilization, queuing, loss, availability, failure."""
+"""Link model: utilization, queuing, loss, availability, failure.
+
+Metrics are read through a one-link path's mirror, the only place they
+are computed.
+"""
 
 from __future__ import annotations
 
@@ -15,9 +19,11 @@ from repro.net.links import (
     Link,
     LinkClass,
 )
+from repro.net.path import RouterPath
 
 
-def make_link(base_util=0.3, base_loss=1e-4, capacity=10_000.0, max_queue=40.0, diurnal=0.0):
+def make_link(base_util=0.3, base_loss=1e-4, capacity=10_000.0, max_queue=40.0, diurnal=0.0,
+              load=None):
     return Link(
         link_id=1,
         router_a=1,
@@ -26,11 +32,22 @@ def make_link(base_util=0.3, base_loss=1e-4, capacity=10_000.0, max_queue=40.0, 
         prop_delay_ms=10.0,
         base_loss=base_loss,
         link_class=LinkClass.T1_PEERING,
-        load=BackgroundLoad(
+        load=load or BackgroundLoad(
             base_util=base_util, diurnal_amp=diurnal, episode_rate_per_day=0.0, seed=3
         ),
         max_queue_ms=max_queue,
     )
+
+
+def hop(link, t=0.0) -> dict[str, float]:
+    """The link's metrics at ``t``, read through a one-link path."""
+    metrics = RouterPath("a", "b", (1, 2), (link,)).hop_metrics(t)
+    return {name: values[0] for name, values in metrics._asdict().items()}
+
+
+def utilization(load, t):
+    """A background load's utilization at ``t``, on a link that carries it."""
+    return hop(make_link(load=load), t)["utilization"]
 
 
 class TestLinkConstruction:
@@ -55,59 +72,59 @@ class TestLinkConstruction:
 class TestQueuing:
     def test_no_queue_below_knee(self):
         link = make_link(base_util=QUEUE_KNEE - 0.05)
-        assert link.queuing_delay_ms(0.0) == 0.0
+        assert hop(link)["one_way_ms"] == link.prop_delay_ms
 
     def test_queue_grows_with_load(self):
-        low = make_link(base_util=0.7).queuing_delay_ms(0.0)
-        high = make_link(base_util=0.9).queuing_delay_ms(0.0)
-        assert 0.0 < low < high
+        low = hop(make_link(base_util=0.7))["one_way_ms"]
+        high = hop(make_link(base_util=0.9))["one_way_ms"]
+        assert 10.0 < low < high
 
     def test_queue_capped_by_buffer(self):
         link = make_link(base_util=0.995, max_queue=40.0)
-        assert link.queuing_delay_ms(0.0) <= 40.0
+        assert hop(link)["one_way_ms"] <= link.prop_delay_ms + 40.0
 
     def test_one_way_delay_includes_propagation(self):
         link = make_link(base_util=0.1)
-        assert link.one_way_delay_ms(0.0) == pytest.approx(10.0)
+        assert hop(link)["one_way_ms"] == pytest.approx(10.0)
 
 
 class TestLoss:
     def test_base_loss_only_below_knee(self):
         link = make_link(base_util=LOSS_KNEE - 0.1, base_loss=1e-4)
-        assert link.loss(0.0) == pytest.approx(1e-4)
+        assert hop(link)["loss"] == pytest.approx(1e-4)
 
     def test_congestion_loss_above_knee(self):
         link = make_link(base_util=0.95, base_loss=1e-4)
-        assert link.loss(0.0) > 1e-3
+        assert hop(link)["loss"] > 1e-3
 
     def test_congestion_loss_bounded(self):
         link = make_link(base_util=0.995, base_loss=0.0)
-        assert link.loss(0.0) <= MAX_CONGESTION_LOSS
+        assert hop(link)["loss"] <= MAX_CONGESTION_LOSS
 
     @given(st.floats(min_value=0.0, max_value=0.99))
     def test_loss_in_unit_interval(self, util):
         link = make_link(base_util=util)
-        assert 0.0 <= link.loss(0.0) <= 1.0
+        assert 0.0 <= hop(link)["loss"] <= 1.0
 
 
 class TestAvailability:
     def test_headroom(self):
         link = make_link(base_util=0.4, capacity=1_000.0)
-        assert link.available_bw_mbps(0.0) == pytest.approx(600.0)
+        assert hop(link)["available_bw_mbps"] == pytest.approx(600.0)
 
     def test_fair_share_floor(self):
         link = make_link(base_util=0.995, capacity=1_000.0)
-        assert link.available_bw_mbps(0.0) >= MIN_FAIR_SHARE * 1_000.0
+        assert hop(link)["available_bw_mbps"] >= MIN_FAIR_SHARE * 1_000.0
 
 
 class TestFailure:
     def test_failed_link_is_lossy_and_dead(self):
         link = make_link()
         link.fail()
-        assert link.loss(0.0) == 1.0
-        assert link.available_bw_mbps(0.0) == 0.0
+        assert hop(link)["loss"] == 1.0
+        assert hop(link)["available_bw_mbps"] == 0.0
         link.restore()
-        assert link.loss(0.0) < 1.0
+        assert hop(link)["loss"] < 1.0
 
 
 class TestBackgroundLoad:
@@ -115,14 +132,14 @@ class TestBackgroundLoad:
         a = BackgroundLoad(base_util=0.5, episode_rate_per_day=2.0, seed=9)
         b = BackgroundLoad(base_util=0.5, episode_rate_per_day=2.0, seed=9)
         times = [100.0, 5_000.0, 90_000.0, 200_000.0]
-        assert [a.utilization(t) for t in times] == [b.utilization(t) for t in times]
+        assert [utilization(a, t) for t in times] == [utilization(b, t) for t in times]
 
     def test_diurnal_peak_at_peak_hour(self):
         load = BackgroundLoad(
             base_util=0.5, diurnal_amp=0.1, peak_hour=20.0, episode_rate_per_day=0.0
         )
-        peak = load.utilization(20 * 3600.0)
-        trough = load.utilization(8 * 3600.0)
+        peak = utilization(load, 20 * 3600.0)
+        trough = utilization(load, 8 * 3600.0)
         assert peak == pytest.approx(0.6, abs=1e-6)
         assert trough == pytest.approx(0.4, abs=1e-6)
 
@@ -131,11 +148,11 @@ class TestBackgroundLoad:
             base_util=0.95, diurnal_amp=0.2, episode_rate_per_day=5.0, episode_severity=0.5, seed=1
         )
         for t in range(0, 200_000, 7_000):
-            assert 0.0 <= load.utilization(float(t)) <= 0.995
+            assert 0.0 <= utilization(load, float(t)) <= 0.995
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):
-            BackgroundLoad(base_util=0.5).utilization(-1.0)
+            utilization(BackgroundLoad(base_util=0.5), -1.0)
 
     def test_episode_activity_window(self):
         ep = Episode(start_s=100.0, duration_s=50.0, extra_util=0.2)
@@ -148,7 +165,7 @@ class TestBackgroundLoad:
         load = BackgroundLoad(
             base_util=0.3, diurnal_amp=0.0, episode_rate_per_day=6.0, episode_severity=0.3, seed=5
         )
-        samples = [load.utilization(float(t)) for t in range(0, 7 * 86_400, 600)]
+        samples = [utilization(load, float(t)) for t in range(0, 7 * 86_400, 600)]
         assert max(samples) > 0.35  # some episode pushed load above base
 
     def test_peak_hour_for_longitude(self):

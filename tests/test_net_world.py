@@ -7,7 +7,13 @@ import pytest
 from repro.errors import ConfigError, RoutingError
 from repro.faults import FaultInjector, LinkOutage, Window
 from repro.net import Internet, LinkClass
+from repro.net.path import RouterPath
 from repro.net.world import HOST_ID_BASE
+
+
+def _utilization(links, t: float) -> list[float]:
+    """Each link's utilization at ``t``, read through one path over them."""
+    return RouterPath("a", "b", (), tuple(links)).hop_metrics(t).utilization
 
 
 class TestConstruction:
@@ -29,8 +35,8 @@ class TestConstruction:
         t = 12 * 3600.0
         core = small_internet.links_of_class(LinkClass.T1_PEERING)
         cloud = small_internet.links_of_class(LinkClass.CLOUD_BACKBONE)
-        core_util = sum(l.utilization(t) for l in core) / len(core)
-        cloud_util = sum(l.utilization(t) for l in cloud) / len(cloud)
+        core_util = sum(_utilization(core, t)) / len(core)
+        cloud_util = sum(_utilization(cloud, t)) / len(cloud)
         assert core_util > cloud_util + 0.2
 
     def test_deterministic_build(self, small_internet):

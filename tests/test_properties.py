@@ -60,7 +60,8 @@ class TestPathMetricComposition:
         max_loss = max(p for _d, p, _u in hop_specs)
         sum_loss = sum(p for _d, p, _u in hop_specs)
         assert max_loss - 1e-12 <= metrics.loss <= sum_loss + 1e-12
-        assert metrics.available_bw_mbps <= min(l.available_bw_mbps(0.0) for l in links) + 1e-9
+        hops = path.hop_metrics(0.0)
+        assert metrics.available_bw_mbps <= min(hops.available_bw_mbps) + 1e-9
 
     @given(st.floats(min_value=0.0, max_value=0.02))
     @settings(max_examples=30, deadline=None)

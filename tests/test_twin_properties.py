@@ -15,11 +15,10 @@ longer search, run::
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from reference import link_metrics
 from reference.packetsim_scalar import PacketLevelTcp as ScalarTcp
 from repro.core.measure_plan import PathSetBatch
 from repro.experiments.scenario import build_world
@@ -116,28 +115,12 @@ def test_packet_engine_matches_scalar_reference(
 
 
 # ----------------------------------------------------------------------
-# link metrics: the mirror against the scalar walk
+# link metrics: the mirror against the frozen scalar walk
 # ----------------------------------------------------------------------
 
 #: The fault effects a link can carry, as ``Link.impair`` keywords (and
 #: ``fail``).  Magnitudes are drawn in [0, 1] and scaled per effect.
 _EFFECTS = ("fail", "extra_loss", "extra_delay_ms", "util_surge", "bulk_extra_loss")
-
-
-def _twin_worlds(seed: int):
-    """One small world per link-metric mode, from one seed."""
-    worlds = []
-    for mode in ("1", "0"):
-        previous = os.environ.get("REPRO_FASTPATH")
-        os.environ["REPRO_FASTPATH"] = mode
-        try:
-            worlds.append(build_world(seed=seed, scale="small"))
-        finally:
-            if previous is None:
-                del os.environ["REPRO_FASTPATH"]
-            else:
-                os.environ["REPRO_FASTPATH"] = previous
-    return worlds
 
 
 def _pathset(world, pair: tuple[int, int]):
@@ -170,21 +153,6 @@ def _apply_faults(paths: list[RouterPath], faults) -> None:
     by_id = {link.link_id: link for link in links}
     for link_id, knobs in impairments.items():
         by_id[link_id].impair(**knobs)
-
-
-def _scalar_hops(path: RouterPath, t: float) -> tuple[list, ...]:
-    """(one-way delay, loss, bulk loss, available bandwidth) per hop."""
-    return tuple(
-        [getattr(link, name)(t) for link in path.links]
-        for name in ("one_way_delay_ms", "loss", "bulk_loss", "available_bw_mbps")
-    )
-
-
-def _mirror_hops(path: RouterPath, t: float) -> tuple[list, ...]:
-    mirror = path.__dict__["_fastpath"]
-    lists = mirror.metric_lists(t, mirror.state_key())
-    positions = mirror._path_positions(path)
-    return tuple([values[p] for p in positions] for values in lists)
 
 
 def _per_path_samples(pathset, t: float):
@@ -236,16 +204,15 @@ def _batched_samples(sample) -> list:
     ),
 )
 def test_link_metrics_match_scalar_walk(seed, pair, t, faults):
-    fast_world, scalar_world = _twin_worlds(seed)
-    fast_set = _pathset(fast_world, pair)
-    scalar_set = _pathset(scalar_world, pair)
-    fast_paths, scalar_paths = _paths(fast_set), _paths(scalar_set)
-    _apply_faults(fast_paths, faults)
-    _apply_faults(scalar_paths, faults)
-    for fast, scalar in zip(fast_paths, scalar_paths, strict=True):
-        assert fast.is_alive() == scalar.is_alive()
-        assert fast.metrics(t) == scalar.metrics(t)
-        # The per-hop values fluid, the packet snapshot and traceroute read.
-        assert _mirror_hops(fast, t) == _scalar_hops(scalar, t)
-    (sample,) = PathSetBatch([fast_set]).sample(t)
-    assert _batched_samples(sample) == _per_path_samples(scalar_set, t)
+    pathset = _pathset(build_world(seed=seed, scale="small"), pair)
+    paths = _paths(pathset)
+    _apply_faults(paths, faults)
+    # Compared by repr, which tells every float's bits apart (-0.0 too).
+    # The per-hop values are what fluid, the packet snapshot and
+    # traceroute read.
+    with link_metrics.object_mode():
+        scalar = repr([(p.is_alive(), p.metrics(t), p.hop_metrics(t)) for p in paths])
+        per_path = repr(_per_path_samples(pathset, t))
+    assert repr([(p.is_alive(), p.metrics(t), p.hop_metrics(t)) for p in paths]) == scalar
+    (sample,) = PathSetBatch([pathset]).sample(t)
+    assert repr(_batched_samples(sample)) == per_path
