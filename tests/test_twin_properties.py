@@ -141,7 +141,9 @@ def _paths(pathset) -> list[RouterPath]:
 
 
 def _apply_faults(paths: list[RouterPath], faults) -> None:
-    links = list({link.link_id: link for p in paths for link in p.links}.values())
+    """Fail or impair the drawn links of ``paths`` (one ``impair`` per link)."""
+    by_id = {link.link_id: link for p in paths for link in p.links}
+    links = list(by_id.values())
     impairments: dict[int, dict[str, float]] = {}
     for index, effect, magnitude in faults:
         link = links[index % len(links)]
@@ -150,7 +152,6 @@ def _apply_faults(paths: list[RouterPath], faults) -> None:
             continue
         scale = 60.0 if effect == "extra_delay_ms" else 1.0
         impairments.setdefault(link.link_id, {})[effect] = magnitude * scale
-    by_id = {link.link_id: link for link in links}
     for link_id, knobs in impairments.items():
         by_id[link_id].impair(**knobs)
 
