@@ -13,6 +13,7 @@ follows the composition rules the transport models need:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -124,10 +125,10 @@ class RouterPath:
     router, on one side.
 
     Link metrics come from a :class:`~repro.net.fastpath.FastPath`
-    mirror, attached as ``_fastpath`` (via ``object.__setattr__`` — the
-    dataclass is frozen but not slotted): the resolving world's, or, for
-    a hand-built path, a private one over its own links, built on first
-    use.  ``tests/reference/link_metrics.py`` keeps the per-link walk
+    mirror, ``_fastpath``: the resolving world's, attached via
+    ``object.__setattr__`` (the dataclass is frozen but not slotted), or,
+    for a hand-built path, a private one over its own links, built on
+    first use.  ``tests/reference/link_metrics.py`` keeps the per-link walk
     the mirror reproduces bit for bit.
     """
 
@@ -145,29 +146,27 @@ class RouterPath:
         """Router-level hop count (number of routers traversed)."""
         return len(self.router_ids)
 
-    def _mirror(self) -> "FastPath":
-        mirror = self.__dict__.get("_fastpath")
-        if mirror is None:
-            from repro.net.fastpath import FastPath  # fastpath imports this module
+    @functools.cached_property
+    def _fastpath(self) -> "FastPath":
+        """A private mirror over this path's links (unless one is attached)."""
+        from repro.net.fastpath import FastPath  # fastpath imports this module
 
-            links_by_id = {link.link_id: link for link in self.links}
-            if len(links_by_id) != len({id(link) for link in self.links}):
-                raise RoutingError(f"path {self.src_name}->{self.dst_name} reuses a link id")
-            mirror = FastPath(links_by_id)
-            object.__setattr__(self, "_fastpath", mirror)
-        return mirror
+        links_by_id = {link.link_id: link for link in self.links}
+        if len(links_by_id) != len({id(link) for link in self.links}):
+            raise RoutingError(f"path {self.src_name}->{self.dst_name} reuses a link id")
+        return FastPath(links_by_id)
 
     def is_alive(self) -> bool:
         """False if any constituent link has failed."""
-        return self._mirror().path_alive(self)
+        return self._fastpath.path_alive(self)
 
     def metrics(self, t: float) -> PathMetrics:
         """Aggregate path metrics at absolute time ``t`` (seconds)."""
-        return self._mirror().path_metrics(self, t)
+        return self._fastpath.path_metrics(self, t)
 
     def hop_metrics(self, t: float) -> HopMetrics:
         """Each link's metrics at absolute time ``t``, in link order."""
-        return self._mirror().hop_metrics(self, t)
+        return self._fastpath.hop_metrics(self, t)
 
     def rtt_ms(self, t: float) -> float:
         """Round-trip time at time ``t`` (convenience accessor)."""
