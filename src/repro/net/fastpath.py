@@ -3,9 +3,8 @@
 Every link metric in the library — each path's delay, loss, bulk loss
 and available bandwidth, and the per-hop values the fluid engine, the
 packet snapshot and traceroute read — is evaluated here.  The scalar
-per-link walk it replaced, where each of four metric methods per link
-re-derived background utilization from the diurnal curve and the day's
-episode schedule, is frozen in ``tests/reference/link_metrics.py``.
+per-link walk these must match bit for bit is frozen in
+``tests/reference/link_metrics.py``.
 
 :class:`FastPath` evaluates the metrics over flat numpy arrays:
 
@@ -105,9 +104,10 @@ class FastPath:
     """Struct-of-arrays mirror of a live ``{link id: link}`` mapping.
 
     The mapping is a world's ``links_by_id`` (hosts attached later add
-    rows) or a hand-built path's own links.  All arrays are lazily (re)built on first use: ``sync()`` rebuilds
-    the static arrays when the link count changed (hosts attached) and
-    re-gathers the dynamic arrays when the mutation epoch moved.
+    rows) or a hand-built path's own links.  All arrays are lazily
+    (re)built on first use: ``sync()`` rebuilds the static arrays when
+    the link count changed (hosts attached) and re-gathers the dynamic
+    arrays when the mutation epoch moved.
     Callers never notify the mirror of individual mutations — the
     epoch compare *is* the cache-invalidation contract.
     """
