@@ -337,13 +337,13 @@ class FastPath:
         failed = self._failed[rows] if self._any_failed else None
         if failed is not None:
             u = np.where(failed, 0.0, u)
-        # Queuing delay.
+        # Queuing delay: buffers fill quadratically past QUEUE_KNEE.
         fill = (u - QUEUE_KNEE) / (1.0 - QUEUE_KNEE)
         queue = np.where(u <= QUEUE_KNEE, 0.0, self._p_max_queue[sel] * fill * fill)
         one_way = self._p_prop[sel] + queue
         if self._any_extra_delay:
             one_way = one_way + self._extra_delay[rows]
-        # Loss.
+        # Loss: congestion loss grows quadratically past LOSS_KNEE.
         severity = (u - LOSS_KNEE) / (1.0 - LOSS_KNEE)
         congestion = np.where(
             u > LOSS_KNEE, MAX_CONGESTION_LOSS * severity * severity, 0.0
@@ -365,7 +365,7 @@ class FastPath:
             )
         else:
             bulk = loss
-        # Available bandwidth.
+        # Available bandwidth: headroom, floored at a minimal fair share.
         avail = np.maximum((1.0 - u) * self._p_capacity[sel], self._p_min_fair[sel])
         if failed is not None:
             avail = np.where(failed, 0.0, avail)

@@ -59,7 +59,13 @@ def utilization(link, t: float) -> float:
 
 
 def queuing_delay_ms(link, t: float) -> float:
-    """One-way queuing delay from background load at time ``t``."""
+    """One-way queuing delay from background load at time ``t``.
+
+    Routers keep their buffers (sized to ``max_queue_ms`` worth of
+    line rate) mostly empty below :data:`QUEUE_KNEE` utilization and
+    fill them quadratically as load approaches saturation — the
+    standing-queue behaviour congested core links exhibit.
+    """
     u = utilization(link, t)
     if u <= QUEUE_KNEE:
         return 0.0
@@ -68,7 +74,11 @@ def queuing_delay_ms(link, t: float) -> float:
 
 
 def loss(link, t: float) -> float:
-    """Packet loss fraction at time ``t``."""
+    """Packet loss fraction at time ``t``.
+
+    Congestion loss grows quadratically past :data:`LOSS_KNEE`,
+    reaching :data:`MAX_CONGESTION_LOSS` at full utilization.
+    """
     if link.failed:
         return 1.0
     u = utilization(link, t)
@@ -84,7 +94,11 @@ def loss(link, t: float) -> float:
 
 
 def bulk_loss(link, t: float) -> float:
-    """Loss fraction full-size data segments see at time ``t``."""
+    """Loss fraction full-size data segments see at time ``t``.
+
+    Equals :func:`loss` plus the bulk-only silent drop (independent
+    processes).  Ping probes read :func:`loss`; transfers pay this.
+    """
     visible = loss(link, t)
     if link.bulk_extra_loss <= 0.0:
         return visible
@@ -92,7 +106,12 @@ def bulk_loss(link, t: float) -> float:
 
 
 def available_bw_mbps(link, t: float) -> float:
-    """Bandwidth a new persistent flow can expect to claim at ``t``."""
+    """Bandwidth a new persistent flow can expect to claim at ``t``.
+
+    Headroom ``(1 - u) * capacity``, floored at a minimal fair share
+    — TCP on a saturated link still pushes background traffic aside
+    a little rather than starving entirely.
+    """
     if link.failed:
         return 0.0
     headroom = (1.0 - utilization(link, t)) * link.capacity_mbps
