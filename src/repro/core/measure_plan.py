@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.pathset import PathSet
-from repro.errors import MeasurementError, TransportError
+from repro.errors import MeasurementError, TransportError, check
 from repro.net.fastpath import LegBatch
 from repro.transport.throughput import FlowStats, steady_state_rates
 
@@ -193,13 +193,13 @@ def measure_four_ways_batch(
     discrete bound is read at the window's midpoint.  All path sets are
     measured together at each instant.
     """
+    check(at_time, "at_time", ge=0, error=TransportError)
+    check(duration_s, "duration_s", gt=0, error=TransportError)
     for pathset in pathsets:
         if not pathset.options:
             raise MeasurementError(
                 f"pair {pathset.src_name}->{pathset.dst_name} has no overlay options"
             )
-        if duration_s <= 0:
-            raise TransportError(f"duration must be positive, got {duration_s}")
     batch = PathSetBatch(pathsets)
     instants = [at_time + duration_s * (i + 0.5) / _SAMPLES for i in range(_SAMPLES)]
     midpoint = at_time + duration_s / 2
