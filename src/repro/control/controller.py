@@ -273,7 +273,6 @@ class OverlayController:
             new_active=decision.active,
             reason=decision.reason,
             triggers=tuple(triggers),
-            relay_load=decision.relay_load,
         )
         self.decisions.append(record)
         if self.active:  # the very first activation is not a failover

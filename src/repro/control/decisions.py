@@ -25,9 +25,6 @@ class DecisionRecord:
     new_active: tuple[str, ...]
     reason: str
     triggers: tuple[HealthTransition, ...] = ()
-    #: Per-relay utilization the policy saw when it decided (empty for
-    #: load-blind policies) — makes contention-driven moves explainable.
-    relay_load: tuple[tuple[str, float], ...] = ()
 
     @property
     def changed(self) -> bool:
@@ -39,9 +36,6 @@ class DecisionRecord:
         old = "+".join(self.old_active) or "(none)"
         new = "+".join(self.new_active) or "(none)"
         line = f"t={self.at_time:.1f} [{self.policy}] {old} -> {new} ({self.reason})"
-        if self.relay_load:
-            loads = " ".join(f"{label}={load:.2f}" for label, load in self.relay_load)
-            line += f" [load {loads}]"
         if self.triggers:
             causes = ", ".join(
                 f"{tr.label}:{tr.old.value}->{tr.new.value}" for tr in self.triggers

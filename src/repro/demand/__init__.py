@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "aggregate": ("EpochAllocation", "FlowClass", "Resource", "solve_epoch"),
-        "engine": ("DemandEngine", "PairRoutes", "RelayLoadTracker"),
+        "engine": ("DemandEngine", "PairRoutes"),
         "model": ("CityDemand", "DemandModel"),
         "relay": ("RelayCapacity",),
     },

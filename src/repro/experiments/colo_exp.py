@@ -44,7 +44,7 @@ from repro.colo.site import RelaySite
 from repro.control.policy import QpsWeightedPolicy
 from repro.core.cronet import CRONet
 from repro.core.pathset import PathSet
-from repro.demand.engine import DemandEngine, RelayLoadTracker
+from repro.demand.engine import DemandEngine
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
 from repro.errors import ExperimentError, check
@@ -285,13 +285,11 @@ def _demand_column(
     model = DemandModel.build(
         _city_clients(world), seed=config.seed, qps_per_client=config.qps_per_client
     )
-    tracker = RelayLoadTracker()
     engine = DemandEngine(
         pairs=pairs,
         relays=relays,
         model=model,
-        policy=QpsWeightedPolicy(load=tracker),
-        tracker=tracker,
+        policy=QpsWeightedPolicy(),
         flow_rate_mbps=config.flow_rate_mbps,
         mean_flow_s=config.mean_flow_s,
         load_scale=config.demand_level,

@@ -37,9 +37,9 @@ from repro.exec.spec import TaskSpec
 # The engines load on the compute path only: a fully cached
 # ``--resume`` needs the config and ``render``.
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
-    from repro.control.policy import Policy
+    from repro.control.policy import BatchPolicy
     from repro.core.cronet import CRONet
-    from repro.demand.engine import DemandEngine, PairRoutes, RelayLoadTracker
+    from repro.demand.engine import DemandEngine, PairRoutes
     from repro.demand.model import DemandModel
     from repro.demand.relay import RelayCapacity
     from repro.exec.runner import ExecRunner
@@ -206,8 +206,8 @@ def _city_clients(world: World) -> dict[str, int]:
     return counts
 
 
-def _policy_for(name: str, tracker: RelayLoadTracker) -> Policy:
-    """Instantiate one study policy (load-aware ones get the tracker)."""
+def _policy_for(name: str) -> BatchPolicy:
+    """Instantiate one study policy."""
     from repro.control.policy import (
         AnycastIngressPolicy,
         BestPathPolicy,
@@ -217,9 +217,9 @@ def _policy_for(name: str, tracker: RelayLoadTracker) -> Policy:
     if name == "best-path":
         return BestPathPolicy()
     if name == "qps-weighted":
-        return QpsWeightedPolicy(load=tracker)
+        return QpsWeightedPolicy()
     if name == "anycast":
-        return AnycastIngressPolicy(load=tracker)
+        return AnycastIngressPolicy()
     raise ExperimentError(f"unknown demand policy {name!r}")
 
 
@@ -231,16 +231,14 @@ def _build_engine(
     level: float,
     config: DemandConfig,
 ) -> DemandEngine:
-    """One arm's engine: its own tracker, policy, and load level."""
-    from repro.demand.engine import DemandEngine, RelayLoadTracker
+    """One arm's engine: its own policy and load level."""
+    from repro.demand.engine import DemandEngine
 
-    tracker = RelayLoadTracker()
     return DemandEngine(
         pairs=pairs,
         relays=relays,
         model=model,
-        policy=_policy_for(policy_name, tracker),
-        tracker=tracker,
+        policy=_policy_for(policy_name),
         flow_rate_mbps=config.flow_rate_mbps,
         mean_flow_s=config.mean_flow_s,
         load_scale=level,
@@ -404,10 +402,10 @@ def run_demand(
     """Run the demand study as one shard per (policy, level) arm.
 
     Every epoch is a pure function of (config, epoch index) — samples
-    are seeded per (city, epoch) and the engine resets its load tracker
-    at each epoch start — so shard order and worker count cannot change
-    any metric: output is byte-identical in-process (``runner=None``)
-    and at any worker count.  One shard per arm lets the arm's epochs
+    are seeded per (city, epoch) and each epoch's load signal starts
+    from zero — so shard order and worker count cannot change any
+    metric: output is byte-identical in-process (``runner=None``) and
+    at any worker count.  One shard per arm lets the arm's epochs
     share one engine, built inside the shard.
 
     Each payload carries the pair count next to the epochs, so a fully

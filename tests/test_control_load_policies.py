@@ -1,22 +1,20 @@
-"""Load-aware selection: qps-weighted and anycast ingress policies."""
+"""Load-aware selection: qps-weighted and anycast ingress policies.
+
+Both policies only decide in batches, so each case binds one flow's
+probes and reads the split of one load row.
+"""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.control.decisions import DecisionRecord
 from repro.control.health import HealthConfig, PathHealth, PathState
-from repro.control.policy import (
-    AnycastIngressPolicy,
-    LoadSignal,
-    PolicyDecision,
-    QpsWeightedPolicy,
-)
+from repro.control.policy import AnycastIngressPolicy, QpsWeightedPolicy
 from repro.control.probes import ProbeResult
-from repro.demand.engine import RelayLoadTracker
-from repro.errors import ControlError
 
 
 def probe(
@@ -38,194 +36,102 @@ def health_for(*labels: str) -> dict[str, PathHealth]:
     return {label: PathHealth(label=label, config=HealthConfig()) for label in labels}
 
 
-class FixedLoad:
-    """A LoadSignal stub returning canned utilizations."""
-
-    def __init__(self, loads: dict[str, float]) -> None:
-        self.loads = loads
-
-    def relay_load(self, label: str, now: float) -> float:
-        return self.loads.get(label, 0.0)
-
-
-class TestLoadSignalProtocol:
-    def test_tracker_and_stub_satisfy_protocol(self):
-        assert isinstance(RelayLoadTracker(), LoadSignal)
-        assert isinstance(FixedLoad({}), LoadSignal)
-
-
-class TestPolicyDecisionWeights:
-    def test_weights_must_cover_active_labels_only(self):
-        with pytest.raises(ControlError):
-            PolicyDecision(
-                active=("a",), reason="x", weights=(("b", 1.0),)
-            )
-
-    def test_weights_reject_duplicates(self):
-        with pytest.raises(ControlError):
-            PolicyDecision(
-                active=("a", "b"), reason="x", weights=(("a", 0.5), ("a", 0.5))
-            )
-
-    def test_weights_reject_negative_and_zero_sum(self):
-        with pytest.raises(ControlError):
-            PolicyDecision(active=("a",), reason="x", weights=(("a", -1.0),))
-        with pytest.raises(ControlError):
-            PolicyDecision(active=("a",), reason="x", weights=(("a", 0.0),))
+def split(policy, health, probes, loads: dict[str, float] | None = None) -> dict[str, float]:
+    """One flow's split under one load row: ``{label: share}``, zeros left out."""
+    labels = sorted(health)
+    row = np.array([[(loads or {}).get(label, 0.0) for label in labels]])
+    (matrix,) = policy.batch(health, [probes])(row)
+    return {label: share for label, share in zip(labels, matrix[0].tolist()) if share != 0.0}
 
 
 class TestDecisionRecordRendering:
-    def test_relay_load_rendered(self):
-        record = DecisionRecord(
-            at_time=10.0,
-            policy="qps-weighted",
-            old_active=("a",),
-            new_active=("b",),
-            reason="test",
-            relay_load=(("a", 0.42), ("b", 0.1)),
-        )
-        assert "[load a=0.42 b=0.10]" in record.render()
-
     def test_no_load_no_bracket(self):
         record = DecisionRecord(
             at_time=10.0, policy="best-path", old_active=(), new_active=("a",),
             reason="test",
         )
-        assert "[load" not in record.render()
+        assert record.render() == "t=10.0 [best-path] (none) -> a (test)"
 
 
 class TestQpsWeightedPolicy:
     def test_no_load_signal_ranks_by_score(self):
-        policy = QpsWeightedPolicy()
-        decision = policy.decide(
-            0.0,
+        # Idle relays split in proportion to their scores.
+        shares = split(
+            QpsWeightedPolicy(),
             health_for("a", "b"),
             {"a": probe("a", 10.0), "b": probe("b", 30.0)},
-            (),
         )
-        assert decision.active == ("b", "a")
-        weights = dict(decision.weights)
-        assert weights["b"] == pytest.approx(0.75)
-        assert weights["a"] == pytest.approx(0.25)
+        assert shares == pytest.approx({"a": 0.25, "b": 0.75})
 
     def test_hot_relay_loses_weight(self):
-        load = FixedLoad({"fast": 1.0, "slow": 0.0})
-        policy = QpsWeightedPolicy(load=load)
-        decision = policy.decide(
-            0.0,
+        shares = split(
+            QpsWeightedPolicy(),
             health_for("fast", "slow"),
             {"fast": probe("fast", 30.0), "slow": probe("slow", 10.0)},
-            (),
+            loads={"fast": 1.0, "slow": 0.0},
         )
         # fast: 30 x 0.05 = 1.5; slow: 10 x 1.05 = 10.5.
-        assert decision.active[0] == "slow"
-        assert dict(decision.weights)["slow"] > 0.8
-
-    def test_max_relays_caps_the_spread(self):
-        policy = QpsWeightedPolicy(max_relays=1)
-        decision = policy.decide(
-            0.0,
-            health_for("a", "b"),
-            {"a": probe("a", 10.0), "b": probe("b", 30.0)},
-            (),
-        )
-        assert decision.active == ("b",)
-        assert dict(decision.weights)["b"] == pytest.approx(1.0)
+        assert shares["slow"] > 0.8
+        assert shares == pytest.approx({"fast": 1.5 / 12.0, "slow": 10.5 / 12.0})
 
     def test_failed_paths_excluded(self):
         health = health_for("a", "b")
         health["b"].state = PathState.FAILED
-        decision = QpsWeightedPolicy().decide(
-            0.0, health, {"a": probe("a", 10.0), "b": probe("b", 30.0)}, ()
+        shares = split(
+            QpsWeightedPolicy(), health, {"a": probe("a", 10.0), "b": probe("b", 30.0)}
         )
-        assert decision.active == ("a",)
+        assert shares == {"a": 1.0}
 
     def test_no_usable_relay_returns_empty(self):
-        decision = QpsWeightedPolicy().decide(0.0, health_for("a"), {}, ())
-        assert decision.active == ()
-        assert decision.weights == ()
-
-    def test_relay_load_recorded_for_explainability(self):
-        load = FixedLoad({"a": 0.3, "b": 0.6})
-        decision = QpsWeightedPolicy(load=load).decide(
-            0.0,
-            health_for("a", "b"),
-            {"a": probe("a", 10.0), "b": probe("b", 10.0)},
-            (),
-        )
-        assert dict(decision.relay_load) == {"a": 0.3, "b": 0.6}
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ControlError):
-            QpsWeightedPolicy(smoothing=0.0)
-        with pytest.raises(ControlError):
-            QpsWeightedPolicy(max_relays=0)
+        assert split(QpsWeightedPolicy(), health_for("a"), {}) == {}
 
 
 class TestAnycastIngressPolicy:
+    PROBES = {
+        "near": probe("near", 10.0, ingress=5.0),
+        "far": probe("far", 30.0, ingress=50.0),
+    }
+
     def test_nearest_ingress_wins_when_cool(self):
-        decision = AnycastIngressPolicy().decide(
-            0.0,
-            health_for("near", "far"),
-            {
-                "near": probe("near", 10.0, ingress=5.0),
-                "far": probe("far", 30.0, ingress=50.0),
-            },
-            (),
-        )
-        assert decision.active == ("near",)
-        assert "nearest ingress near" in decision.reason
+        shares = split(AnycastIngressPolicy(), health_for("near", "far"), self.PROBES)
+        assert shares == {"near": 1.0}
 
     def test_hot_ingress_spills_to_next_nearest(self):
-        load = FixedLoad({"near": 0.99, "far": 0.1})
-        decision = AnycastIngressPolicy(load=load).decide(
-            0.0,
+        shares = split(
+            AnycastIngressPolicy(),
             health_for("near", "far"),
-            {
-                "near": probe("near", 10.0, ingress=5.0),
-                "far": probe("far", 30.0, ingress=50.0),
-            },
-            (),
+            self.PROBES,
+            loads={"near": 0.99, "far": 0.1},
         )
-        assert decision.active == ("far",)
-        assert "spill from near" in decision.reason
+        assert shares == {"far": 1.0}
 
     def test_every_ingress_hot_keeps_nearest(self):
-        load = FixedLoad({"near": 2.0, "far": 3.0})
-        decision = AnycastIngressPolicy(load=load).decide(
-            0.0,
+        shares = split(
+            AnycastIngressPolicy(),
             health_for("near", "far"),
-            {
-                "near": probe("near", 10.0, ingress=5.0),
-                "far": probe("far", 30.0, ingress=50.0),
-            },
-            (),
+            self.PROBES,
+            loads={"near": 2.0, "far": 3.0},
         )
-        assert decision.active == ("near",)
+        assert shares == {"near": 1.0}
 
     def test_falls_back_to_path_rtt_without_ingress_probe(self):
-        decision = AnycastIngressPolicy().decide(
-            0.0,
+        shares = split(
+            AnycastIngressPolicy(),
             health_for("a", "b"),
             {"a": probe("a", 10.0, rtt=200.0), "b": probe("b", 10.0, rtt=50.0)},
-            (),
         )
-        assert decision.active == ("b",)
+        assert shares == {"b": 1.0}
 
     def test_unprobed_paths_unusable(self):
-        decision = AnycastIngressPolicy().decide(0.0, health_for("a"), {}, ())
-        assert decision.active == ()
+        assert split(AnycastIngressPolicy(), health_for("a"), {}) == {}
+        # "a" sorts first and has no probe, so it carries nothing.
+        probes = {"b": probe("b", 10.0, ingress=50.0)}
+        for policy in (AnycastIngressPolicy(), QpsWeightedPolicy()):
+            assert split(policy, health_for("a", "b"), probes) == {"b": 1.0}
 
     def test_ingress_rtt_must_be_finite(self):
         bad = ProbeResult(
             label="a", at_time=0.0, ok=False, rtt_ms=math.inf, loss=1.0,
             throughput_mbps=None, bytes_cost=0,
         )
-        decision = AnycastIngressPolicy().decide(
-            0.0, health_for("a"), {"a": bad}, ()
-        )
-        assert decision.active == ()
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ControlError):
-            AnycastIngressPolicy(spill_threshold=0.0)
+        assert split(AnycastIngressPolicy(), health_for("a"), {"a": bad}) == {}

@@ -1,11 +1,16 @@
 """Batched policy decisions equal the scalar ones, float for float.
 
-:meth:`Policy.batch` replaced the demand engine's per-pair loop of
-``policy.decide`` plus a weight normalisation.  It maps a stack of
-relay-load rows (one per epoch) to a stack of split matrices.  Every
-row of every slice must equal that loop's result for the same flow
-with the signal reading that slice's loads, compared with exact
-``==``: the demand study's byte-identity rests on it.
+:meth:`Policy.batch` and the load-aware policies' ``batch`` replaced
+the demand engine's per-pair loop of ``policy.decide`` plus a weight
+normalisation.  A bound batch maps a stack of relay-load rows (one per
+epoch) to a stack of split matrices.  Every row of every slice must
+equal that loop's result for the same flow under that slice's loads,
+compared with exact ``==``: the demand study's byte-identity rests on
+it.  The load-aware policies' loop is frozen in
+``tests/reference/policy_decide.py``; the load-blind ones still have
+their ``decide``.
+
+These are seeded tables; ``tests/test_twin_properties.py`` draws them.
 """
 
 from __future__ import annotations
@@ -16,55 +21,28 @@ import random
 import numpy as np
 import pytest
 
+from reference import policy_decide
 from repro.control.health import HealthConfig, PathHealth, PathState
 from repro.control.policy import (
+    SPILL_THRESHOLD,
     AnycastIngressPolicy,
     BestPathPolicy,
     C45RulePolicy,
     MptcpSubflowPolicy,
-    PolicyDecision,
     QpsWeightedPolicy,
     StaticPolicy,
 )
 from repro.control.probes import ProbeResult
 from repro.errors import ControlError
 
-SPILL = 0.95
-#: Utilizations the load signal serves: idle, negative zero, exactly
-#: the spill threshold, saturated, over-subscribed, an unreachable
-#: relay, and NaN — the engine's fictitious-play signal after two
-#: infinite snapshots (``inf + (inf - inf) / k``).
-LOADS = (0.0, -0.0, 0.3, SPILL, 1.0, 1.7, math.inf, math.nan)
+#: Utilizations a relay reads: idle, negative zero, exactly the spill
+#: threshold, saturated, over-subscribed, an unreachable relay, and
+#: NaN — the engine's fictitious-play signal after two infinite
+#: snapshots (``inf + (inf - inf) / k``).
+LOADS = (0.0, -0.0, 0.3, SPILL_THRESHOLD, 1.0, 1.7, math.inf, math.nan)
 
 #: Load rows per batched call: one per epoch of a multi-epoch batch.
 EPOCHS = 6
-
-
-class FixedLoad:
-    """A LoadSignal stub whose loads the test rewrites between rounds."""
-
-    def __init__(self) -> None:
-        self.loads: dict[str, float] = {}
-
-    def relay_load(self, label: str, now: float) -> float:
-        return self.loads.get(label, 0.0)
-
-
-def reference_split(decision: PolicyDecision) -> dict[str, float]:
-    """The demand engine's per-pair split before batching.
-
-    Weights normalised by their left-to-right sum (what ``sum()``
-    computes on Python <= 3.11, where the committed study numbers were
-    produced), else all traffic on the head of the active set.
-    """
-    if decision.weights:
-        total = 0
-        for _, w in decision.weights:
-            total += w
-        return {label: w / total for label, w in decision.weights}
-    if decision.active:
-        return {decision.active[0]: 1.0}
-    return {}
 
 
 def random_probe(rng: random.Random, label: str) -> ProbeResult | None:
@@ -111,74 +89,91 @@ def random_table(seed: int):
     return rng, health, rows
 
 
-def assert_rows_match(policy, health, rows, matrix, now: float) -> None:
-    labels = sorted(health)
-    assert matrix.shape == (len(rows), len(labels))
-    for row, probes in enumerate(rows):
-        expected = reference_split(policy.decide(now, health, probes, current=()))
-        got = {label: matrix[row, j] for j, label in enumerate(labels) if matrix[row, j] != 0.0}
-        assert got == expected, f"row {row}: {probes}"
+def assert_slices_match(policy, scalar, health, rows, loads) -> None:
+    """Every epoch slice of one batched call equals the scalar split.
 
-
-def assert_slices_match(policy, signal, health, rows, rng) -> None:
-    """Every epoch slice of one batched call equals scalar ``decide``.
-
-    The load matrix is drawn per (epoch, relay); the scalar reference
-    reads that epoch's row through ``signal``.
+    ``scalar(health, probes, relay_loads)`` is the reference split of
+    one flow under one epoch's ``{label: load}``.
     """
     labels = sorted(health)
-    loads = np.array([[rng.choice(LOADS) for _ in labels] for _ in range(EPOCHS)])
     stack = policy.batch(health, rows)(loads)
-    assert stack.shape == (EPOCHS, len(rows), len(labels))
-    for epoch, now in enumerate(np.arange(EPOCHS) * 3_600.0 + 1_800.0):
-        if signal is not None:
-            signal.loads = dict(zip(labels, loads[epoch].tolist()))
-        assert_rows_match(policy, health, rows, stack[epoch], now)
+    assert stack.shape == (len(loads), len(rows), len(labels))
+    for epoch, matrix in zip(loads.tolist(), stack):
+        relay_loads = dict(zip(labels, epoch))
+        for row, probes in enumerate(rows):
+            expected = scalar(health, probes, relay_loads)
+            got = {label: matrix[row, j] for j, label in enumerate(labels) if matrix[row, j] != 0.0}
+            assert got == expected, f"row {row}: {probes}"
+
+
+def random_loads(rng: random.Random, health, epochs: int = EPOCHS) -> np.ndarray:
+    """An (epochs x relays) load matrix drawn from :data:`LOADS`."""
+    return np.array([[rng.choice(LOADS) for _ in health] for _ in range(epochs)])
+
+
+def decide_split(policy):
+    """A load-blind policy's scalar split: its ``decide``, loads unread."""
+    return lambda health, probes, relay_loads: policy_decide.split(
+        policy.decide(0.0, health, probes, current=())
+    )
 
 
 SEEDS = range(25)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("max_relays", [None, 1, 2])
-def test_qps_weighted_rows_equal_scalar(seed, max_relays):
+# Load rows per call: the default stack, and the one- and two-epoch
+# batches whose slices must not see their neighbours.
+@pytest.mark.parametrize("epochs", [None, 1, 2])
+def test_qps_weighted_rows_equal_scalar(seed, epochs):
     rng, health, rows = random_table(seed)
-    signal = FixedLoad()
-    policy = QpsWeightedPolicy(load=signal, max_relays=max_relays)
-    assert_slices_match(policy, signal, health, rows, rng)
+    loads = random_loads(rng, health, epochs or EPOCHS)
+    assert_slices_match(QpsWeightedPolicy(), policy_decide.qps_weighted, health, rows, loads)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_anycast_rows_equal_scalar(seed):
     rng, health, rows = random_table(seed)
-    signal = FixedLoad()
-    policy = AnycastIngressPolicy(load=signal, spill_threshold=SPILL)
-    assert_slices_match(policy, signal, health, rows, rng)
+    loads = random_loads(rng, health)
+    assert_slices_match(AnycastIngressPolicy(), policy_decide.anycast_ingress, health, rows, loads)
+
+
+def idle(scalar):
+    """A load-aware reference that reads every relay as idle."""
+    return lambda health, probes, relay_loads: scalar(health, probes, {})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "make_policy",
     [
-        lambda: QpsWeightedPolicy(load=None),
-        lambda: AnycastIngressPolicy(load=None),
-        BestPathPolicy,
-        C45RulePolicy,
-        MptcpSubflowPolicy,
+        lambda: (QpsWeightedPolicy(), idle(policy_decide.qps_weighted)),
+        lambda: (AnycastIngressPolicy(), idle(policy_decide.anycast_ingress)),
+        lambda: (BestPathPolicy(), None),
+        lambda: (C45RulePolicy(), None),
+        lambda: (MptcpSubflowPolicy(), None),
     ],
     ids=["qps-no-load", "anycast-no-load", "best-path", "c45-rule", "mptcp"],
 )
 def test_load_blind_rows_equal_scalar(seed, make_policy):
-    # Loads vary per slice, but a policy without a signal ignores them.
+    # A load-blind policy serves one split whatever each slice's loads
+    # are.  The load-aware ones, fed idle relays (the engine's first
+    # round), must split as their reference does with no load at all.
     rng, health, rows = random_table(seed)
-    assert_slices_match(make_policy(), None, health, rows, rng)
+    loads = random_loads(rng, health)
+    policy, scalar = make_policy()
+    if scalar is None:
+        scalar = decide_split(policy)
+    else:
+        loads = np.zeros(loads.shape)
+    assert_slices_match(policy, scalar, health, rows, loads)
 
 
 def test_rows_without_usable_relay_are_zero_not_nan():
     health = {"a": PathHealth(label="a"), "b": PathHealth(label="b")}
     health["b"].state = PathState.FAILED
     rows = [{}, {"b": ProbeResult("b", 0.0, True, 10.0, 0.0, 5.0, 0)}]
-    for policy in (QpsWeightedPolicy(load=FixedLoad()), AnycastIngressPolicy()):
+    for policy in (QpsWeightedPolicy(), AnycastIngressPolicy()):
         stack = policy.batch(health, rows)(np.zeros((1, 2)))
         assert stack.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
 
