@@ -27,7 +27,6 @@ class BinStat:
 
     label: str
     lower: float
-    upper: float  # inf for the last bin
     count: int
     median_ratio: float
     mad_ratio: float
@@ -82,7 +81,6 @@ def bin_stats(
             BinStat(
                 label=_bin_label(lo, hi),
                 lower=lo,
-                upper=hi,
                 count=len(members),
                 median_ratio=median,
                 mad_ratio=mad,

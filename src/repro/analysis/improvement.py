@@ -32,18 +32,6 @@ class ImprovementSummary:
     median_factor_improved: float
     fraction_at_least_25pct: float
 
-    def round(self, digits: int = 2) -> "ImprovementSummary":
-        """A copy with floats rounded for display."""
-        return ImprovementSummary(
-            count=self.count,
-            fraction_improved=round(self.fraction_improved, digits),
-            mean_ratio=round(self.mean_ratio, digits),
-            median_ratio=round(self.median_ratio, digits),
-            mean_factor_improved=round(self.mean_factor_improved, digits),
-            median_factor_improved=round(self.median_factor_improved, digits),
-            fraction_at_least_25pct=round(self.fraction_at_least_25pct, digits),
-        )
-
 
 def summarize_ratios(ratios: Sequence[float]) -> ImprovementSummary:
     """Compute the paper's summary statistics over improvement ratios."""

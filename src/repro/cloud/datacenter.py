@@ -37,27 +37,13 @@ class DataCenter:
 
 
 #: The five Softlayer locations the paper rents for its main
-#: experiments (Sec. II-A)...
+#: experiments (Sec. II-A).
 PAPER_DC_CITIES: tuple[str, ...] = (
     "washington_dc",
     "san_jose",
     "dallas",
     "amsterdam",
     "tokyo",
-)
-
-#: ...and the nine-server set used for the MPTCP study (Sec. VI-B:
-#: "across USA, Europe and Asia").
-MPTCP_DC_CITIES: tuple[str, ...] = (
-    "washington_dc",
-    "san_jose",
-    "dallas",
-    "seattle",
-    "amsterdam",
-    "london",
-    "frankfurt",
-    "tokyo",
-    "singapore",
 )
 
 

@@ -36,11 +36,6 @@ class ColoFacility:
             )
         lookup_city(self.city_name)  # raises on unknown cities
 
-    @property
-    def region(self) -> str:
-        """The facility's geographic region (from its city)."""
-        return lookup_city(self.city_name).region
-
 
 def validate_colo_cities(cities: tuple[str, ...]) -> None:
     """Reject empty or duplicated facility city lists."""

@@ -210,7 +210,3 @@ class ColoOperator:
         self.servers.append(server)
         return server
 
-    def monthly_bill_usd(self) -> float:
-        """Total monthly cost of every racked server."""
-        return sum(server.monthly_cost_usd for server in self.servers)
-

@@ -50,7 +50,6 @@ class GoodputSample:
 
     at_time: float
     goodput_mbps: float
-    active: tuple[str, ...]
 
 
 @dataclass
@@ -66,7 +65,6 @@ class ControllerReport:
     downtime_s: float
     probe_bytes: int
     probes_sent: int
-    probes_skipped: int
     failovers: int
     time_in_state: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Seconds the active set delivered materially less than the best
@@ -90,21 +88,6 @@ class ControllerReport:
         if self.duration_s <= 0:
             return 0.0
         return 1.0 - self.downtime_s / self.duration_s
-
-    def render(self) -> str:
-        """Multi-line summary: headline numbers plus the decision log."""
-        lines = [
-            f"policy {self.policy}: mean goodput "
-            f"{self.mean_goodput_mbps:.2f} Mbps, downtime {self.downtime_s:.0f} s "
-            f"({self.availability():.1%} available)",
-            f"  probes: {self.probes_sent} sent, {self.probes_skipped} skipped, "
-            f"{self.probe_bytes} bytes; failovers: {self.failovers}",
-        ]
-        changes = self.decisions.changes()
-        if changes:
-            lines.append("  decisions:")
-            lines.extend(f"    {record.render()}" for record in changes)
-        return "\n".join(lines)
 
 
 class OverlayController:
@@ -392,7 +375,7 @@ class OverlayController:
             self._decide(now, triggers)
             goodput = self._goodput(now)
             best = self._best_possible(now) if self.track_oracle else None
-            samples.append(GoodputSample(at_time=now, goodput_mbps=goodput, active=self.active))
+            samples.append(GoodputSample(at_time=now, goodput_mbps=goodput))
             step = min(self.tick_s, end - now)
             if goodput <= 0.0:
                 downtime_s += step
@@ -417,7 +400,6 @@ class OverlayController:
             downtime_s=downtime_s,
             probe_bytes=self.scheduler.total_bytes if self.scheduler else 0,
             probes_sent=self.scheduler.probes_sent if self.scheduler else 0,
-            probes_skipped=self.scheduler.probes_skipped if self.scheduler else 0,
             failovers=int(self.metrics.counter("failovers_total").value),
             time_in_state={
                 label: machine.time_in_state(end)

@@ -65,7 +65,6 @@ class Quarantine:
     """One path's exclusion window."""
 
     label: str
-    since: float
     until: float
 
 
@@ -99,7 +98,6 @@ class DegradationGuard:
             return None
         quarantine = Quarantine(
             label=label,
-            since=transition.at_time,
             until=transition.at_time + self.config.quarantine_s,
         )
         self._quarantined_until[label] = quarantine.until

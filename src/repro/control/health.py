@@ -113,13 +113,12 @@ class HealthConfig:
 
 @dataclass(frozen=True, slots=True)
 class HealthTransition:
-    """One state change, with the observation that caused it."""
+    """One state change of one path."""
 
     label: str
     at_time: float
     old: PathState
     new: PathState
-    reason: str
 
 
 @dataclass(slots=True)
@@ -236,45 +235,30 @@ class PathHealth:
     def _maybe_transition(self, now: float, kind: str) -> HealthTransition | None:
         cfg = self.config
         new: PathState | None = None
-        reason = ""
         if self.state is not PathState.FAILED and self._bad_streak >= cfg.fail_after:
             new = PathState.FAILED
-            reason = f"{self._bad_streak} consecutive failed probes"
         elif (
             self.state in (PathState.HEALTHY, PathState.DEGRADED)
             and self._gray_streak >= cfg.gray_after
         ):
             new = PathState.GRAY
-            reason = (
-                f"{self._gray_streak} clean pings with collapsed throughput "
-                f"(gray failure)"
-            )
         elif self.state is PathState.HEALTHY and self._notgood_streak >= cfg.degrade_after:
             new = PathState.DEGRADED
-            reason = f"{self._notgood_streak} consecutive degraded probes"
         elif self.state is PathState.FAILED and self._good_streak >= cfg.recover_after:
             new = PathState.DEGRADED
-            reason = f"{self._good_streak} consecutive good probes"
         elif self.state is PathState.GRAY and self._good_streak >= cfg.recover_after:
             # No recovery hold: a recovered throughput probe is direct
             # evidence the bulk plane works again, not circumstantial.
             new = PathState.HEALTHY
-            reason = f"{self._good_streak} consecutive good probes, throughput restored"
         elif (
             self.state is PathState.DEGRADED
             and self._good_streak >= cfg.recover_after
             and now - self._last_notgood_time >= cfg.recovery_hold_s
         ):
             new = PathState.HEALTHY
-            reason = (
-                f"{self._good_streak} consecutive good probes, "
-                f"hold {cfg.recovery_hold_s:g}s elapsed"
-            )
         if new is None or new is self.state:
             return None
-        transition = HealthTransition(
-            label=self.label, at_time=now, old=self.state, new=new, reason=reason
-        )
+        transition = HealthTransition(label=self.label, at_time=now, old=self.state, new=new)
         self._time_in_state[self.state] += now - self._since
         self._since = now
         self.state = new

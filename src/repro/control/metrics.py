@@ -56,10 +56,6 @@ class Gauge:
         """Replace the gauge's value."""
         self.value = float(value)
 
-    def add(self, amount: float) -> None:
-        """Adjust the gauge by ``amount`` (either sign)."""
-        self.value += amount
-
 
 @dataclass
 class Histogram:
@@ -90,11 +86,6 @@ class Histogram:
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 self.counts[i] += 1
-
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
 
     def as_dict(self) -> dict[str, float | int | dict[str, int]]:
         """Snapshot-friendly representation."""
@@ -174,13 +165,3 @@ class MetricsRegistry:
         for key in sorted(self._histograms):
             out[key] = self._histograms[key].as_dict()
         return out
-
-    def render(self) -> str:
-        """Human-readable one-metric-per-line dump (sorted)."""
-        lines = []
-        for key, value in self.snapshot().items():
-            if isinstance(value, dict):
-                lines.append(f"{key} count={value['count']} sum={value['sum']:.6g}")
-            else:
-                lines.append(f"{key} {value:.6g}")
-        return "\n".join(lines)

@@ -50,7 +50,6 @@ class ProbingSelector:
         self.mode = mode
         self._last_probe_time: float | None = None
         self._last_choice: str | None = None
-        self._last_throughput = 0.0
         self._overhead_bytes = 0
 
     def probe(self, at_time: float) -> SelectionResult:
@@ -65,7 +64,6 @@ class ProbingSelector:
         choice = max(sorted(candidates), key=lambda k: candidates[k])
         self._last_probe_time = at_time
         self._last_choice = choice
-        self._last_throughput = candidates[choice]
         return SelectionResult(
             chosen=choice,
             throughput_mbps=candidates[choice],
@@ -111,7 +109,6 @@ class MptcpSelector:
         rwnd_bytes: int = 4_194_304,
     ) -> None:
         self.pathset = pathset
-        self.scheme = scheme
         self.connection = MptcpConnection(
             pathset.all_candidate_paths(), scheme=scheme, rwnd_bytes=rwnd_bytes
         )

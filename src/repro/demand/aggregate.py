@@ -77,13 +77,6 @@ class EpochAllocation:
     #: Offered load per resource (Mbps) — demand, before capping.
     offered_mbps: np.ndarray
 
-    def utilization(self, resource_index: int) -> float:
-        """Offered load over capacity (may exceed 1 when saturated)."""
-        return float(
-            self.offered_mbps[resource_index]
-            / self.resources[resource_index].capacity_mbps
-        )
-
 
 def solve_rates(
     desired: np.ndarray,

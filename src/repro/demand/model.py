@@ -127,10 +127,6 @@ class DemandModel:
             raise ConfigError("demand model needs at least one city with clients")
         return cls(seed=seed, cities=tuple(cities))
 
-    def expected_concurrent(self, t: float, mean_flow_s: float) -> dict[str, float]:
-        """Per-city mean concurrency at ``t`` (Little's law)."""
-        return {c.city: c.expected_concurrent(t, mean_flow_s) for c in self.cities}
-
     def sample_concurrent(
         self, epoch_index: int, t: float, mean_flow_s: float, scale: float = 1.0
     ) -> dict[str, int]:

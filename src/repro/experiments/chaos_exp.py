@@ -226,17 +226,6 @@ class ChaosResult:
     descriptions: dict[str, str]
     outcomes: list[ChaosOutcome] = field(default_factory=list)
 
-    def outcome(self, scenario: str, strategy: str, arm: str) -> ChaosOutcome:
-        """Look up one run's outcome."""
-        for candidate in self.outcomes:
-            if (
-                candidate.scenario == scenario
-                and candidate.strategy == strategy
-                and candidate.arm == arm
-            ):
-                return candidate
-        raise ExperimentError(f"no outcome for {scenario}/{strategy}/{arm}")
-
     def render(self) -> str:
         """One table per scenario: baseline vs hardened for each policy."""
         sections = [

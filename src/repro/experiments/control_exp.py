@@ -100,13 +100,6 @@ class ControlExpResult:
     controller_metrics: dict[str, object] = field(default_factory=dict)
     decision_log: str = ""
 
-    def outcome(self, strategy: str) -> StrategyOutcome:
-        """Look up one strategy's outcome by name."""
-        for candidate in self.outcomes:
-            if candidate.strategy == strategy:
-                return candidate
-        raise ExperimentError(f"no outcome for strategy {strategy!r}")
-
     def render(self) -> str:
         rows = []
         for outcome in self.outcomes:

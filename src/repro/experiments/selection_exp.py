@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_table
 from repro.core.pathset import PathSet, PathType
 from repro.core.selection import ProbingSelector
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check
 from repro.experiments.scenario import build_world
 
 #: The coupled-CC tracking efficiency observed in the Fig. 12 bench
@@ -49,12 +49,6 @@ class SelectionResultSet:
 
     outcomes: list[StrategyOutcome]
 
-    def by_name(self, name: str) -> StrategyOutcome:
-        for outcome in self.outcomes:
-            if outcome.name == name:
-                return outcome
-        raise ExperimentError(f"no strategy {name!r}")
-
     def render(self) -> str:
         rows = [
             (o.name, f"{o.achieved_fraction:.1%}", o.probe_overhead_mb)
@@ -76,8 +70,10 @@ def run_selection(
     check_interval_h: float = 1.0,
 ) -> SelectionResultSet:
     """Replay a day of selection decisions for every strategy."""
-    if n_pairs <= 0:
-        raise ExperimentError("need at least one pair")
+    check(n_pairs, "n_pairs", ge=1, error=ExperimentError)
+    check(check_interval_h, "check_interval_h", gt=0, error=ExperimentError)
+    for interval_h in probe_intervals_h:
+        check(interval_h, "probe_intervals_h entry", gt=0, error=ExperimentError)
     world = build_world(seed=seed, scale=scale)
     cronet = world.cronet()
     clients = world.client_names()
@@ -137,8 +133,6 @@ def run_selection(
 
 def _drange(start: float, stop: float, step: float) -> list[float]:
     """Inclusive-start float range (stop exclusive)."""
-    if step <= 0:
-        raise ExperimentError(f"step must be positive, got {step}")
     values = []
     current = start
     while current < stop - 1e-9:

@@ -21,9 +21,6 @@ from repro.core.measure_plan import PathSetBatch
 from repro.errors import ExperimentError, check
 from repro.experiments.scenario import World, build_world
 
-#: The file every client downloads (Sec. II-A).
-DOWNLOAD_BYTES = 100_000_000
-
 
 @dataclass(frozen=True, slots=True)
 class WeblabConfig:

@@ -29,11 +29,6 @@ class TaskCounts:
     ok: int = 0
     errors: int = 0
 
-    @property
-    def total(self) -> int:
-        """Samples attempted for the task."""
-        return self.ok + self.errors
-
 
 @dataclass
 class CampaignSummary:
@@ -62,18 +57,6 @@ class CampaignSummary:
         return tuple(
             sorted(task_id for task_id, c in self.counts.items() if c.errors)
         )
-
-    def render(self) -> str:
-        """One line per task, flaky ones flagged."""
-        lines = [
-            f"campaign: {self.total_ok} ok, {self.total_errors} errors "
-            f"across {len(self.counts)} tasks"
-        ]
-        for task_id in sorted(self.counts):
-            counts = self.counts[task_id]
-            flag = "  <- flaky" if counts.errors else ""
-            lines.append(f"  {task_id}: {counts.ok} ok, {counts.errors} errors{flag}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True, slots=True)

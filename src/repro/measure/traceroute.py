@@ -18,7 +18,6 @@ class TracerouteHop:
     """One line of traceroute output."""
 
     hop_number: int
-    node_id: int
     label: str
     address: str
     asn: int
@@ -48,7 +47,6 @@ def traceroute(internet: Internet, path: RouterPath, at_time: float) -> list[Tra
         hops.append(
             TracerouteHop(
                 hop_number=i + 1,
-                node_id=node_id,
                 label=label,
                 address=address,
                 asn=asn,

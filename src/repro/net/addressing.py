@@ -104,10 +104,3 @@ class AddressPlan:
             raise TopologyError(f"router {router_id} has no address")
         return address
 
-    def host_address(self, host_name: str) -> str:
-        """The address previously assigned to a host."""
-        address = self._host_addresses.get(host_name)
-        if address is None:
-            raise TopologyError(f"host {host_name!r} has no address")
-        return address
-

@@ -136,27 +136,6 @@ class BgpRouting:
         self._cache[dest_asn] = routes
         return routes
 
-    def as_path(self, src_asn: int, dest_asn: int) -> tuple[int, ...]:
-        """The selected AS path from ``src_asn`` to ``dest_asn``.
-
-        Raises :class:`RoutingError` when no valley-free path exists.
-        """
-        if src_asn == dest_asn:
-            return (src_asn,)
-        route = self.routes_to(dest_asn).get(src_asn)
-        if route is None:
-            raise RoutingError(f"no policy-compliant route from AS{src_asn} to AS{dest_asn}")
-        return route.path
-
-    def route(self, src_asn: int, dest_asn: int) -> Route:
-        """The full route object from ``src_asn`` to ``dest_asn``."""
-        if src_asn == dest_asn:
-            return Route(RouteKind.SELF, (src_asn,))
-        route = self.routes_to(dest_asn).get(src_asn)
-        if route is None:
-            raise RoutingError(f"no policy-compliant route from AS{src_asn} to AS{dest_asn}")
-        return route
-
     def candidate_routes(self, src_asn: int, dest_asn: int) -> list[Route]:
         """Every route ``src_asn``'s neighbors would export to it.
 

@@ -172,10 +172,6 @@ class RouterPath:
         """Round-trip time at time ``t`` (convenience accessor)."""
         return self.metrics(t).rtt_ms
 
-    def loss(self, t: float) -> float:
-        """End-to-end loss fraction at time ``t`` (convenience accessor)."""
-        return self.metrics(t).loss
-
     def concatenate(self, other: "RouterPath") -> "RouterPath":
         """Join two path segments at a shared point (A->O + O->B).
 

@@ -43,13 +43,6 @@ class PlanetLabDeployment:
     def __iter__(self):
         return iter(self.nodes)
 
-    def by_region(self) -> dict[str, list[PlanetLabNode]]:
-        """Group nodes by continent tag."""
-        grouped: dict[str, list[PlanetLabNode]] = {}
-        for node in self.nodes:
-            grouped.setdefault(node.region, []).append(node)
-        return grouped
-
     def names(self) -> list[str]:
         """Host names of all nodes, in deployment order."""
         return [node.name for node in self.nodes]

@@ -216,7 +216,6 @@ class PacketLevelTcp:
         if limit_segments is not None:
             check(limit_segments, "limit_segments", ge=1, error=TransportError)
         self.links = list(links)
-        self.rng = rng
         self._rand = _DrawPlane(rng)
         self.mss = mss_bytes
         self.rwnd_segments = max(rwnd_bytes // mss_bytes, 2)

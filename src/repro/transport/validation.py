@@ -31,18 +31,12 @@ class Scenario:
     one_way_delay_ms: float
     loss: float
     rwnd_bytes: int = 4_194_304
-    #: Loss data segments pay; ``None`` = same as the visible ``loss``.
-    #: A higher value models a gray hop (pings clean, bulk dropping).
-    bulk_loss: float | None = None
 
     def __post_init__(self) -> None:
         error = TransportError
         check(self.bottleneck_mbps, f"bottleneck_mbps of {self.name}", gt=0, error=error)
         check(self.one_way_delay_ms, f"one_way_delay_ms of {self.name}", ge=0, error=error)
         check(self.loss, f"loss of {self.name}", ge=0, lt=1, error=error)
-        if self.bulk_loss is not None:
-            check(self.bulk_loss, f"bulk_loss of {self.name}", ge=self.loss, lt=1,
-                  error=error)
 
     @property
     def rtt_ms(self) -> float:
@@ -56,15 +50,6 @@ CANONICAL_SCENARIOS: tuple[Scenario, ...] = (
     Scenario("window-limited", 1_000.0, 100.0, 0.0, rwnd_bytes=262_144),
     Scenario("lossy-short", 1_000.0, 20.0, 1e-3),
     Scenario("lossy-long", 1_000.0, 80.0, 5e-4),
-)
-
-#: Gray-failure scenarios: the ping-visible loss understates what bulk
-#: data pays, so all three engines must agree on the *bulk* number.
-#: Kept separate from :data:`CANONICAL_SCENARIOS` — the classic matrix
-#: (and its recorded agreement) stays untouched.
-GRAY_SCENARIOS: tuple[Scenario, ...] = (
-    Scenario("gray-bulk-only", 1_000.0, 20.0, 0.0, bulk_loss=1e-3),
-    Scenario("gray-mixed", 1_000.0, 40.0, 2e-4, bulk_loss=1e-3),
 )
 
 
@@ -92,7 +77,6 @@ def model_throughput(scenario: Scenario) -> float:
         loss=scenario.loss,
         available_bw_mbps=scenario.bottleneck_mbps,
         capacity_mbps=scenario.bottleneck_mbps,
-        bulk_loss=scenario.bulk_loss,
     )
     return steady_state_throughput_mbps(
         metrics, TcpParams(rwnd_bytes=scenario.rwnd_bytes)
@@ -116,11 +100,6 @@ def fluid_throughput(scenario: Scenario, seed: int, duration_s: float = 60.0) ->
         link_class=LinkClass.ACCESS,
         load=BackgroundLoad(base_util=0.0, diurnal_amp=0.0, episode_rate_per_day=0.0),
     )
-    if scenario.bulk_loss is not None and scenario.bulk_loss > scenario.loss:
-        # Compose so that the link's bulk loss equals the scenario's
-        # bulk number: data = 1 - (1 - visible)(1 - extra).
-        extra = 1.0 - (1.0 - scenario.bulk_loss) / (1.0 - scenario.loss)
-        link.impair(bulk_extra_loss=extra)
     path = RouterPath(src_name="a", dst_name="b", router_ids=(1, 2), links=(link,))
     sim = FluidSimulator(at_time=0.0, rng=np.random.default_rng(seed))
     flow = sim.add_flow(path, RenoCC(), rwnd_bytes=scenario.rwnd_bytes)
@@ -134,7 +113,6 @@ def packet_throughput(scenario: Scenario, seed: int, duration_s: float = 30.0) -
             capacity_mbps=scenario.bottleneck_mbps,
             prop_delay_ms=scenario.one_way_delay_ms,
             loss_prob=scenario.loss,
-            bulk_loss_prob=scenario.bulk_loss,
         )
     ]
     tcp = PacketLevelTcp(

@@ -12,13 +12,9 @@ from repro.cloud import (
     leased_line_monthly_usd,
     overlay_vs_leased_line,
 )
-from repro.cloud.datacenter import (
-    MPTCP_DC_CITIES,
-    PAPER_DC_CITIES,
-    DataCenter,
-    validate_dc_cities,
-)
+from repro.cloud.datacenter import PAPER_DC_CITIES, DataCenter, validate_dc_cities
 from repro.errors import BillingError, CloudError
+from repro.experiments.mptcp_exp import REGIONAL_DCS
 from repro.geo import city
 from repro.net import Internet, LinkClass, TopologyConfig, generate_topology
 from repro.net.asn import ASKind
@@ -37,7 +33,7 @@ def cloudy_world():
 class TestDataCenters:
     def test_paper_cities(self):
         assert len(PAPER_DC_CITIES) == 5  # Sec. II-A
-        assert len(MPTCP_DC_CITIES) == 9  # Sec. VI-B
+        assert sum(len(dcs) for dcs in REGIONAL_DCS.values()) == 9  # Sec. VI-B
 
     def test_validate_rejects_duplicates(self):
         with pytest.raises(CloudError):

@@ -23,10 +23,6 @@ class TestFacility:
         with pytest.raises(ColoError):
             ColoFacility(name="x", city_name="atlanta")
 
-    def test_region_comes_from_the_city(self):
-        facility = ColoFacility(name="x", city_name="london")
-        assert facility.region == "eu"
-
     def test_validate_rejects_empty_dup_and_non_hub(self):
         with pytest.raises(ColoError):
             validate_colo_cities(())
@@ -125,9 +121,7 @@ class TestOperator:
         internet, operator = colo_world
         a = operator.rent_server(internet, "london")
         b = operator.rent_server(internet, "new_york")
-        assert operator.monthly_bill_usd() == pytest.approx(
-            a.monthly_cost_usd + b.monthly_cost_usd
-        )
+        assert operator.servers == [a, b]
 
 
 class TestTopologyAttach:

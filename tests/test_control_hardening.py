@@ -164,8 +164,7 @@ class TestDegradationConfig:
 
 def failed_transition(label: str, at_time: float) -> HealthTransition:
     return HealthTransition(
-        label=label, at_time=at_time, old=PathState.DEGRADED,
-        new=PathState.FAILED, reason="test",
+        label=label, at_time=at_time, old=PathState.DEGRADED, new=PathState.FAILED
     )
 
 
@@ -201,8 +200,7 @@ class TestDegradationGuard:
     def test_non_failed_transitions_ignored(self):
         guard = self.guard()
         healthy = HealthTransition(
-            label="vm", at_time=100.0, old=PathState.FAILED,
-            new=PathState.HEALTHY, reason="recovered",
+            label="vm", at_time=100.0, old=PathState.FAILED, new=PathState.HEALTHY
         )
         assert guard.note_transition(healthy) is None
 

@@ -45,7 +45,7 @@ class TestSolveEpoch:
         )
         # 40 Mbps offered into 20: both classes halved.
         assert allocation.per_flow_mbps.tolist() == pytest.approx([0.05, 0.05], rel=1e-6)
-        assert allocation.utilization(0) == pytest.approx(2.0)
+        assert allocation.offered_mbps[0] / 20.0 == pytest.approx(2.0)
 
     def test_carried_never_exceeds_capacity(self):
         allocation = solve_epoch(
@@ -81,7 +81,7 @@ class TestSolveEpoch:
         allocation = solve_epoch(
             [cls("mega", 3_000_000.0, 0.02, 0)], [Resource("r", 1_000.0)]
         )
-        assert allocation.utilization(0) == pytest.approx(60.0)
+        assert allocation.offered_mbps[0] / 1_000.0 == pytest.approx(60.0)
         assert 3_000_000 * float(allocation.per_flow_mbps[0]) == pytest.approx(1_000.0, rel=1e-6)
 
     def test_empty_epoch(self):

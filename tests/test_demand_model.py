@@ -106,7 +106,7 @@ class TestSampling:
     def test_poisson_mean_tracks_expectation(self):
         model = build_model(qps_per_client=100.0)
         t = 6.5 * 3_600.0
-        expected = model.expected_concurrent(t, 120.0)
+        expected = {c.city: c.expected_concurrent(t, 120.0) for c in model.cities}
         sampled = model.sample_concurrent(5, t, 120.0)
         for city, mean in expected.items():
             # Poisson sd is sqrt(mean); 5 sigma keeps this deterministic

@@ -16,6 +16,11 @@ from repro.experiments.chaos_exp import (
 )
 
 
+def outcome(result, scenario, strategy, arm):
+    key = (scenario, strategy, arm)
+    return next(o for o in result.outcomes if (o.scenario, o.strategy, o.arm) == key)
+
+
 @pytest.fixture(scope="module")
 def showcase():
     """One study over the two degradation showcases (module-scoped: slow)."""
@@ -46,15 +51,15 @@ class TestHardeningPayoff:
         # on the dead overlay through the blackout; the degradation-aware
         # one notices its data rotted and falls back to the gray-but-alive
         # direct path.
-        baseline = showcase.outcome("probe-blackout", "controller-best", "baseline")
-        hardened = showcase.outcome("probe-blackout", "controller-best", "hardened")
+        baseline = outcome(showcase, "probe-blackout", "controller-best", "baseline")
+        hardened = outcome(showcase, "probe-blackout", "controller-best", "hardened")
         assert baseline.downtime_s > 0.0
         assert hardened.downtime_s < baseline.downtime_s
         assert hardened.wrong_path_s < baseline.downtime_s + baseline.wrong_path_s
 
     def test_quarantine_reduces_churn_on_flapping_overlay(self, showcase):
-        baseline = showcase.outcome("flapping-overlay", "mptcp-subflows", "baseline")
-        hardened = showcase.outcome("flapping-overlay", "mptcp-subflows", "hardened")
+        baseline = outcome(showcase, "flapping-overlay", "mptcp-subflows", "baseline")
+        hardened = outcome(showcase, "flapping-overlay", "mptcp-subflows", "hardened")
         assert hardened.quarantines >= 1
         assert hardened.churn < baseline.churn
 
@@ -68,8 +73,8 @@ class TestHardeningPayoff:
     def test_static_direct_identical_across_arms(self, showcase):
         # No scheduler, no degradation: hardening must not touch it.
         for scenario in showcase.config.scenario_names:
-            baseline = showcase.outcome(scenario, "static-direct", "baseline")
-            hardened = showcase.outcome(scenario, "static-direct", "hardened")
+            baseline = outcome(showcase, scenario, "static-direct", "baseline")
+            hardened = outcome(showcase, scenario, "static-direct", "hardened")
             assert baseline.downtime_s == hardened.downtime_s
             assert baseline.mean_goodput_mbps == hardened.mean_goodput_mbps
 
@@ -82,10 +87,6 @@ class TestReporting:
         assert "baseline" in rendered
         assert "hardened" in rendered
         assert "wrong-path" in rendered
-
-    def test_outcome_lookup_rejects_unknown(self, showcase):
-        with pytest.raises(ExperimentError):
-            showcase.outcome("probe-blackout", "controller-best", "nope")
 
 
 class TestPopOutage:
@@ -105,8 +106,8 @@ class TestPopOutage:
         # corpse through every episode; the hardened arm's per-path
         # staleness filter drops the label and switches within one
         # staleness bound.
-        baseline = pop_outage.outcome("pop-outage", "controller-best", "baseline")
-        hardened = pop_outage.outcome("pop-outage", "controller-best", "hardened")
+        baseline = outcome(pop_outage, "pop-outage", "controller-best", "baseline")
+        hardened = outcome(pop_outage, "pop-outage", "controller-best", "hardened")
         assert baseline.wrong_path_s > 0.0
         assert hardened.wrong_path_s < baseline.wrong_path_s
         assert hardened.downtime_s < baseline.downtime_s
@@ -114,7 +115,7 @@ class TestPopOutage:
     def test_baseline_rides_the_dead_pop_all_episodes(self, pop_outage):
         # Four 90 s episodes: LOST probes never update last_result, so
         # the baseline's downtime covers essentially the whole outage.
-        baseline = pop_outage.outcome("pop-outage", "controller-best", "baseline")
+        baseline = outcome(pop_outage, "pop-outage", "controller-best", "baseline")
         assert baseline.downtime_s >= 300.0
 
     def test_partial_outage_is_not_a_blackout(self, pop_outage):
@@ -122,7 +123,7 @@ class TestPopOutage:
         # so the hardened arm sees per-path staleness, never a
         # blackout — no FAILED health transitions (hence zero
         # quarantines) and goodput keeps flowing between failovers.
-        hardened = pop_outage.outcome("pop-outage", "controller-best", "hardened")
+        hardened = outcome(pop_outage, "pop-outage", "controller-best", "hardened")
         assert hardened.quarantines == 0
         assert hardened.probes_lost > 0
         assert hardened.mean_goodput_mbps > 0.0
@@ -153,13 +154,13 @@ class TestAdaptiveArm:
         # The whole point of the PR: with bulk-only gray episodes on the
         # preferred overlay, the ping-only arms keep riding the silently
         # broken path while the throughput/ping cross-check bails out.
-        baseline = gray_detect.outcome("gray-detect", "controller-best", "baseline")
-        adaptive = gray_detect.outcome("gray-detect", "controller-best", "adaptive")
+        baseline = outcome(gray_detect, "gray-detect", "controller-best", "baseline")
+        adaptive = outcome(gray_detect, "gray-detect", "controller-best", "adaptive")
         assert baseline.wrong_path_s > 0.0
         assert adaptive.wrong_path_s < baseline.wrong_path_s
 
     def test_detection_latency_reported_for_adaptive_run(self, gray_detect):
-        adaptive = gray_detect.outcome("gray-detect", "controller-best", "adaptive")
+        adaptive = outcome(gray_detect, "gray-detect", "controller-best", "adaptive")
         assert adaptive.detect_s is not None
         assert 0.0 < adaptive.detect_s < 900.0
 

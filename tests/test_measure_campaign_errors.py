@@ -83,12 +83,6 @@ class TestCampaignSummary:
         assert summary.total_errors == 2
         assert summary.flaky_tasks() == ("flaky",)
 
-    def test_summary_render_flags_flaky_tasks(self, small_internet):
-        rendered = self.run_mixed(small_internet).summary.render()
-        assert "4 ok, 2 errors" in rendered
-        assert "flaky: 1 ok, 2 errors  <- flaky" in rendered
-        assert "steady: 3 ok, 0 errors" in rendered
-
     def test_summary_none_before_any_run(self, small_internet):
         campaign = MeasurementCampaign(small_internet, interval_s=10.0, iterations=1)
         assert campaign.summary is None

@@ -64,29 +64,29 @@ class TestLineTopology:
     def test_stub_to_stub_crosses_core(self):
         topo = build_line_topology()
         bgp = BgpRouting(topo)
-        assert bgp.as_path(5, 6) == (5, 3, 1, 2, 4, 6)
+        assert bgp.routes_to(6)[5].path == (5, 3, 1, 2, 4, 6)
 
     def test_route_kinds(self):
         topo = build_line_topology()
         bgp = BgpRouting(topo)
         # transit1 reaches its customer stub1 via a customer route
-        assert bgp.route(3, 5).kind is RouteKind.CUSTOMER
+        assert bgp.routes_to(5)[3].kind is RouteKind.CUSTOMER
         # t1a reaches t1b's customer cone via the peer route
-        assert bgp.route(1, 6).kind is RouteKind.PEER
+        assert bgp.routes_to(6)[1].kind is RouteKind.PEER
         # stub1 reaches everything via its provider
-        assert bgp.route(5, 6).kind is RouteKind.PROVIDER
+        assert bgp.routes_to(6)[5].kind is RouteKind.PROVIDER
 
     def test_self_route(self):
         topo = build_line_topology()
         bgp = BgpRouting(topo)
-        assert bgp.as_path(5, 5) == (5,)
-        assert bgp.route(5, 5).kind is RouteKind.SELF
+        assert bgp.routes_to(5)[5].path == (5,)
+        assert bgp.routes_to(5)[5].kind is RouteKind.SELF
 
     def test_unknown_destination(self):
         topo = build_line_topology()
         bgp = BgpRouting(topo)
         with pytest.raises(RoutingError):
-            bgp.as_path(5, 999)
+            bgp.routes_to(999)
 
     def test_no_transit_through_peer_only_as(self):
         """A stub peering with another stub must not transit for it."""
@@ -97,9 +97,8 @@ class TestLineTopology:
         topo.add_relation(s3.asn, 5, Relationship.PEER)  # s3 peers with s1 only
         bgp = BgpRouting(topo)
         # s3 has no providers: it can only reach s1 (its peer) and itself.
-        assert bgp.as_path(7, 5) == (7, 5)
-        with pytest.raises(RoutingError):
-            bgp.as_path(7, 6)
+        assert bgp.routes_to(5)[7].path == (7, 5)
+        assert 7 not in bgp.routes_to(6)
 
     def test_prefer_customer_over_peer(self):
         """A provider reaches its customer directly even if a peer also offers it."""
@@ -107,7 +106,7 @@ class TestLineTopology:
         # Give stub2 a second provider: t1a directly.
         topo.add_relation(6, 1, Relationship.CUSTOMER)
         bgp = BgpRouting(topo)
-        route = bgp.route(1, 6)
+        route = bgp.routes_to(6)[1]
         assert route.kind is RouteKind.CUSTOMER
         assert route.path == (1, 6)
 

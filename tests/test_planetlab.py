@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import PlanetLabError
@@ -54,9 +56,7 @@ class TestDeployment:
             small_internet, {"eu": 3, "na": 2}, RandomStreams(seed=5), name_prefix="t"
         )
         assert len(deployment) == 5
-        by_region = deployment.by_region()
-        assert len(by_region.get("eu", [])) == 3
-        assert len(by_region.get("na", [])) == 2
+        assert Counter(node.region for node in deployment) == {"eu": 3, "na": 2}
 
     def test_nodes_live_in_academic_ases(self, small_internet):
         from repro.net.asn import ASKind
