@@ -278,6 +278,14 @@ def _make_runner(args: argparse.Namespace):
     )
 
 
+def _write_out(result, args: argparse.Namespace, suffix: str = "") -> None:
+    """With ``--out``, dump ``result`` as JSON to ``args.out + suffix``."""
+    if args.out:
+        from repro.io import dump_json
+
+        print(f"[written {dump_json(result, args.out + suffix)}]")
+
+
 def _cmd_list() -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name, description in EXPERIMENTS.items():
@@ -319,11 +327,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
         print("controller metrics snapshot:")
         for key, value in result.controller_metrics.items():
             print(f"  {key} = {value}")
-    if args.out:
-        from repro.io import dump_json
-
-        target = dump_json(result, args.out)
-        print(f"[written {target}]")
+    _write_out(result, args)
     return 0
 
 
@@ -396,11 +400,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         result = run_chaos_packet(packet_config)
         print(result.render())
-        if args.out:
-            from repro.io import dump_json
-
-            target = dump_json(result, args.out)
-            print(f"[written {target}]")
+        _write_out(result, args)
         return 0
     config = ChaosConfig(
         seed=args.seed,
@@ -418,11 +418,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     result = run_chaos(config, _make_runner(args))
     print(result.render())
-    if args.out:
-        from repro.io import dump_json
-
-        target = dump_json(result, args.out)
-        print(f"[written {target}]")
+    _write_out(result, args)
     return 0
 
 
@@ -442,11 +438,7 @@ def _cmd_demand(args: argparse.Namespace) -> int:
     config = DemandConfig(**kwargs)
     result = run_demand(config, _make_runner(args))
     print(result.render())
-    if args.out:
-        from repro.io import dump_json
-
-        target = dump_json(result, args.out)
-        print(f"[written {target}]")
+    _write_out(result, args)
     return 0
 
 
@@ -467,11 +459,7 @@ def _cmd_colo(args: argparse.Namespace) -> int:
     config = ColoConfig(**kwargs)
     result = run_colo(config, _make_runner(args))
     print(result.render())
-    if args.out:
-        from repro.io import dump_json
-
-        target = dump_json(result, args.out)
-        print(f"[written {target}]")
+    _write_out(result, args)
     return 0
 
 
@@ -586,12 +574,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = _run_one(name, args, runner=runner)
         print(result.render())
         print()
-        if args.out:
-            from repro.io import dump_json
-
-            suffix = f".{name}" if args.experiment == "all" else ""
-            target = dump_json(result, args.out + suffix)
-            print(f"[written {target}]")
+        _write_out(result, args, f".{name}" if args.experiment == "all" else "")
     if runner is not None and runner.manifest.records:
         print(runner.manifest.render())
         print(f"[manifest {runner.write_manifest()}]")

@@ -33,7 +33,6 @@ from repro.control.policy import Policy, PolicyDecision
 from repro.control.probes import ProbeResult, ProbeScheduler
 from repro.core.pathset import PathSet, PathType
 from repro.errors import ControlError, check
-from repro.net.links import mutation_epoch
 from repro.net.world import Internet
 
 #: Buckets for failover switch latency (seconds).
@@ -141,16 +140,6 @@ class OverlayController:
         #: When the most recent FAILED transition of an active path
         #: happened — the clock switch latency is measured against.
         self._active_failed_at: float | None = None
-        self._options_by_name = {option.name: option for option in pathset.options}
-        #: ((now, mutation epoch), {(mode, label): rate}) — goodput and
-        #: oracle sampling both rate every candidate each tick; one
-        #: evaluation per (label, instant, link state) serves both.
-        #: The inner dict is shared through the pathset (see
-        #: :meth:`_label_rate`).
-        self._rate_cache: tuple[tuple[float, int], dict] | None = None
-        #: label -> interned "mode:label" key for the shared rate dict
-        #: (string keys hash once; mode is fixed per controller).
-        self._rate_keys: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # per-tick steps
@@ -287,74 +276,15 @@ class OverlayController:
             round(self.scheduler.current_interval_s, 6)
         )
 
-    def _label_rate(self, label: str, now: float) -> float:
-        """Deliverable rate of one candidate path (0 when dead).
-
-        Memoized per (instant, link-mutation epoch): identical inputs
-        give identical rates, and the goodput + oracle samples of one
-        tick ask for overlapping label sets.
-
-        A rate is a pure function of (mode, label, instant, link
-        state) — connections come from the shared pathset's factories
-        and never consult controller health — so the per-instant rate
-        dict lives *on the pathset*, keyed by the world mirror's
-        interned state id.  Campaign runs that replay the same fault
-        timeline against the same pathset (one run per arm × strategy)
-        then reuse each other's evaluations instead of recomputing them
-        per controller.
-        """
-        key = (now, mutation_epoch())
-        cache = self._rate_cache
-        if cache is None or cache[0] != key:
-            shared = self.pathset.__dict__.get("_shared_rates")
-            if shared is None:
-                shared = {}
-                object.__setattr__(self.pathset, "_shared_rates", shared)
-            skey = (now, self.internet.fastpath.state_key())
-            rates = shared.get(skey)
-            if rates is None:
-                if len(shared) >= 8192:
-                    shared.clear()
-                rates = {}
-                shared[skey] = rates
-            cache = (key, rates)
-            self._rate_cache = cache
-        rates = cache[1]
-        rkey = self._rate_keys.get(label)
-        if rkey is None:
-            rkey = f"{self.mode.name}:{label}"
-            self._rate_keys[label] = rkey
-        rate = rates.get(rkey)
-        if rate is None:
-            rate = self._label_rate_cold(label, now)
-            rates[rkey] = rate
-        return rate
-
-    def _label_rate_cold(self, label: str, now: float) -> float:
-        """Uncached rate evaluation behind :meth:`_label_rate`."""
-        if label == "direct":
-            if not self.pathset.direct.is_alive():
-                return 0.0
-            return self.pathset.direct_connection().throughput_at(now)
-        option = self._options_by_name[label]
-        if not option.concatenated.is_alive():
-            return 0.0
-        if self.mode is PathType.OVERLAY:
-            return self.pathset.overlay_connection(option).throughput_at(now)
-        chain = self.pathset.split_chain(option)
-        return (
-            chain.discrete_bound_at(now)
-            if self.mode is PathType.DISCRETE_OVERLAY
-            else chain.throughput_at(now)
-        )
-
     def _goodput(self, now: float) -> float:
         """Goodput of the active set: best live member (coupled MPTCP)."""
-        return max((self._label_rate(label, now) for label in self.active), default=0.0)
+        return max(
+            (self.pathset.rate(self.mode, label, now) for label in self.active), default=0.0
+        )
 
     def _best_possible(self, now: float) -> float:
         """The oracle: best rate any single candidate delivers at ``now``."""
-        return max(self._label_rate(label, now) for label in self.health)
+        return max(self.pathset.rate(self.mode, label, now) for label in self.health)
 
     # ------------------------------------------------------------------
     # the loop

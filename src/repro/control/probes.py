@@ -324,7 +324,7 @@ class ProbeScheduler:
                 rtt_ms, loss = math.inf, 1.0
             else:
                 throughput = (
-                    self._throughput(label, now)
+                    self.pathset.rate(self.config.mode, label, now)
                     if self.config.measure_throughput
                     else None
                 )
@@ -342,18 +342,6 @@ class ProbeScheduler:
         self._schedule_next(label, now, ok=result.ok)
         self.last_result[label] = result
         return result
-
-    def _throughput(self, label: str, now: float) -> float:
-        """Estimated TCP throughput of one candidate path at ``now``."""
-        if label == "direct":
-            return self.pathset.direct_connection().throughput_at(now)
-        option = self._options[label]
-        if self.config.mode is PathType.OVERLAY:
-            return self.pathset.overlay_connection(option).throughput_at(now)
-        chain = self.pathset.split_chain(option)
-        if self.config.mode is PathType.DISCRETE_OVERLAY:
-            return chain.discrete_bound_at(now)
-        return chain.throughput_at(now)
 
     def probe_due(self, now: float) -> list[ProbeResult]:
         """Probe every due path; returns the results actually obtained."""

@@ -8,9 +8,10 @@ flow statistics the downstream analyses (Figs. 2–5) consume.
 The studies measure many path sets at the same instants, so the plan
 is batched: a :class:`PathSetBatch` folds every leg of its path sets
 at one instant in one pass (:class:`~repro.net.fastpath.LegBatch`) and
-turns them into rates with one vectorised steady-state pass.  Every
-value is bit-identical to the per-path ``TcpConnection`` /
-``SplitTcpChain`` call it replaces.
+turns them into rates with one vectorised steady-state pass.  This is
+the only timed transfer in ``src/``.  Every value is bit-identical to
+the per-path timed transfer it replaced, which is frozen as a test
+reference (``tests/reference/model_transfer.py``).
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ class FourWayMeasurement:
         return min(stats.avg_rtt_ms for stats in self.overlay.values())
 
 
-#: Instants per transfer: the ``samples`` default of ``TcpConnection.run``
-#: and ``SplitTcpChain.run``, which the four-way plan used to call.
+#: Instants each timed transfer averages.
 _SAMPLES = 5
 
 
@@ -188,10 +188,10 @@ def measure_four_ways_batch(
 ) -> list[FourWayMeasurement]:
     """Measure every pair in all four modes over one window.
 
-    Each transfer averages the instants ``TcpConnection.run`` samples
-    (five, evenly spaced over ``[at_time, at_time + duration_s]``); the
-    discrete bound is read at the window's midpoint.  All path sets are
-    measured together at each instant.
+    Each transfer averages five instants, evenly spaced over
+    ``[at_time, at_time + duration_s]``; the discrete bound is read at
+    the window's midpoint.  All path sets are measured together at each
+    instant.
     """
     check(at_time, "at_time", ge=0, error=TransportError)
     check(duration_s, "duration_s", gt=0, error=TransportError)

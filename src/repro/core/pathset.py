@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError
+from repro.net.links import mutation_epoch
 from repro.net.path import RouterPath
 from repro.net.world import Internet
 from repro.transport.split import SplitTcpChain
@@ -25,6 +27,9 @@ from repro.transport.tcp import TcpConnection
 from repro.transport.throughput import TcpParams
 from repro.tunnel.node import NodeMode, OverlayNode, SPLIT_EFFICIENCY
 from repro.units import DEFAULT_MSS
+
+#: Instants the rate memo holds per path set before it starts over.
+_RATE_MEMO_INSTANTS = 8192
 
 
 class PathType(enum.Enum):
@@ -116,24 +121,20 @@ class PathSet:
     # ------------------------------------------------------------------
     # connection factories per measurement mode
     # ------------------------------------------------------------------
-    def _conn_cache(self) -> dict:
+    @cached_property
+    def _connections(self) -> dict:
         """Per-instance memo for the connection factories below.
 
         Connections are immutable descriptions (frozen dataclasses
         evaluating metrics lazily against the clock), so one instance
         per mode serves every tick; rebuilding them per probe showed up
-        in chaos-campaign profiles.  Attached lazily because PathSet is
-        frozen but not slotted.
+        in chaos-campaign profiles.
         """
-        cache = self.__dict__.get("_connections")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_connections", cache)
-        return cache
+        return {}
 
     def _receiver_params(self) -> TcpParams:
         """Base TCP parameters for this pair (receiver-window bound)."""
-        cache = self._conn_cache()
+        cache = self._connections
         params = cache.get("params")
         if params is None:
             params = TcpParams(
@@ -145,7 +146,7 @@ class PathSet:
 
     def direct_connection(self) -> TcpConnection:
         """Single-path TCP over the default Internet route."""
-        cache = self._conn_cache()
+        cache = self._connections
         conn = cache.get("direct")
         if conn is None:
             conn = TcpConnection(self.direct, self._receiver_params())
@@ -158,7 +159,7 @@ class PathSet:
         The tunnel's encapsulation reduces the MSS; the node's
         forwarding efficiency shaves the rate.
         """
-        cache = self._conn_cache()
+        cache = self._connections
         key = ("overlay", option.name)
         conn = cache.get(key)
         if conn is None:
@@ -184,7 +185,7 @@ class PathSet:
         cleartext TCP headers (Sec. II-A), so there is no IPsec on that
         side by construction.
         """
-        cache = self._conn_cache()
+        cache = self._connections
         key = ("split", option.name)
         chain = cache.get(key)
         if chain is None:
@@ -201,23 +202,108 @@ class PathSet:
     # ------------------------------------------------------------------
     # instantaneous throughput per mode
     # ------------------------------------------------------------------
+    @cached_property
+    def _labels_by_mode(
+        self,
+    ) -> dict[PathType, dict[str, tuple[str, OverlayPathOption | None]]]:
+        """mode -> label -> (memo key, option) for every rate :meth:`rate` knows.
+
+        "direct" rates the same under every mode, so it has one key.
+        Built once: every memo entry shares its key string, and a label
+        missing from a mode's table is not a path option of that mode.
+        """
+        table = {}
+        for mode in PathType:
+            labels = table[mode] = {"direct": ("direct", None)}
+            if mode is not PathType.DIRECT:
+                for option in self.options:
+                    name = option.name
+                    labels[name] = (f"{mode.value}:{name}", option)
+        return table
+
+    @cached_property
+    def _rate_memo(self) -> dict[tuple[float, int], dict[str, float]]:
+        """``{(t, state id): {memo key: Mbps}}``, the memo behind :meth:`rate`.
+
+        A rate is a pure function of (mode, label, instant, link state),
+        and equal state ids mean byte-equal link state
+        (:meth:`~repro.net.fastpath.FastPath.state_key`), so an entry
+        survives clock rewinds: the runs of a campaign that replay one
+        fault timeline against this path set reuse each other's rates.
+        """
+        return {}
+
+    @cached_property
+    def _rate_last(self) -> list:
+        """``[(t, mutation epoch), rates]`` of the instant :meth:`rate` read last.
+
+        While neither moves, the state id cannot have moved either, so
+        the next read skips the state-id lookup.
+        """
+        return [None, None]
+
+    def rate(self, mode: PathType, label: str, at_time: float) -> float:
+        """Mbps that path option ``label`` delivers under ``mode`` at ``at_time``.
+
+        ``label`` is "direct" or an overlay node's name; a dead path
+        (any failed link) delivers 0.0.  This is the one place a label
+        and a mode become a rate: the controller's goodput and oracle,
+        the probes and the selectors all read it, so one evaluation per
+        (mode, label, instant, link state) serves them all.
+        """
+        entry = self._labels_by_mode[mode].get(label)
+        if entry is None:
+            raise ConfigError(
+                f"pair {self.src_name}->{self.dst_name} has no {mode.value} path {label!r}"
+            )
+        key, option = entry
+        last = self._rate_last
+        instant = (at_time, mutation_epoch())
+        if last[0] == instant:
+            rates = last[1]
+        else:
+            memo = self._rate_memo
+            state = (at_time, self.internet.fastpath.state_key())
+            rates = memo.get(state)
+            if rates is None:
+                if len(memo) >= _RATE_MEMO_INSTANTS:
+                    memo.clear()
+                rates = memo[state] = {}
+            last[0] = instant
+            last[1] = rates
+        value = rates.get(key)
+        if value is None:
+            value = rates[key] = self._rate_cold(mode, option, at_time)
+        return value
+
+    def _rate_cold(
+        self, mode: PathType, option: OverlayPathOption | None, at_time: float
+    ) -> float:
+        """Uncached evaluation behind :meth:`rate` (``option`` None is direct)."""
+        if option is None:
+            if not self.direct.is_alive():
+                return 0.0
+            return self.direct_connection().throughput_at(at_time)
+        if not option.concatenated.is_alive():
+            return 0.0
+        if mode is PathType.OVERLAY:
+            return self.overlay_connection(option).throughput_at(at_time)
+        chain = self.split_chain(option)
+        if mode is PathType.DISCRETE_OVERLAY:
+            return chain.discrete_bound_at(at_time)
+        return chain.throughput_at(at_time)
+
     def throughput(self, path_type: PathType, at_time: float) -> dict[str, float]:
         """Instantaneous throughput (Mbps) per overlay node for a mode.
 
         For ``PathType.DIRECT`` the single entry is keyed ``"direct"``.
         """
         if path_type is PathType.DIRECT:
-            return {"direct": self.direct_connection().throughput_at(at_time)}
-        result: dict[str, float] = {}
-        for option in self.options:
-            if path_type is PathType.OVERLAY:
-                value = self.overlay_connection(option).throughput_at(at_time)
-            elif path_type is PathType.SPLIT_OVERLAY:
-                value = self.split_chain(option).throughput_at(at_time)
-            else:
-                value = self.split_chain(option).discrete_bound_at(at_time)
-            result[option.name] = value
-        return result
+            return {"direct": self.rate(path_type, "direct", at_time)}
+        return {
+            option.name: self.rate(path_type, option.name, at_time)
+            for option in self.options
+        }
 
     def best_overlay(self, path_type: PathType, at_time: float) -> tuple[str, float]:
         """(node name, Mbps) of the best overlay option for a mode."""

@@ -101,10 +101,7 @@ class PlacementPlanner:
         for src, dst in self.pairs:
             pathset = PathSet.build(self.internet, src, dst, list(nodes.values()))
             direct.append(
-                [
-                    pathset.direct_connection().throughput_at(t)
-                    for t in self.sample_times
-                ]
+                [pathset.rate(PathType.DIRECT, "direct", t) for t in self.sample_times]
             )
             per_node = {
                 t: pathset.throughput(PathType.SPLIT_OVERLAY, t) for t in self.sample_times

@@ -54,8 +54,8 @@ class ProbingSelector:
 
     def probe(self, at_time: float) -> SelectionResult:
         """Probe all paths now; remember and return the winner."""
-        candidates = {"direct": self.pathset.direct_connection().throughput_at(at_time)}
-        candidates.update(self.pathset.throughput(self.mode, at_time))
+        labels = ("direct", *(option.name for option in self.pathset.options))
+        candidates = {label: self.pathset.rate(self.mode, label, at_time) for label in labels}
         # Probe traffic: each path carries probe_duration_s at its rate.
         overhead = int(
             sum(rate * 1e6 / 8 * self.probe_duration_s for rate in candidates.values())
@@ -77,13 +77,9 @@ class ProbingSelector:
             return self.probe(at_time)
         # The remembered path's *current* throughput — selection decided
         # on stale data actually delivers this.
-        if self._last_choice == "direct":
-            current = self.pathset.direct_connection().throughput_at(at_time)
-        else:
-            current = self.pathset.throughput(self.mode, at_time)[self._last_choice]
         return SelectionResult(
             chosen=self._last_choice,
-            throughput_mbps=current,
+            throughput_mbps=self.pathset.rate(self.mode, self._last_choice, at_time),
             probe_overhead_bytes=0,
             stale_s=at_time - self._last_probe_time,
         )

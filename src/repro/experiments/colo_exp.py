@@ -43,7 +43,7 @@ from repro.colo.facility import DEFAULT_COLO_CITIES, validate_colo_cities
 from repro.colo.site import RelaySite
 from repro.control.policy import QpsWeightedPolicy
 from repro.core.cronet import CRONet
-from repro.core.pathset import PathSet
+from repro.core.pathset import PathSet, PathType
 from repro.demand.engine import DemandEngine
 from repro.demand.model import DemandModel
 from repro.demand.relay import RelayCapacity
@@ -178,7 +178,7 @@ def _measure_pair(pathset: PathSet, at_time: float) -> dict:
     """
     direct_metrics = pathset.direct.metrics(at_time)
     row: dict = {
-        "direct_mbps": pathset.direct_connection().throughput_at(at_time),
+        "direct_mbps": pathset.rate(PathType.DIRECT, "direct", at_time),
         "direct_rtt_ms": direct_metrics.rtt_ms,
         "direct_loss": direct_metrics.loss,
         "sites": {},
@@ -187,8 +187,8 @@ def _measure_pair(pathset: PathSet, at_time: float) -> dict:
         overlay_metrics = option.concatenated.metrics(at_time)
         first, middle, last = segment_location_shares(pathset.direct, option.concatenated)
         row["sites"][option.name] = {
-            "split_mbps": pathset.split_chain(option).throughput_at(at_time),
-            "overlay_mbps": pathset.overlay_connection(option).throughput_at(at_time),
+            "split_mbps": pathset.rate(PathType.SPLIT_OVERLAY, option.name, at_time),
+            "overlay_mbps": pathset.rate(PathType.OVERLAY, option.name, at_time),
             "rtt_ms": overlay_metrics.rtt_ms,
             "loss": overlay_metrics.loss,
             "diversity": diversity_score(pathset.direct, option.concatenated),

@@ -143,7 +143,7 @@ def build_pair_routes(world: World, cronet: CRONet, at_time: float) -> list[Pair
                     client=client,
                     server=server,
                     city=city,
-                    direct_mbps=pathset.direct_connection().throughput_at(at_time),
+                    direct_mbps=pathset.rate(PathType.DIRECT, "direct", at_time),
                     overlay_mbps=tuple(sorted(split.items())),
                     overlay_rtt_ms=tuple(
                         sorted(

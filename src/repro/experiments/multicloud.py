@@ -128,7 +128,7 @@ def run_multicloud(
         seen.add((server, client))
         single = PathSet.build(world.internet, server, client, single_nodes)
         multi = PathSet.build(world.internet, server, client, multi_nodes)
-        direct_mbps = single.direct_connection().throughput_at(at_time)
+        direct_mbps = single.rate(PathType.DIRECT, "direct", at_time)
         pairs.append(
             MultiCloudPair(
                 src_name=server,

@@ -87,7 +87,7 @@ def run_selection(
     ]
 
     def best_at(pathset: PathSet, t: float) -> float:
-        direct = pathset.direct_connection().throughput_at(t)
+        direct = pathset.rate(PathType.DIRECT, "direct", t)
         _, overlay = pathset.best_overlay(PathType.SPLIT_OVERLAY, t)
         return max(direct, overlay)
 

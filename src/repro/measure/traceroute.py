@@ -19,7 +19,6 @@ class TracerouteHop:
 
     hop_number: int
     label: str
-    address: str
     asn: int
     rtt_ms: float
 
@@ -38,17 +37,14 @@ def traceroute(internet: Internet, path: RouterPath, at_time: float) -> list[Tra
             )
             label = host.name if host else f"host-{node_id}"
             asn = host.asn if host else -1
-            address = host.ip_address if host else "0.0.0.0"
         else:
             router = internet.routers.get(node_id)
             label = f"AS{router.asn}.{router.city_name}"
             asn = router.asn
-            address = internet.addresses.router_address(node_id)
         hops.append(
             TracerouteHop(
                 hop_number=i + 1,
                 label=label,
-                address=address,
                 asn=asn,
                 rtt_ms=2.0 * cumulative_one_way,
             )

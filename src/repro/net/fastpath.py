@@ -175,8 +175,8 @@ class FastPath:
         appended, so no row or position moves, and a blob gathered over
         the new row set has a different length than any old blob — new
         state ids cannot collide with the ones the caches (and outside
-        memos keyed on them, e.g. the pathset-shared label-rate memo)
-        already hold.
+        memos keyed on them, e.g. the rate memo of
+        :meth:`~repro.core.pathset.PathSet.rate`) already hold.
         """
         links = sorted(self._links_by_id.values(), key=lambda l: l.link_id)
         self._links = links
@@ -403,8 +403,8 @@ class FastPath:
 
         Equal ids guarantee byte-equal dynamic state, so any pure
         function of (t, link state) may memoize on ``(t, state_key())``
-        and survive clock rewinds — the contract the controller's
-        pathset-shared label-rate memo builds on.
+        and survive clock rewinds — the contract the rate memo of
+        :meth:`~repro.core.pathset.PathSet.rate` builds on.
         """
         self.sync()
         return self._state_id

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigError, RoutingError, TopologyError, check
 from repro.geo import city_distance_km, propagation_delay_ms
-from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
 from repro.net.bgp import BgpRouting
 from repro.net.congestion import BackgroundLoad, peak_hour_for_longitude
@@ -119,7 +118,6 @@ class Host:
     kind: str  # "planetlab" | "server" | "cloud_vm" | "colo_relay" | "generic"
     access_link: Link
     attachment_router_id: int
-    ip_address: str = "0.0.0.0"
 
 
 class Internet:
@@ -151,7 +149,6 @@ class Internet:
         #: installed :class:`~repro.faults.injector.FaultInjector`
         #: hooks in here to take links down and bring them back.
         self.clock_hooks: list[Callable[[float], None]] = []
-        self.addresses = AddressPlan()
         self._path_cache: dict[tuple[str, str], RouterPath] = {}
         #: BGP decision keys are pure functions of topology + geography
         #: (never of link state), so this memo lives forever.
@@ -181,14 +178,22 @@ class Internet:
         prop_delay_ms: float,
         capacity_mbps: float | None = None,
         peak_lon: float = 0.0,
+        base_loss: float | None = None,
+        base_util: float | None = None,
     ) -> Link:
-        """Create a link with class-profile-driven congestion parameters."""
+        """Create a link with class-profile-driven congestion parameters.
+
+        ``base_loss`` and ``base_util`` pin those two parameters.  They
+        replace the profile's draws only after the draws are made, so
+        pinning one leaves the link stream where it was, and ``Link``
+        and ``BackgroundLoad`` check the pinned values like any other.
+        """
         profile = self.profiles[link_class]
         rng = self._link_rng()
         lo, hi = profile.util_range
-        base_util = float(rng.uniform(lo, hi))
+        drawn_util = float(rng.uniform(lo, hi))
         log_lo, log_hi = profile.base_loss_log10_range
-        base_loss = float(10.0 ** rng.uniform(log_lo, log_hi))
+        drawn_loss = float(10.0 ** rng.uniform(log_lo, log_hi))
         infl_lo, infl_hi = profile.delay_inflation_range
         prop_delay_ms = prop_delay_ms * float(rng.uniform(infl_lo, infl_hi))
         link = Link(
@@ -197,10 +202,10 @@ class Internet:
             router_b=router_b,
             capacity_mbps=capacity_mbps if capacity_mbps is not None else profile.capacity_mbps,
             prop_delay_ms=prop_delay_ms,
-            base_loss=base_loss,
+            base_loss=drawn_loss if base_loss is None else base_loss,
             link_class=link_class,
             load=BackgroundLoad(
-                base_util=base_util,
+                base_util=drawn_util if base_util is None else base_util,
                 peak_hour=peak_hour_for_longitude(peak_lon),
                 episode_rate_per_day=profile.episode_rate_per_day,
                 episode_severity=profile.episode_severity,
@@ -214,12 +219,10 @@ class Internet:
 
     def _build(self) -> None:
         """Materialize routers, intra-AS meshes and inter-AS links."""
-        # Routers: one per (AS, PoP city), each with an address from
-        # its AS's block.
+        # Routers: one per (AS, PoP city).
         for asys in sorted(self.topology.ases.values(), key=lambda a: a.asn):
             for city_name in asys.pop_cities:
-                router = self.routers.create(asys.asn, city_name)
-                self.addresses.assign_router(router.router_id, asys.asn)
+                self.routers.create(asys.asn, city_name)
 
         # Intra-AS backbones.  Small ASes get a full mesh; larger ones
         # a sparse ring-plus-nearest-neighbour backbone, so long
@@ -368,12 +371,9 @@ class Internet:
             delay,
             capacity_mbps=nic_mbps,
             peak_lon=pop.city.point.lon,
+            base_loss=access_base_loss,
+            base_util=access_base_util,
         )
-        if access_base_loss is not None:
-            link.base_loss = access_base_loss
-        if access_base_util is not None:
-            link.load.base_util = access_base_util
-        ip_address = self.addresses.assign_host(name, asn)
         host = Host(
             host_id=host_id,
             name=name,
@@ -384,7 +384,6 @@ class Internet:
             kind=kind,
             access_link=link,
             attachment_router_id=pop.router_id,
-            ip_address=ip_address,
         )
         self.hosts[name] = host
         return host

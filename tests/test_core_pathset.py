@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud.provider import CloudProvider
+from repro.control.controller import OverlayController
+from repro.control.policy import BestPathPolicy
+from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core import CRONet, PathSet, PathType, measure_four_ways
 from repro.errors import ConfigError, MeasurementError
 from repro.net import Internet, TopologyConfig, generate_topology
@@ -112,6 +115,88 @@ class TestPathSet:
         assert per_node[name] == value
         with pytest.raises(ConfigError):
             pathset.best_overlay(PathType.DIRECT, T0)
+
+
+def _factory_rate(pathset: PathSet, mode: PathType, label: str, t: float) -> float:
+    """The rate straight from the connection factories, no memo."""
+    if label == "direct":
+        return pathset.direct_connection().throughput_at(t)
+    option = next(option for option in pathset.options if option.name == label)
+    if mode is PathType.OVERLAY:
+        return pathset.overlay_connection(option).throughput_at(t)
+    chain = pathset.split_chain(option)
+    if mode is PathType.DISCRETE_OVERLAY:
+        return chain.discrete_bound_at(t)
+    return chain.throughput_at(t)
+
+
+def _labels(pathset: PathSet, mode: PathType) -> list[str]:
+    if mode is PathType.DIRECT:
+        return ["direct"]
+    return ["direct", *(option.name for option in pathset.options)]
+
+
+class TestRate:
+    def test_equals_the_connection_factories(self, cronet_world):
+        _net, _provider, cronet = cronet_world
+        pathset = cronet.path_set("srv", "cli")
+        dead = pathset.options[0]
+        for t in (0.0, T0, T0 + 1_800.0):
+            for mode in PathType:
+                for label in _labels(pathset, mode):
+                    got = pathset.rate(mode, label, t)
+                    assert repr(got) == repr(_factory_rate(pathset, mode, label, t))
+        # The relay's access link carries both legs of its option only.
+        dead.node.host.access_link.fail()
+        try:
+            for mode in PathType:
+                for label in _labels(pathset, mode):
+                    got = pathset.rate(mode, label, T0)
+                    assert repr(got) == repr(_factory_rate(pathset, mode, label, T0))
+                    if label == dead.name:
+                        assert repr(got) == "0.0"
+                    else:
+                        assert got > 0.0
+        finally:
+            dead.node.host.access_link.restore()
+        assert pathset.rate(PathType.SPLIT_OVERLAY, dead.name, T0) > 0.0
+
+    def test_probe_at_a_tick_instant_evaluates_nothing(self, cronet_world, monkeypatch):
+        net, _provider, cronet = cronet_world
+        pathset = cronet.path_set("srv", "cli")
+        probes = ProbeScheduler(pathset, ProbeConfig(), RandomStreams(seed=5).stream("probe"))
+        controller = OverlayController(
+            net, pathset, BestPathPolicy(), scheduler=probes, track_oracle=True
+        )
+        controller.run(60.0)  # ticks every 5 s; the oracle rates every label
+        evaluated = []
+        cold = PathSet._rate_cold
+
+        def counting(self, *args):
+            evaluated.append(args)
+            return cold(self, *args)
+
+        monkeypatch.setattr(PathSet, "_rate_cold", counting)
+        for t in (0.0, 30.0, 55.0):
+            for label in probes.labels:
+                result = probes.probe(label, t)
+                assert result.throughput_mbps == pathset.rate(probes.config.mode, label, t)
+        assert evaluated == []
+        pathset.rate(PathType.OVERLAY, "direct", 57.5)  # off the tick grid
+        assert len(evaluated) == 1
+
+    def test_unknown_label_rejected(self, cronet_world):
+        _net, _provider, cronet = cronet_world
+        pathset = cronet.path_set("srv", "cli")
+        with pytest.raises(ConfigError, match="ghost"):
+            pathset.rate(PathType.SPLIT_OVERLAY, "ghost", T0)
+        overlay = pathset.options[0].name
+        with pytest.raises(ConfigError, match=overlay):
+            pathset.rate(PathType.DIRECT, overlay, T0)
+        # "direct" is one path under every mode.
+        assert pathset.rate(PathType.DIRECT, "direct", T0) == pathset.rate(
+            PathType.DISCRETE_OVERLAY, "direct", T0
+        )
 
 
 class TestFourWay:

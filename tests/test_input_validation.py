@@ -59,7 +59,6 @@ from repro.net.topology import TopologyConfig
 from repro.transport.cc import RenoCC
 from repro.transport.fluid import FluidSimulator
 from repro.transport.packetsim import PacketLevelTcp, SimLink
-from repro.transport.tcp import TcpConnection
 
 #: nan, ±inf, zero and a negative: the values every numeric knob meets.
 BAD_VALUES = (math.nan, math.inf, -math.inf, 0, -1)
@@ -220,12 +219,6 @@ class TestEngineHorizons:
         sim.add_flow(small_internet.resolve_path("client", "server"), RenoCC())
         with pytest.raises(TransportError, match="duration_s"):
             sim.run(value)
-
-    @pytest.mark.parametrize("value", BAD_VALUES, ids=str)
-    def test_model_engine(self, small_internet, value):
-        conn = TcpConnection(small_internet.resolve_path("client", "server"))
-        with pytest.raises(TransportError, match="duration_s"):
-            conn.run(0.0, value)
 
     # The window is checked before any pair is read: nan used to die in
     # the mirror as "time ... got nan", at_time=-5 reported the first

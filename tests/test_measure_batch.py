@@ -2,8 +2,9 @@
 
 Every batched value must equal its per-path counterpart *bit for bit*
 (``==`` on raw floats): the studies that batch are pinned by golden
-files and by the object-mode identity suite.  The per-path counterpart
-is the frozen scalar walk (``tests/reference/link_metrics.py``).
+files and by the object-mode identity suite.  The per-path counterparts
+are the frozen scalar walk (``tests/reference/link_metrics.py``) and the
+frozen timed transfers (``tests/reference/model_transfer.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import link_metrics
+from reference import link_metrics, model_transfer
 from repro.cloud.provider import CloudProvider
 from repro.core import CRONet
 from repro.core.measure_plan import PathSetBatch, measure_four_ways_batch
@@ -285,14 +286,16 @@ class TestFourWay:
         for pathset, got in zip(
             pathsets, measure_four_ways_batch(pathsets, at_time, duration)
         ):
-            assert got.direct == pathset.direct_connection().run(at_time, duration)
+            direct = pathset.direct_connection()
+            assert got.direct == model_transfer.tcp_run(direct, at_time, duration)
             for option in pathset.options:
                 name = option.name
                 chain = pathset.split_chain(option)
-                assert got.overlay[name] == pathset.overlay_connection(option).run(
-                    at_time, duration
+                tunnel = pathset.overlay_connection(option)
+                assert got.overlay[name] == model_transfer.tcp_run(tunnel, at_time, duration)
+                assert got.split_overlay[name] == model_transfer.split_run(
+                    chain, at_time, duration
                 )
-                assert got.split_overlay[name] == chain.run(at_time, duration)
                 assert got.discrete_mbps[name] == chain.discrete_bound_at(
                     at_time + duration / 2
                 )

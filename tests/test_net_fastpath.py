@@ -243,8 +243,8 @@ class TestStateInterning:
 
 class TestDecisionMemoInvalidation:
     """Regression: injector-style mutations bypass invalidate_path_cache
-    entirely, yet the controller's memoized label rates must not serve
-    a stale decision across the flip."""
+    entirely, yet the memoized rates the controller reads through
+    ``PathSet.rate`` must not serve a stale decision across the flip."""
 
     def _controller(self, small_internet):
         node = OverlayNode(host=small_internet.host("vm"))
@@ -261,10 +261,11 @@ class TestDecisionMemoInvalidation:
 
     def test_link_flip_mid_episode_invalidates_rate_memo(self, small_internet):
         controller = self._controller(small_internet)
+        controller.active = ("direct",)
         now = 600.0
-        warm = controller._label_rate("direct", now)
+        warm = controller._goodput(now)
         assert warm > 0.0
-        assert controller._label_rate("direct", now) == warm  # memo hit
+        assert controller._goodput(now) == warm  # memo hit
         overlay_ids = {
             link.link_id
             for option in controller.pathset.options
@@ -276,6 +277,6 @@ class TestDecisionMemoInvalidation:
             if link.link_id not in overlay_ids
         )
         link.fail()  # no invalidate_path_cache, exactly like a fault event
-        assert controller._label_rate("direct", now) == 0.0
+        assert controller._goodput(now) == 0.0
         link.restore()
-        assert controller._label_rate("direct", now) == warm
+        assert controller._goodput(now) == warm

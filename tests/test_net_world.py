@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, RoutingError
@@ -156,6 +158,20 @@ class TestHosts:
         assert host.access_link.prop_delay_ms == 1.5
         assert host.access_link.base_loss == 2e-4
         assert host.access_link.capacity_mbps == 1_000.0
+
+    # The overrides used to be written onto the link after it was built,
+    # past Link's and BackgroundLoad's range checks: all eight went in.
+    @pytest.mark.parametrize(
+        "knob, name, value",
+        [("access_base_loss", "base_loss", v) for v in (math.nan, -0.5, 1.5, math.inf)]
+        + [("access_base_util", "base_util", v) for v in (math.nan, -0.5, 7.0, math.inf)],
+        ids=str,
+    )
+    def test_access_overrides_are_range_checked(self, small_internet, knob, name, value):
+        asn = small_internet.host("server").asn
+        with pytest.raises(ConfigError, match=name):
+            small_internet.attach_host("pinned", asn, **{knob: value})
+        assert "pinned" not in small_internet.hosts
 
 
 class TestPathResolution:

@@ -110,10 +110,6 @@ ALLOWED = {
         "paper data: the Eclipse mirrors' countries (Sec. II-A), which the "
         "server placement is checked against"
     ),
-    "repro.measure.traceroute.TracerouteHop.address": (
-        "the one reader of the address plan (repro.net.addressing); the two go "
-        "together or not at all"
-    ),
 }
 
 

@@ -150,25 +150,6 @@ class TestFlowStats:
             )
 
 
-class TestTcpConnection:
-    def test_run_reports_consistent_stats(self, small_internet):
-        path = small_internet.resolve_path("client", "server")
-        stats = TcpConnection(path).run(3_600.0, 30.0)
-        assert stats.duration_s == 30.0
-        assert stats.throughput_mbps > 0
-        assert stats.bytes_acked == pytest.approx(
-            stats.throughput_mbps * 1e6 / 8 * 30.0, rel=0.01
-        )
-        assert stats.avg_rtt_ms > 0
-
-    def test_run_validates_inputs(self, small_internet):
-        conn = TcpConnection(small_internet.resolve_path("client", "server"))
-        with pytest.raises(TransportError):
-            conn.run(0.0, -1.0)
-        with pytest.raises(TransportError):
-            conn.run(0.0, 10.0, samples=0)
-
-
 class TestSplitTcpChain:
     def test_needs_two_segments(self, small_internet):
         leg = small_internet.resolve_path("client", "vm")
@@ -194,17 +175,6 @@ class TestSplitTcpChain:
         plain = TcpConnection(overlay).throughput_at(t)
         split = SplitTcpChain(segments=(leg1, leg2)).throughput_at(t)
         assert split > plain
-
-    def test_run_stats(self, small_internet):
-        leg1 = small_internet.resolve_path("client", "vm")
-        leg2 = small_internet.resolve_path("vm", "server")
-        chain = SplitTcpChain(segments=(leg1, leg2))
-        stats = chain.run(3_600.0, 30.0)
-        t = 3_600.0
-        assert stats.avg_rtt_ms == pytest.approx(
-            leg1.metrics(t).rtt_ms + leg2.metrics(t).rtt_ms, rel=0.2
-        )
-        assert stats.throughput_mbps > 0
 
     def test_multi_hop_chain(self, small_internet):
         """Sec. VII-B: more relays, more split points, more shave."""
