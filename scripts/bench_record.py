@@ -96,7 +96,7 @@ def _bench_exec() -> dict:
     from repro.control.probes import ProbeConfig, ProbeScheduler
     from repro.exec.runner import ExecConfig, ExecRunner
     from repro.experiments.chaos_exp import ChaosConfig, run_chaos
-    from repro.experiments.control_exp import _pick_pair
+    from repro.experiments.control_exp import outage_plan
     from repro.experiments.scenario import build_world
 
     world = build_world(seed=7, scale="small")
@@ -120,8 +120,7 @@ def _bench_exec() -> dict:
     paths_elapsed = time.perf_counter() - start
 
     # Controller probe ticks per second (BestPath policy, no outage).
-    cronet = world.cronet()
-    pathset, _failed_links = _pick_pair(world, cronet)
+    pathset, _failed_links = world.first_pair(outage_plan)
     world.internet.set_time(0.0)
     tick_s, duration_s = 5.0, 3_600.0
     controller = OverlayController(

@@ -550,16 +550,9 @@ def _run_one(name: str, args: argparse.Namespace, runner=None):
         return run_chaos(ChaosConfig(seed=seed, scale=scale), runner)
 
     if name == "engines":
-        from repro.transport.validation import compare_engines, render_comparison
+        from repro.transport.validation import EngineReport, compare_engines
 
-        class _EngineReport:
-            def __init__(self) -> None:
-                self.comparisons = compare_engines()
-
-            def render(self) -> str:
-                return render_comparison(self.comparisons)
-
-        return _EngineReport()
+        return EngineReport(compare_engines())
 
     from repro.experiments.multihop_exp import run_multihop
 

@@ -23,7 +23,7 @@ MetricsRegistry`, so a fixed seed yields a byte-identical snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.control.decisions import DecisionLog, DecisionRecord
 from repro.control.degradation import DegradationConfig, DegradationGuard
@@ -42,6 +42,12 @@ SWITCH_LATENCY_BUCKETS: tuple[float, ...] = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0
 #: wrong-path time — small probe/model wiggles do not.
 WRONG_PATH_TOLERANCE = 0.05
 
+#: The mode of every rate the controller reads: split overlay, the mode
+#: the paper's controller selects on (Sec. II/VI).  The tick loop reads
+#: it once per label, and a module global is several times cheaper to
+#: read than an enum member.
+MODE = PathType.SPLIT_OVERLAY
+
 
 @dataclass(frozen=True, slots=True)
 class GoodputSample:
@@ -55,9 +61,6 @@ class GoodputSample:
 class ControllerReport:
     """What one controller run produced."""
 
-    policy: str
-    tick_s: float
-    duration_s: float
     samples: list[GoodputSample]
     decisions: DecisionLog
     metrics: dict[str, object]
@@ -65,7 +68,6 @@ class ControllerReport:
     probe_bytes: int
     probes_sent: int
     failovers: int
-    time_in_state: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Seconds the active set delivered materially less than the best
     #: candidate could have (only tracked with ``track_oracle``).
     wrong_path_s: float = 0.0
@@ -82,12 +84,6 @@ class ControllerReport:
             return 0.0
         return sum(s.goodput_mbps for s in self.samples) / len(self.samples)
 
-    def availability(self) -> float:
-        """Fraction of the run with non-zero goodput."""
-        if self.duration_s <= 0:
-            return 0.0
-        return 1.0 - self.downtime_s / self.duration_s
-
 
 class OverlayController:
     """Drives one sender/receiver pair's path set through time."""
@@ -99,31 +95,21 @@ class OverlayController:
         policy: Policy,
         scheduler: ProbeScheduler | None = None,
         health_config: HealthConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         tick_s: float = 5.0,
-        mode: PathType = PathType.SPLIT_OVERLAY,
         degradation: DegradationConfig | None = None,
         track_oracle: bool = False,
-        flap_history=None,
     ) -> None:
         if scheduler is not None and scheduler.pathset is not pathset:
             raise ControlError("scheduler was built for a different path set")
-        if mode is PathType.DIRECT:
-            raise ControlError("controller mode must be an overlay path type")
         self.internet = internet
         self.pathset = pathset
         self.policy = policy
         self.scheduler = scheduler
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tick_s = check(tick_s, "tick_s", gt=0, error=ControlError)
-        self.mode = mode
         self.degradation = degradation
         self.guard = DegradationGuard(degradation) if degradation is not None else None
         self.track_oracle = track_oracle
-        #: Fault history handed to the policy's ``decide`` (anything
-        #: satisfying :class:`~repro.control.policy.FaultHistory`).
-        #: Defaults to the degradation guard's observed flap history.
-        self.flap_history = flap_history if flap_history is not None else self.guard
         now = internet.now
         config = health_config if health_config is not None else HealthConfig()
         labels = (
@@ -186,15 +172,10 @@ class OverlayController:
         freshest = self.scheduler.freshest_age(now)
         if freshest > cfg.blackout_after_s:
             self.metrics.counter("degraded_ticks_total", {"mode": "fallback"}).inc()
-            if cfg.fallback_label in self.health:
-                return PolicyDecision(
-                    active=(cfg.fallback_label,),
-                    reason=(
-                        f"probe blackout (no data for {freshest:.0f}s): "
-                        f"safe fallback to {cfg.fallback_label}"
-                    ),
-                )
-            return "hold"
+            return PolicyDecision(
+                active=("direct",),
+                reason=f"probe blackout (no data for {freshest:.0f}s): safe fallback to direct",
+            )
         if freshest > cfg.stale_after_s:
             self.metrics.counter("degraded_ticks_total", {"mode": "hold"}).inc()
             return "hold"
@@ -233,9 +214,7 @@ class OverlayController:
             return
         if decision is None:
             health, probes = self._policy_views(now)
-            decision = self.policy.decide(
-                now, health, probes, self.active, history=self.flap_history
-            )
+            decision = self.policy.decide(now, health, probes, self.active)
         if decision.active == self.active:
             return
         record = DecisionRecord(
@@ -278,13 +257,11 @@ class OverlayController:
 
     def _goodput(self, now: float) -> float:
         """Goodput of the active set: best live member (coupled MPTCP)."""
-        return max(
-            (self.pathset.rate(self.mode, label, now) for label in self.active), default=0.0
-        )
+        return max((self.pathset.rate(MODE, label, now) for label in self.active), default=0.0)
 
     def _best_possible(self, now: float) -> float:
         """The oracle: best rate any single candidate delivers at ``now``."""
-        return max(self.pathset.rate(self.mode, label, now) for label in self.health)
+        return max(self.pathset.rate(MODE, label, now) for label in self.health)
 
     # ------------------------------------------------------------------
     # the loop
@@ -321,9 +298,6 @@ class OverlayController:
                     "time_in_state_seconds", {"path": label, "state": state_name}
                 ).set(round(seconds, 6))
         return ControllerReport(
-            policy=self.policy.name,
-            tick_s=self.tick_s,
-            duration_s=duration_s,
             samples=samples,
             decisions=self.decisions,
             metrics=self.metrics.snapshot(),
@@ -331,10 +305,6 @@ class OverlayController:
             probe_bytes=self.scheduler.total_bytes if self.scheduler else 0,
             probes_sent=self.scheduler.probes_sent if self.scheduler else 0,
             failovers=int(self.metrics.counter("failovers_total").value),
-            time_in_state={
-                label: machine.time_in_state(end)
-                for label, machine in self.health.items()
-            },
             wrong_path_s=wrong_path_s,
             probes_lost=self.scheduler.probes_lost if self.scheduler else 0,
             probes_retried=self.scheduler.probes_retried if self.scheduler else 0,

@@ -31,16 +31,14 @@ from repro.errors import ControlError, check
 
 @dataclass(frozen=True, slots=True)
 class DegradationConfig:
-    """Staleness bounds, quarantine thresholds, and the safe fallback."""
+    """Staleness bounds and quarantine thresholds."""
 
     #: Probe results older than this are hidden from the policy; when
     #: *every* result is older, the controller holds its last decision.
     stale_after_s: float = 120.0
-    #: When nothing fresh has arrived for this long, fall back to
-    #: ``fallback_label`` instead of holding a possibly-dead choice.
+    #: When nothing fresh has arrived for this long, fall back to the
+    #: direct path instead of holding a possibly-dead choice.
     blackout_after_s: float = 300.0
-    #: The path that works without overlay machinery (plain BGP).
-    fallback_label: str = "direct"
     #: FAILED entries within the window that trigger quarantine.
     flap_threshold: int = 3
     #: Sliding window for counting FAILED entries.
@@ -56,8 +54,6 @@ class DegradationConfig:
         check(self.flap_threshold, "flap_threshold", ge=2, error=error)
         check(self.flap_window_s, "flap_window_s", gt=0, error=error)
         check(self.quarantine_s, "quarantine_s", gt=0, error=error)
-        if not self.fallback_label:
-            raise ControlError("fallback_label must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,18 +76,16 @@ class DegradationGuard:
     def note_transition(self, transition: HealthTransition) -> Quarantine | None:
         """Feed one health transition; returns a new quarantine, if any.
 
-        The fallback path is never quarantined — it must remain
+        The direct path is never quarantined — it must remain
         available as the blackout safe harbour.
         """
-        if transition.new is not PathState.FAILED:
-            return None
         label = transition.label
+        if transition.new is not PathState.FAILED or label == "direct":
+            return None
         times = self._failed_at.setdefault(label, [])
         times.append(transition.at_time)
         cutoff = transition.at_time - self.config.flap_window_s
         times[:] = [t for t in times if t >= cutoff]
-        if label == self.config.fallback_label:
-            return None
         if len(times) < self.config.flap_threshold:
             return None
         if self.is_quarantined(label, transition.at_time):
@@ -108,19 +102,3 @@ class DegradationGuard:
         """True while ``label`` is excluded from selection."""
         until = self._quarantined_until.get(label)
         return until is not None and now < until
-
-    def recent_failures(self, label: str, now: float) -> int:
-        """FAILED entries of ``label`` within the flap window before ``now``.
-
-        This is the guard's observed fault history, in the shape the
-        policy layer's :class:`~repro.control.policy.FaultHistory`
-        protocol expects: a path that keeps failing scores high, and a
-        fault-aware policy demands a correspondingly larger switch
-        margin before trusting it again.
-        """
-        times = self._failed_at.get(label)
-        if not times:
-            return 0
-        cutoff = now - self.config.flap_window_s
-        return sum(1 for t in times if cutoff <= t <= now)
-

@@ -17,6 +17,9 @@ paper's spectrum:
   usable candidate; health transitions add/prune subflows instead of
   switching a single path.
 
+The failover and chaos studies replay them as four named
+:data:`STRATEGIES`; :func:`policy_for` builds one.
+
 Aggregate engines decide for many flows at once through a
 :class:`BatchPolicy`'s ``batch``: one call maps a stack of relay-load
 vectors to a stack of (flows x relays) split matrices.  The base
@@ -44,7 +47,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -90,13 +93,11 @@ def _clamp_loads(loads: np.ndarray) -> np.ndarray:
     return np.where(loads > 0.0, loads, 0.0)
 
 
-@runtime_checkable
 class FaultHistory(Protocol):
     """Anything that can count a path's recent failures.
 
-    Satisfied by :class:`~repro.control.degradation.DegradationGuard`
-    (observed failures) and :class:`~repro.faults.injector.
-    PathFaultHistory` (scheduled down-windows).
+    Satisfied by :class:`~repro.faults.injector.PathFaultHistory`
+    (scheduled down-windows).
     """
 
     def recent_failures(self, label: str, now: float) -> int:
@@ -148,14 +149,8 @@ class Policy(abc.ABC):
         health: Mapping[str, PathHealth],
         probes: Mapping[str, ProbeResult],
         current: tuple[str, ...],
-        history: "FaultHistory | None" = None,
     ) -> PolicyDecision:
-        """Choose the next active set given the freshest state.
-
-        ``history`` (optional) answers ``recent_failures(label, now)``
-        — how many times a candidate has recently failed.  Policies
-        that ignore fault history simply leave it unused.
-        """
+        """Choose the next active set given the freshest state."""
 
     def batch(
         self,
@@ -194,7 +189,7 @@ class Policy(abc.ABC):
             return -math.inf
         if probe.throughput_mbps is not None:
             return probe.throughput_mbps
-        # RTT-only probing: prefer lower RTT.
+        # No throughput reading: prefer lower RTT.
         return -probe.rtt_ms
 
     @staticmethod
@@ -217,7 +212,6 @@ class StaticPolicy(Policy):
         health: Mapping[str, PathHealth],
         probes: Mapping[str, ProbeResult],
         current: tuple[str, ...],
-        history: FaultHistory | None = None,
     ) -> PolicyDecision:
         """Always the pinned label, regardless of health or probes."""
         return PolicyDecision(active=(self.label,), reason=f"pinned to {self.label}")
@@ -235,27 +229,29 @@ class BestPathPolicy(Policy):
     fault-aware: a challenger that recently failed ``n`` times must
     clear ``switch_margin + n * flap_margin_per_failure`` instead —
     recently-flapping paths have to earn the switch with a bigger win.
-    Requires a ``history`` argument to :meth:`decide`; without one the
-    policy behaves exactly as before.
+    The failure count comes from ``history``; without one the margin
+    stays ``switch_margin``.
     """
 
     name = "best-path"
 
     def __init__(
-        self, switch_margin: float = 0.10, flap_margin_per_failure: float = 0.0
+        self,
+        switch_margin: float = 0.10,
+        flap_margin_per_failure: float = 0.0,
+        history: FaultHistory | None = None,
     ) -> None:
         self.switch_margin = check(switch_margin, "switch_margin", ge=0, error=ControlError)
         self.flap_margin_per_failure = check(
             flap_margin_per_failure, "flap_margin_per_failure", ge=0, error=ControlError
         )
+        self.history = history
 
-    def _margin_for(
-        self, label: str, now: float, history: FaultHistory | None
-    ) -> float:
+    def _margin_for(self, label: str, now: float) -> float:
         """Relative improvement a challenger must clear to win the switch."""
         margin = self.switch_margin
-        if history is not None and self.flap_margin_per_failure > 0.0:
-            margin += self.flap_margin_per_failure * history.recent_failures(label, now)
+        if self.history is not None and self.flap_margin_per_failure > 0.0:
+            margin += self.flap_margin_per_failure * self.history.recent_failures(label, now)
         return margin
 
     def _rank(
@@ -274,12 +270,11 @@ class BestPathPolicy(Policy):
         health: Mapping[str, PathHealth],
         probes: Mapping[str, ProbeResult],
         current: tuple[str, ...],
-        history: FaultHistory | None = None,
     ) -> PolicyDecision:
         """Pick the best-ranked usable path, holding below the margin.
 
         The switch margin grows with the candidate's recent failure
-        count when ``history`` is supplied and flap penalties are on.
+        count when the policy has a ``history`` and flap penalties are on.
         """
         candidates = sorted(
             (label for label in health if self._usable(label, health)),
@@ -300,7 +295,7 @@ class BestPathPolicy(Policy):
             same_state = best_rank[0] == cur_rank[0]
             best_score = -best_rank[1]
             cur_score = -cur_rank[1]
-            margin = self._margin_for(best, now, history)
+            margin = self._margin_for(best, now)
             improvement_too_small = (
                 cur_score > 0
                 and best_score < cur_score * (1.0 + margin)
@@ -353,7 +348,6 @@ class C45RulePolicy(Policy):
         health: Mapping[str, PathHealth],
         probes: Mapping[str, ProbeResult],
         current: tuple[str, ...],
-        history: FaultHistory | None = None,
     ) -> PolicyDecision:
         """Apply the paper's Sec. III rule: overlay only on a double cut."""
         direct_probe = probes.get("direct")
@@ -424,7 +418,6 @@ class MptcpSubflowPolicy(Policy):
         health: Mapping[str, PathHealth],
         probes: Mapping[str, ProbeResult],
         current: tuple[str, ...],
-        history: FaultHistory | None = None,
     ) -> PolicyDecision:
         """Spread over every usable path, best-ranked first."""
         usable = sorted(
@@ -452,12 +445,43 @@ class MptcpSubflowPolicy(Policy):
         return PolicyDecision(active=active, reason=reason)
 
 
+#: The strategies the failover and chaos studies replay, in output
+#: order.  Only ``static-direct`` runs without a probe scheduler.
+STRATEGIES: tuple[str, ...] = (
+    "static-direct",
+    "controller-best",
+    "controller-c45",
+    "mptcp-subflows",
+)
+
+
+def policy_for(
+    strategy: str, history: FaultHistory | None = None, flap_margin_per_failure: float = 0.0
+) -> tuple[Policy, bool]:
+    """The strategy's policy, and whether it needs a probe scheduler.
+
+    Only ``controller-best`` reads ``history``: each recent failure it
+    counts on a challenger widens the switch margin by
+    ``flap_margin_per_failure``.
+    """
+    if strategy == "static-direct":
+        return StaticPolicy("direct"), False
+    if strategy == "controller-best":
+        policy = BestPathPolicy(flap_margin_per_failure=flap_margin_per_failure, history=history)
+        return policy, True
+    if strategy == "controller-c45":
+        return C45RulePolicy(), True
+    if strategy == "mptcp-subflows":
+        return MptcpSubflowPolicy(), True
+    raise ControlError(f"unknown strategy {strategy!r}")
+
+
 def _positive_score(label: str, probes: Mapping[str, ProbeResult]) -> float:
     """A strictly positive quality score for weighting.
 
     Throughput when the probe measured it; otherwise inverse RTT, so
-    RTT-only probing still yields usable weights.  Unusable or missing
-    probes score zero.
+    a probe without a throughput reading still yields a usable weight.
+    Unusable or missing probes score zero.
     """
     probe = probes.get(label)
     if probe is None or not probe.ok:

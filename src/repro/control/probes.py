@@ -7,10 +7,10 @@ one label per overlay node):
 
 * each path is probed on its own jittered interval so probes do not
   synchronize into bursts,
-* every probe costs bytes (pings, plus an optional short throughput
-  transfer) and the scheduler enforces an optional per-interval byte
-  budget — when the budget is exhausted, probes are *skipped* and
-  counted, not silently dropped,
+* every probe costs bytes (pings, plus a short transfer that measures
+  the path's split-overlay throughput) and the scheduler enforces an
+  optional per-interval byte budget — when the budget is exhausted,
+  probes are *skipped* and counted, not silently dropped,
 * a probe against a path crossing a failed link times out: ``ok=False``,
   loss 1.0, infinite RTT — exactly what a real prober would report.
 
@@ -49,6 +49,8 @@ class ProbeResult:
     ok: bool
     rtt_ms: float
     loss: float
+    #: The scheduler always measures it; the policies rank a result
+    #: without one (``None``) by RTT.
     throughput_mbps: float | None
     bytes_cost: int
     #: RTT to the path's ingress relay only (client <-> relay leg),
@@ -70,13 +72,10 @@ class ProbeConfig:
     jitter_frac: float = 0.1
     ping_count: int = 10
     ping_bytes: int = 64
-    #: Short transfer used to estimate throughput (0 disables it).
+    #: Bytes of the short transfer that estimates split-overlay throughput.
     throughput_probe_bytes: int = 262_144
-    measure_throughput: bool = True
     #: Max probe bytes per interval window across all paths (None = unlimited).
     budget_bytes_per_interval: int | None = None
-    #: Overlay measurement mode used for throughput probes.
-    mode: PathType = PathType.SPLIT_OVERLAY
     #: Probe deadline: a measured RTT above this reports a timeout
     #: (None = wait forever, the PR-1 behaviour).
     timeout_ms: float | None = None
@@ -109,8 +108,6 @@ class ProbeConfig:
         if self.budget_bytes_per_interval is not None:
             check(self.budget_bytes_per_interval, "budget_bytes_per_interval", gt=0,
                   error=error)
-        if self.mode is PathType.DIRECT:
-            raise ControlError("probe mode must be an overlay path type")
         if self.timeout_ms is not None:
             check(self.timeout_ms, "timeout_ms", gt=0, error=error)
         check(self.max_retries, "max_retries", ge=0, error=error)
@@ -287,7 +284,7 @@ class ProbeScheduler:
         cost = self.config.ping_count * self.config.ping_bytes
         if alive and fault is not ProbeFaultKind.LOST:
             cost *= 2  # echo replies come back
-            if self.config.measure_throughput and fault is not ProbeFaultKind.STALE:
+            if fault is not ProbeFaultKind.STALE:
                 cost += self.config.throughput_probe_bytes
         if not self._budget_allows(now, cost):
             self.probes_skipped += 1
@@ -312,7 +309,7 @@ class ProbeScheduler:
         timed_out = not alive
         rtt_ms = math.inf
         loss = 1.0
-        throughput: float | None = 0.0 if self.config.measure_throughput else None
+        throughput = 0.0
         if alive:
             metrics = path.metrics(now)
             rtt_ms, loss = metrics.rtt_ms, metrics.loss
@@ -323,11 +320,7 @@ class ProbeScheduler:
                 timed_out = True
                 rtt_ms, loss = math.inf, 1.0
             else:
-                throughput = (
-                    self.pathset.rate(self.config.mode, label, now)
-                    if self.config.measure_throughput
-                    else None
-                )
+                throughput = self.pathset.rate(PathType.SPLIT_OVERLAY, label, now)
         if timed_out:
             self.probes_timed_out += 1
         result = ProbeResult(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pathset import PathSet, PathType
-from repro.errors import ConfigError
 from repro.transport.mptcp import MptcpConnection, MptcpScheme, MptcpStats
 
 
@@ -33,21 +32,14 @@ class ProbingSelector:
     """The classic baseline: probe every path, pick the best.
 
     Each ``probe()`` transfers ``probe_duration_s`` worth of traffic on
-    every candidate path; between probes, ``select`` returns the last
-    winner no matter how the network has changed since.
+    every candidate path, overlays in split mode; between probes,
+    ``select`` returns the last winner no matter how the network has
+    changed since.
     """
 
-    def __init__(
-        self,
-        pathset: PathSet,
-        probe_duration_s: float = 5.0,
-        mode: PathType = PathType.SPLIT_OVERLAY,
-    ) -> None:
-        if mode is PathType.DIRECT:
-            raise ConfigError("probing selector needs an overlay mode to compare against direct")
+    def __init__(self, pathset: PathSet, probe_duration_s: float = 5.0) -> None:
         self.pathset = pathset
         self.probe_duration_s = probe_duration_s
-        self.mode = mode
         self._last_probe_time: float | None = None
         self._last_choice: str | None = None
         self._overhead_bytes = 0
@@ -55,7 +47,9 @@ class ProbingSelector:
     def probe(self, at_time: float) -> SelectionResult:
         """Probe all paths now; remember and return the winner."""
         labels = ("direct", *(option.name for option in self.pathset.options))
-        candidates = {label: self.pathset.rate(self.mode, label, at_time) for label in labels}
+        candidates = {
+            label: self.pathset.rate(PathType.SPLIT_OVERLAY, label, at_time) for label in labels
+        }
         # Probe traffic: each path carries probe_duration_s at its rate.
         overhead = int(
             sum(rate * 1e6 / 8 * self.probe_duration_s for rate in candidates.values())
@@ -79,7 +73,9 @@ class ProbingSelector:
         # on stale data actually delivers this.
         return SelectionResult(
             chosen=self._last_choice,
-            throughput_mbps=self.pathset.rate(self.mode, self._last_choice, at_time),
+            throughput_mbps=self.pathset.rate(
+                PathType.SPLIT_OVERLAY, self._last_choice, at_time
+            ),
             probe_overhead_bytes=0,
             stale_s=at_time - self._last_probe_time,
         )

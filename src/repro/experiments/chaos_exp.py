@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.tables import format_table
 from repro.errors import ExperimentError, check
@@ -47,7 +47,6 @@ from repro.io import to_jsonable
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
     from repro.control.controller import ControllerReport
     from repro.control.degradation import DegradationConfig
-    from repro.control.policy import Policy
     from repro.control.probes import ProbeConfig
     from repro.core.pathset import PathSet
     from repro.exec.runner import ExecRunner
@@ -272,65 +271,20 @@ class ChaosResult:
         return "\n\n".join(sections)
 
 
-#: The strategies every arm replays, in output order.  Only
-#: ``static-direct`` runs without a probe scheduler.
-STRATEGIES: tuple[str, ...] = (
-    "static-direct",
-    "controller-best",
-    "controller-c45",
-    "mptcp-subflows",
-)
-
-
-def _policy_for(strategy: str, config: ChaosConfig, arm: str) -> tuple[Policy, bool]:
-    """The strategy's policy, and whether it needs a probe scheduler."""
-    from repro.control.policy import (
-        BestPathPolicy,
-        C45RulePolicy,
-        MptcpSubflowPolicy,
-        StaticPolicy,
-    )
-
-    if strategy == "static-direct":
-        return StaticPolicy("direct"), False
-    if strategy == "controller-best":
-        if arm == "adaptive" and config.use_flap_margin:
-            return (
-                BestPathPolicy(flap_margin_per_failure=config.flap_margin_per_failure),
-                True,
-            )
-        return BestPathPolicy(), True
-    if strategy == "controller-c45":
-        return C45RulePolicy(), True
-    if strategy == "mptcp-subflows":
-        return MptcpSubflowPolicy(), True
-    raise ExperimentError(f"unknown strategy {strategy!r}")
-
-
-def _pick_pathset(
-    world: World, cronet, config: ChaosConfig
-) -> tuple[PathSet, dict[str, ChaosScenario]]:
-    """First pair every requested scenario can target, with its scenarios.
+def _scenarios(
+    world: World, config: ChaosConfig | PacketReplayConfig
+) -> Callable[[PathSet], dict[str, ChaosScenario]]:
+    """A ``World.first_pair`` target: every requested scenario, built.
 
     The builders need isolatable links (direct-only, overlay-only) and
-    an intermediate AS; pairs too entangled for any requested scenario
-    are skipped.  The winning pair's scenarios are returned built, in
-    ``config.scenario_names`` order, so no caller builds one twice.
+    an intermediate AS, so a pair too entangled for any of them is
+    rejected.  Scenarios come built in ``config.scenario_names`` order,
+    so no caller builds one twice.
     """
-    for server in world.server_names:
-        for client in world.client_names():
-            pathset = cronet.path_set(server, client)
-            try:
-                scenarios = {
-                    name: build_scenario(
-                        name, world.internet, pathset, config.duration_s
-                    )
-                    for name in config.scenario_names
-                }
-            except ExperimentError:
-                continue
-            return pathset, scenarios
-    raise ExperimentError("no pair admits every requested chaos scenario")
+    return lambda pathset: {
+        name: build_scenario(name, world.internet, pathset, config.duration_s)
+        for name in config.scenario_names
+    }
 
 
 def _label_links(pathset: PathSet) -> dict[str, tuple[int, ...]]:
@@ -380,14 +334,23 @@ def _run_one(
     """One controller run from t=0 against an installed scenario."""
     from repro.control.controller import OverlayController
     from repro.control.health import HealthConfig
-    from repro.control.metrics import MetricsRegistry
+    from repro.control.policy import policy_for
     from repro.control.probes import ProbeConfig, ProbeScheduler
     from repro.faults.injector import PathFaultHistory, ProbeFaultModel
 
     world.internet.set_time(0.0)
-    policy, probed = _policy_for(strategy, config, arm)
     hardened = arm in ("hardened", "adaptive")
     adaptive = arm == "adaptive"
+    history = (
+        PathFaultHistory(
+            injector,
+            _label_links(pathset),
+            window_s=config.degradation().flap_window_s,
+        )
+        if adaptive and config.use_flap_margin
+        else None
+    )
+    policy, probed = policy_for(strategy, history, config.flap_margin_per_failure)
     scheduler = None
     if probed:
         if adaptive and config.use_adaptive_cadence:
@@ -413,26 +376,15 @@ def _run_one(
         recovery_hold_s=2 * config.probe_interval_s,
         gray_detect=adaptive and config.use_gray_detect,
     )
-    flap_history = (
-        PathFaultHistory(
-            injector,
-            _label_links(pathset),
-            window_s=config.degradation().flap_window_s,
-        )
-        if adaptive and config.use_flap_margin
-        else None
-    )
     controller = OverlayController(
         internet=world.internet,
         pathset=pathset,
         policy=policy,
         scheduler=scheduler,
         health_config=health_config,
-        metrics=MetricsRegistry(),
         tick_s=config.tick_s,
         degradation=config.degradation() if hardened and probed else None,
         track_oracle=True,
-        flap_history=flap_history,
     )
     report: ControllerReport = controller.run(config.duration_s)
     return ChaosOutcome(
@@ -462,6 +414,7 @@ def _run_scenario(
     The runs replay one fault timeline, so the first fills the
     ``(t, state id)`` metric caches and the rest hit them (DESIGN §15).
     """
+    from repro.control.policy import STRATEGIES
     from repro.faults.injector import FaultInjector
 
     injector = FaultInjector(world.internet)
@@ -491,7 +444,7 @@ def _study_inputs(config: ChaosConfig) -> tuple[World, PathSet, dict[str, ChaosS
     from repro.experiments.scenario import build_world
 
     world = build_world(seed=config.seed, scale=config.scale)
-    pathset, scenarios = _pick_pathset(world, world.cronet(), config)
+    pathset, scenarios = world.first_pair(_scenarios(world, config))
     return world, pathset, scenarios
 
 
@@ -679,7 +632,7 @@ def run_chaos_packet(
     from repro.transport.throughput import TcpParams, steady_state_throughput_mbps
 
     world = build_world(seed=config.seed, scale=config.scale)
-    pathset, scenarios = _pick_pathset(world, world.cronet(), config)
+    pathset, scenarios = world.first_pair(_scenarios(world, config))
     result = PacketReplayResult(
         config=config, pair=(pathset.src_name, pathset.dst_name)
     )

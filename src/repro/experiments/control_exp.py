@@ -30,21 +30,14 @@ from dataclasses import dataclass, field
 from repro.analysis.tables import format_table
 from repro.control.controller import ControllerReport, OverlayController
 from repro.control.health import HealthConfig
-from repro.control.metrics import MetricsRegistry
-from repro.control.policy import (
-    BestPathPolicy,
-    C45RulePolicy,
-    MptcpSubflowPolicy,
-    Policy,
-    StaticPolicy,
-)
+from repro.control.policy import STRATEGIES, policy_for
 from repro.control.probes import ProbeConfig, ProbeScheduler
-from repro.core.pathset import PathSet, PathType
+from repro.core.pathset import PathSet
 from repro.errors import ExperimentError, check
-from repro.experiments.scenario import World, build_world
+from repro.experiments.scenario import build_world
 from repro.faults.events import LinkOutage, Window
 from repro.faults.injector import FaultInjector
-from repro.net.path import RouterPath
+from repro.faults.scenarios import best_overlay_name, direct_only_link, overlay_only_link
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,54 +126,19 @@ class ControlExpResult:
         return "\n\n".join(sections)
 
 
-def pick_unique_link(target: RouterPath, others: list[RouterPath]) -> int:
-    """A middle link ``target`` crosses but none of ``others`` does.
-
-    Failing it takes down exactly one candidate path while every
-    alternative stays alive — the surgical outage the failover study
-    needs.  The shared last-mile access links at either end can never
-    qualify.
-    """
-    shared = {link.link_id for other in others for link in other.links}
-    unique = [link for link in target.links if link.link_id not in shared]
-    if not unique:
-        raise ExperimentError(
-            f"path {target.src_name}->{target.dst_name} shares every link "
-            f"with an alternative; no isolatable failure exists"
-        )
-    return unique[len(unique) // 2].link_id
-
-
-def _outage_plan(pathset: PathSet) -> dict[str, int]:
+def outage_plan(pathset: PathSet) -> dict[str, int]:
     """Which link to fail per targeted path label.
 
     Two simultaneous outages make the study bite: one on a direct-only
     link (strands the static baseline) and one unique to the overlay
     option that is best at t=0 (forces the running controller off the
-    path it actually chose).
+    path it actually chose).  Either link failing to exist rejects the
+    pair (:meth:`~repro.experiments.scenario.World.first_pair`).
     """
-    overlay_paths = {option.name: option.concatenated for option in pathset.options}
-    plan = {
-        "direct": pick_unique_link(pathset.direct, list(overlay_paths.values()))
-    }
-    best_name, _ = pathset.best_overlay(PathType.SPLIT_OVERLAY, 0.0)
-    others = [pathset.direct] + [
-        path for name, path in overlay_paths.items() if name != best_name
-    ]
-    plan[best_name] = pick_unique_link(overlay_paths[best_name], others)
+    plan = {"direct": direct_only_link(pathset)}
+    best = best_overlay_name(pathset)
+    plan[best] = overlay_only_link(pathset, best)
     return plan
-
-
-def _pick_pair(world: World, cronet) -> tuple[PathSet, dict[str, int]]:
-    """First (server, client) pair admitting the two surgical outages."""
-    for server in world.server_names:
-        for client in world.client_names():
-            pathset = cronet.path_set(server, client)
-            try:
-                return pathset, _outage_plan(pathset)
-            except ExperimentError:
-                continue
-    raise ExperimentError("no pair with isolatable direct and overlay links found")
 
 
 def _recovery_time(
@@ -207,8 +165,7 @@ def _recovery_time(
 def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResult:
     """Run the failover study; deterministic for a fixed seed."""
     world = build_world(seed=config.seed, scale=config.scale)
-    cronet = world.cronet()
-    pathset, failed_links = _pick_pair(world, cronet)
+    pathset, failed_links = world.first_pair(outage_plan)
     injector = FaultInjector(world.internet)
     window = Window(config.outage_start_s, config.outage_duration_s)
     injector.add(LinkOutage(link_ids=tuple(failed_links.values()), window=window))
@@ -225,17 +182,11 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
         return ProbeScheduler(pathset, probe_config, rng)
 
     health = HealthConfig(recovery_hold_s=2 * config.probe_interval_s)
-    strategies: list[tuple[str, Policy, bool]] = [
-        ("static-direct", StaticPolicy("direct"), False),
-        ("controller-best", BestPathPolicy(), True),
-        ("controller-c45", C45RulePolicy(), True),
-        ("mptcp-subflows", MptcpSubflowPolicy(), True),
-    ]
-
     outcomes: list[StrategyOutcome] = []
     controller_metrics: dict[str, object] = {}
     decision_log = ""
-    for name, policy, probed in strategies:
+    for name in STRATEGIES:
+        policy, probed = policy_for(name)
         # Each strategy replays the same world from t=0: the clock
         # drives every stochastic process, so rewinding it (and letting
         # the injector re-apply) reproduces identical dynamics.
@@ -246,7 +197,6 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
             policy=policy,
             scheduler=scheduler_for(name) if probed else None,
             health_config=health,
-            metrics=MetricsRegistry(),
             tick_s=config.tick_s,
         )
         report = controller.run(config.duration_s)

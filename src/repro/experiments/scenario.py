@@ -17,18 +17,24 @@ qualitative behaviour, used by tests and quick benches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.cloud.datacenter import PAPER_DC_CITIES
 from repro.cloud.provider import CloudProvider
 from repro.colo.operator import ColoOperator
 from repro.core.cronet import CRONet
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExperimentError
 from repro.net.topology import TopologyConfig, generate_topology
 from repro.net.world import Internet
 from repro.planetlab.nodes import PlanetLabDeployment, deploy_planetlab
 from repro.planetlab.sites import WEBLAB_DISTRIBUTION, scale_distribution
 from repro.rand import RandomStreams
 from repro.tunnel.node import NodeMode
+
+if TYPE_CHECKING:  # pragma: no cover — typing-only import
+    from repro.core.pathset import PathSet
+
+T = TypeVar("T")
 
 #: Mirror-server placements covering the paper's seven countries.
 MIRROR_CITIES: tuple[str, ...] = (
@@ -117,6 +123,24 @@ class World:
     def client_names(self) -> list[str]:
         """Host names of the PlanetLab clients."""
         return self.clients.names()
+
+    def first_pair(self, target: Callable[[PathSet], T]) -> tuple[PathSet, T]:
+        """The first (server, client) pair ``target`` accepts, and its answer.
+
+        Pairs of the default overlay are tried server by server, then
+        client by client; ``target`` rejects a pair by raising
+        :class:`~repro.errors.ExperimentError` (say, when it needs a link
+        no other candidate path crosses and the pair has none).
+        """
+        cronet = self.cronet()
+        for server in self.server_names:
+            for client in self.client_names():
+                pathset = cronet.path_set(server, client)
+                try:
+                    return pathset, target(pathset)
+                except ExperimentError:
+                    continue
+        raise ExperimentError("no (server, client) pair admits the requested faults")
 
 
 def build_world(

@@ -236,11 +236,10 @@ class PathFaultHistory:
 
     The policy layer thinks in candidate-path labels, not link ids;
     this adapter maps each label to the links its path traverses and
-    answers "how many times has this path failed recently?".  It
-    satisfies the same ``recent_failures(label, now)`` protocol as
-    :class:`~repro.control.degradation.DegradationGuard`, so a
-    controller can feed the policy either observed (guard) or
-    scheduled (injector) history.
+    answers "how many times has this path failed recently?" — the
+    :class:`~repro.control.policy.FaultHistory` that
+    :class:`~repro.control.policy.BestPathPolicy` prices its
+    flap-aware switch margin with.
     """
 
     def __init__(

@@ -141,6 +141,17 @@ def compare_engines(
     return comparisons
 
 
+@dataclass(frozen=True, slots=True)
+class EngineReport:
+    """What ``repro run engines`` prints and writes with ``--out``."""
+
+    comparisons: list[EngineComparison]
+
+    def render(self) -> str:
+        """The agreement table."""
+        return render_comparison(self.comparisons)
+
+
 def render_comparison(comparisons: list[EngineComparison]) -> str:
     """Printable agreement table."""
     rows = [

@@ -44,6 +44,24 @@ class TestCli:
         data = json.loads(target.read_text())
         assert "pairs" in data
 
+    def test_run_engines_json_dump_holds_the_comparisons(self, capsys, tmp_path, monkeypatch):
+        # Regression: --out once wrote the repr of a local report class.
+        from repro.transport import validation
+
+        fixed = validation.EngineComparison(
+            scenario=validation.CANONICAL_SCENARIOS[0],
+            model_mbps=48.0,
+            fluid_mbps=47.5,
+            packet_mbps=46.0,
+        )
+        monkeypatch.setattr(validation, "compare_engines", lambda: [fixed])
+        target = tmp_path / "engines.json"
+        assert main(["run", "engines", "--out", str(target)]) == 0
+        assert "clean-bottleneck" in capsys.readouterr().out
+        (row,) = json.loads(target.read_text())["comparisons"]
+        assert (row["model_mbps"], row["fluid_mbps"], row["packet_mbps"]) == (48.0, 47.5, 46.0)
+        assert row["scenario"]["name"] == "clean-bottleneck"
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])

@@ -13,7 +13,6 @@ import pytest
 
 from repro.control.controller import OverlayController
 from repro.control.health import HealthConfig, PathState
-from repro.control.metrics import MetricsRegistry
 from repro.control.policy import BestPathPolicy, MptcpSubflowPolicy, StaticPolicy
 from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet
@@ -62,7 +61,6 @@ def controller_for(small_internet, pathset, policy, probed=True) -> OverlayContr
         policy=policy,
         scheduler=sched,
         health_config=HealthConfig(recovery_hold_s=2 * PROBE_INTERVAL),
-        metrics=MetricsRegistry(),
         tick_s=TICK,
     )
 
@@ -142,7 +140,12 @@ class TestFailoverScenario:
         assert metrics["probes_sent_total{path=direct}"] >= 1800.0 / PROBE_INTERVAL - 1
         assert metrics["probe_bytes_total"] == report.probe_bytes
         assert metrics["health_transitions_total{path=direct,to=failed}"] == 1.0
-        time_in = report.time_in_state["direct"]
+        prefix = "time_in_state_seconds{path=direct,state="
+        time_in = {
+            key[len(prefix):-1]: seconds
+            for key, seconds in metrics.items()
+            if key.startswith(prefix)
+        }
         assert sum(time_in.values()) == pytest.approx(1800.0)
         assert time_in["failed"] > 0
 

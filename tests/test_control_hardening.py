@@ -158,8 +158,6 @@ class TestDegradationConfig:
             DegradationConfig(stale_after_s=300.0, blackout_after_s=100.0)
         with pytest.raises(ControlError):
             DegradationConfig(flap_threshold=1)
-        with pytest.raises(ControlError):
-            DegradationConfig(fallback_label="")
 
 
 def failed_transition(label: str, at_time: float) -> HealthTransition:

@@ -242,31 +242,31 @@ class TestFlapAwareMargin:
         return health_for({"direct": PathState.HEALTHY, "o1": PathState.HEALTHY})
 
     def test_flapping_challenger_needs_bigger_win(self):
-        policy = BestPathPolicy(switch_margin=0.10, flap_margin_per_failure=0.10)
         history = FixedHistory({"o1": 2})  # margin: 10% + 2 * 10% = 30%
-        probes = self._probes(6.0)  # +20%: clears 10%, not 30%
-        decision = policy.decide(
-            0.0, self._health(), probes, ("direct",), history=history
+        policy = BestPathPolicy(
+            switch_margin=0.10, flap_margin_per_failure=0.10, history=history
         )
+        probes = self._probes(6.0)  # +20%: clears 10%, not 30%
+        decision = policy.decide(0.0, self._health(), probes, ("direct",))
         assert decision.active == ("direct",)
         assert "30%" in decision.reason
 
     def test_big_enough_win_still_switches(self):
-        policy = BestPathPolicy(switch_margin=0.10, flap_margin_per_failure=0.10)
         history = FixedHistory({"o1": 2})
-        probes = self._probes(7.0)  # +40%: clears even the 30% margin
-        decision = policy.decide(
-            0.0, self._health(), probes, ("direct",), history=history
+        policy = BestPathPolicy(
+            switch_margin=0.10, flap_margin_per_failure=0.10, history=history
         )
+        probes = self._probes(7.0)  # +40%: clears even the 30% margin
+        decision = policy.decide(0.0, self._health(), probes, ("direct",))
         assert decision.active == ("o1",)
 
     def test_clean_history_means_base_margin(self):
-        policy = BestPathPolicy(switch_margin=0.10, flap_margin_per_failure=0.10)
         history = FixedHistory({})
-        probes = self._probes(6.0)  # +20% clears the base 10%
-        decision = policy.decide(
-            0.0, self._health(), probes, ("direct",), history=history
+        policy = BestPathPolicy(
+            switch_margin=0.10, flap_margin_per_failure=0.10, history=history
         )
+        probes = self._probes(6.0)  # +20% clears the base 10%
+        decision = policy.decide(0.0, self._health(), probes, ("direct",))
         assert decision.active == ("o1",)
 
     def test_no_history_behaves_as_before(self):
@@ -276,21 +276,12 @@ class TestFlapAwareMargin:
         assert decision.active == ("o1",)
 
     def test_margin_off_by_default(self):
-        policy = BestPathPolicy(switch_margin=0.10)
         history = FixedHistory({"o1": 50})
+        policy = BestPathPolicy(switch_margin=0.10, history=history)
         probes = self._probes(6.0)
-        decision = policy.decide(
-            0.0, self._health(), probes, ("direct",), history=history
-        )
+        decision = policy.decide(0.0, self._health(), probes, ("direct",))
         assert decision.active == ("o1",)  # history ignored unless enabled
 
     def test_negative_flap_margin_rejected(self):
         with pytest.raises(ControlError):
             BestPathPolicy(flap_margin_per_failure=-0.1)
-
-    def test_guard_satisfies_history_protocol(self):
-        from repro.control.degradation import DegradationConfig, DegradationGuard
-        from repro.control.policy import FaultHistory
-
-        guard = DegradationGuard(DegradationConfig())
-        assert isinstance(guard, FaultHistory)

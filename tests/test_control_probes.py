@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.control.probes import ProbeConfig, ProbeScheduler
-from repro.core.pathset import PathSet, PathType
+from repro.core.pathset import PathSet
 from repro.errors import ControlError
 from repro.rand import RandomStreams
 from repro.tunnel.node import OverlayNode
@@ -80,19 +80,13 @@ class TestProbeResults:
         assert dead.bytes_cost < live.bytes_cost  # no echoes, no transfer
         pathset.direct.links[2].restore()
 
-    def test_rtt_only_probing(self, pathset):
-        sched = scheduler(pathset, measure_throughput=False)
-        result = sched.probe("direct", 0.0)
-        assert result.throughput_mbps is None
-        assert result.bytes_cost == 2 * 10 * 64
-
 
 class TestBudget:
     def test_budget_skips_and_counts(self, pathset):
         # Budget fits one ping-only probe per interval, not two.
         sched = scheduler(
             pathset,
-            measure_throughput=False,
+            throughput_probe_bytes=0,
             budget_bytes_per_interval=1500,
         )
         first = sched.probe("direct", 0.0)
@@ -107,7 +101,7 @@ class TestBudget:
             pathset,
             interval_s=30.0,
             jitter_frac=0.0,
-            measure_throughput=False,
+            throughput_probe_bytes=0,
             budget_bytes_per_interval=1500,
         )
         assert sched.probe("direct", 0.0) is not None
@@ -116,17 +110,13 @@ class TestBudget:
         assert sched.probe("vm", 30.0) is not None
 
     def test_probe_due_returns_obtained_results(self, pathset):
-        sched = scheduler(pathset, measure_throughput=False)
+        sched = scheduler(pathset)
         results = sched.probe_due(0.0)
         assert [r.label for r in results] == ["direct", "vm"]
         assert sched.last_result["direct"].ok
 
 
 class TestConfigValidation:
-    def test_direct_mode_rejected(self):
-        with pytest.raises(ControlError):
-            ProbeConfig(mode=PathType.DIRECT)
-
     def test_bad_interval_rejected(self):
         with pytest.raises(ControlError):
             ProbeConfig(interval_s=0.0)

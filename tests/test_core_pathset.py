@@ -180,7 +180,7 @@ class TestRate:
         for t in (0.0, 30.0, 55.0):
             for label in probes.labels:
                 result = probes.probe(label, t)
-                assert result.throughput_mbps == pathset.rate(probes.config.mode, label, t)
+                assert result.throughput_mbps == pathset.rate(PathType.SPLIT_OVERLAY, label, t)
         assert evaluated == []
         pathset.rate(PathType.OVERLAY, "direct", 57.5)  # off the tick grid
         assert len(evaluated) == 1

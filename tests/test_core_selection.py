@@ -11,7 +11,7 @@ from repro.core.placement import (
     min_nodes_for_max_throughput,
 )
 from repro.core.selection import MptcpSelector, ProbingSelector
-from repro.errors import AnalysisError, ConfigError
+from repro.errors import AnalysisError
 from repro.core.pathset import PathType
 
 T0 = 6 * 3_600.0
@@ -48,10 +48,6 @@ class TestProbingSelector:
         result = selector.select(T0)
         assert result.stale_s == 0.0
         assert selector.total_overhead_bytes > 0
-
-    def test_direct_mode_rejected(self, pathset):
-        with pytest.raises(ConfigError):
-            ProbingSelector(pathset, mode=PathType.DIRECT)
 
 
 class TestMptcpSelector:

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.control.policy import STRATEGIES
 from repro.errors import ExecError
 from repro.exec.cache import MISS, ResultCache
 from repro.exec.manifest import RunManifest
@@ -25,11 +26,7 @@ from repro.exec.plan import ExecTask, run_tasks
 from repro.exec.runner import ABORT_ENV, ExecConfig, ExecRunner
 from repro.exec.spec import TaskSpec
 from repro.experiments import scenario
-from repro.experiments.chaos_exp import (
-    STRATEGIES,
-    ChaosConfig,
-    run_chaos,
-)
+from repro.experiments.chaos_exp import ChaosConfig, run_chaos
 from repro.experiments.controlled import ControlledConfig, run_controlled
 from repro.experiments.demand_exp import DemandConfig, run_demand
 from repro.experiments.longitudinal import run_longitudinal

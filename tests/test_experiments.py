@@ -86,6 +86,40 @@ class TestWorldBuilder:
         assert countries <= {"CA", "US", "DE", "CH", "JP", "KR", "CN"}
 
 
+class TestFirstPair:
+    """The pair search the control, chaos and packet-replay studies share."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(seed=3, scale="small")
+
+    def test_rejected_pairs_skipped_server_then_client(self, world):
+        # Reject every pair of the first server and the first of the
+        # second: the search must walk clients, then move to the next server.
+        clients = world.client_names()
+        order = [(server, client) for server in world.server_names for client in clients]
+        rejected = len(clients) + 1
+        seen = []
+
+        def target(pathset):
+            seen.append((pathset.src_name, pathset.dst_name))
+            if len(seen) <= rejected:
+                raise ExperimentError("toy target rejects this pair")
+            return "accepted"
+
+        pathset, answer = world.first_pair(target)
+        assert seen == order[: rejected + 1]
+        assert (pathset.src_name, pathset.dst_name) == order[rejected]
+        assert answer == "accepted"
+
+    def test_no_fitting_pair_raises(self, world):
+        def target(pathset):
+            raise ExperimentError("toy target rejects every pair")
+
+        with pytest.raises(ExperimentError, match="no \\(server, client\\) pair"):
+            world.first_pair(target)
+
+
 class TestSharedWorld:
     # One world serves every study of a (seed, scale) in the report:
     # the default overlay is built once, and no study's result depends

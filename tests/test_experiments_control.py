@@ -8,11 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.control_exp import (
-    ControlExpConfig,
-    pick_unique_link,
-    run_control,
-)
+from repro.experiments.control_exp import ControlExpConfig, run_control
 
 CONFIG = ControlExpConfig(
     seed=7,
@@ -118,16 +114,6 @@ class TestConfigValidation:
     def test_non_finite_numbers_rejected(self, field, value):
         with pytest.raises(ExperimentError):
             ControlExpConfig(**{field: value})
-
-    def test_pick_unique_link_requires_disjoint_link(self, result):
-        # Guard utility: identical paths can never be isolated.
-        from repro.experiments.scenario import build_world
-
-        world = build_world(seed=3, scale="small")
-        cronet = world.cronet()
-        pathset = cronet.path_set(world.server_names[0], world.client_names()[0])
-        with pytest.raises(ExperimentError):
-            pick_unique_link(pathset.direct, [pathset.direct])
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -15,7 +15,6 @@ import pytest
 from reference import link_metrics
 from repro.control.controller import OverlayController
 from repro.control.health import HealthConfig
-from repro.control.metrics import MetricsRegistry
 from repro.control.policy import BestPathPolicy
 from repro.core.pathset import PathSet
 from repro.errors import ConfigError, RoutingError
@@ -255,7 +254,6 @@ class TestDecisionMemoInvalidation:
             policy=BestPathPolicy(),
             scheduler=None,
             health_config=HealthConfig(),
-            metrics=MetricsRegistry(),
             tick_s=5.0,
         )
 
